@@ -23,9 +23,7 @@ from .graph import (
     edge_differences,
     edge_differences_adjoint,
     incidence_norm_sq_upper,
-    load_cache,
     load_edge_list,
-    save_cache,
     subgraph_weight,
     write_edge_list,
 )
@@ -42,7 +40,6 @@ from .prox import CappedSimplexParams, cardinality_gap, prox_capped_simplex, shr
 from .rounding import (
     FrankWolfeConfig,
     FrankWolfeResult,
-    adjacency_spectral_norm,
     frank_wolfe_refine,
     project_topk,
 )

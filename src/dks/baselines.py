@@ -12,8 +12,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, VertexSet, adjacency_matvec, subgraph_weight
-from .rounding import power_iteration_norm
+from .graph import (
+    Graph,
+    VertexSet,
+    adjacency_matvec,
+    check_k,
+    power_iteration_norm,
+    subgraph_weight,
+    topk,
+)
 
 __all__ = [
     "SpectralPair",
@@ -25,11 +32,6 @@ __all__ = [
 ]
 
 
-def _check_k(g: Graph, k: int) -> None:
-    if not 2 <= k <= g.n - 1:
-        raise ValueError(f"k must lie in [2, {g.n - 1}], got {k}")
-
-
 def greedy_feige(g: Graph, k: int) -> VertexSet:
     """Two-phase greedy: top ``ceil(k/2)`` by weighted degree, then best attached.
 
@@ -38,14 +40,14 @@ def greedy_feige(g: Graph, k: int) -> VertexSet:
     (The original algorithm is stated for unweighted graphs; weighted degree
     and weighted attachment are the natural generalization used here.)
     """
-    _check_k(g, k)
+    check_k(g, k)
     head_count = (k + 1) // 2
-    heads = np.argsort(-g.degree, kind="stable")[:head_count]
+    heads = topk(g.degree, head_count)
     indicator = np.zeros(g.n)
     indicator[heads] = 1.0
     attachment = adjacency_matvec(g, indicator)
     attachment[heads] = -np.inf
-    tail = np.argsort(-attachment, kind="stable")[: k - head_count]
+    tail = topk(attachment, k - head_count)
     return VertexSet.from_members(g, np.concatenate([heads, tail]))
 
 
@@ -58,12 +60,12 @@ def truncated_power_method(g: Graph, k: int, x0=None, max_iter: int = 100) -> Ve
     support visited is returned, so the result never degrades with extra
     iterations. ``x0`` defaults to the top-k degree indicator.
     """
-    _check_k(g, k)
+    check_k(g, k)
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
     if x0 is None:
         x = np.zeros(g.n)
-        x[np.argsort(-g.degree, kind="stable")[:k]] = 1.0
+        x[topk(g.degree, k)] = 1.0
     else:
         x = np.asarray(x0, dtype=np.float64).copy()
         if x.shape != (g.n,):
@@ -79,7 +81,7 @@ def truncated_power_method(g: Graph, k: int, x0=None, max_iter: int = 100) -> Ve
     prev_weight = None
     for _ in range(max_iter):
         wx = adjacency_matvec(g, x)
-        support = tuple(np.sort(np.argsort(-wx, kind="stable")[:k]))
+        support = tuple(np.sort(topk(wx, k)))
         weight = subgraph_weight(g, support)
         if weight > best_weight:
             best_weight, best_support = weight, support
@@ -95,7 +97,7 @@ def truncated_power_method(g: Graph, k: int, x0=None, max_iter: int = 100) -> Ve
 
 @dataclass(frozen=True, eq=False)
 class SpectralPair:
-    """Top two singular values of the adjacency matrix and the leading unit vector."""
+    """Upper estimates of the top two singular values of W and the leading unit vector."""
 
     sigma1: float
     u1: np.ndarray
@@ -109,8 +111,9 @@ def top_two_singular(g: Graph, tol: float = 1e-6, max_iter: int = 20000) -> Spec
     Power iteration approaches singular values from below, so both estimates
     are inflated by ``(1 + 10*tol)`` into safe upper estimates: the density
     bound built from them must err on the loose side, never the tight one.
-    Estimates that hit the iteration cap are still returned but flagged via
-    ``converged = False``, never silently.
+    If either iteration hits its cap, no inflation certifies the estimate, so
+    both values fall back to the maximum weighted degree, a certified upper
+    bound on ``||W||``, and the pair is flagged ``converged = False``.
     """
     if g.m == 0:
         raise ValueError("graph has no edges")
@@ -122,12 +125,15 @@ def top_two_singular(g: Graph, tol: float = 1e-6, max_iter: int = 20000) -> Spec
         return adjacency_matvec(g, x) - lambda1 * (u1 @ x) * u1
 
     sigma2, _, ok2 = power_iteration_norm(deflated, g.n, tol, max_iter)
+    if not (ok1 and ok2):
+        cap = float(g.degree.max())
+        return SpectralPair(sigma1=cap, u1=u1, sigma2=cap, converged=False)
     inflate = 1.0 + 10.0 * tol
     sigma1 *= inflate
     sigma2 *= inflate
     # deflation noise can nudge sigma2 past sigma1; the ordering is structural
     sigma2 = min(sigma2, sigma1)
-    return SpectralPair(sigma1=sigma1, u1=u1, sigma2=sigma2, converged=ok1 and ok2)
+    return SpectralPair(sigma1=sigma1, u1=u1, sigma2=sigma2)
 
 
 def rank1_dks(g: Graph, k: int, sp: SpectralPair):
@@ -139,10 +145,10 @@ def rank1_dks(g: Graph, k: int, sp: SpectralPair):
     the larger true subgraph weight and ``q`` is the surrogate optimum,
     needed by :func:`density_upper_bound`.
     """
-    _check_k(g, k)
+    check_k(g, k)
     u = np.asarray(sp.u1, dtype=np.float64)
-    plus = np.argsort(-u, kind="stable")[:k]
-    minus = np.argsort(u, kind="stable")[:k]
+    plus = topk(u, k)
+    minus = topk(-u, k)
     q = sp.sigma1 * max(float(u[plus].sum()) ** 2, float(u[minus].sum()) ** 2)
     cand_plus = VertexSet.from_members(g, plus)
     cand_minus = VertexSet.from_members(g, minus)
@@ -159,7 +165,6 @@ def density_upper_bound(g: Graph, k: int, sp: SpectralPair, q: float) -> float:
     unweighted graphs). The bound holds for any heuristic's output, so it
     benchmarks sub-optimality a posteriori.
     """
-    if k < 2:
-        raise ValueError("k must be at least 2")
+    check_k(g, k)
     cap = float(g.weights.max()) if g.m else 0.0
     return float(min(cap, (q / k + sp.sigma2) / (k - 1), sp.sigma1 / (k - 1)))

@@ -29,7 +29,14 @@ from .baselines import (
     top_two_singular,
     truncated_power_method,
 )
-from .graph import EdgeListParseError, Graph, load_edge_list, write_edge_list
+from .graph import (
+    EdgeListParseError,
+    Graph,
+    check_k,
+    incidence_norm_sq_upper,
+    load_edge_list,
+    write_edge_list,
+)
 from .oracles import brute_force_dks, generate_planted
 from .rounding import FrankWolfeConfig, frank_wolfe_refine, project_topk
 from .solver import NumericalDivergenceError, SolverConfig, solve_lovasz_relaxation
@@ -38,6 +45,7 @@ __all__ = ["main", "SweepRecord", "run_single", "run_sweep", "run_gen", "emit_pl
 
 CSV_HEADER = "k,method,density,weight,upper_bound,bound_ratio,iters,converged,runtime_ms"
 SOLVE_METHODS = ("ladmm-project", "ladmm-fw", "greedy", "tpm", "rank1", "brute")
+RELAX_METHODS = ("ladmm-project", "ladmm-fw")
 BOUND_METHOD = "bound"
 BOUND_SLACK = 1.0 + 1e-9
 
@@ -87,13 +95,15 @@ def _solver_config(args) -> SolverConfig:
         bisection_eps=args.bisect_eps,
         max_iter=args.max_iter,
         prox_scale_mode=args.prox_scale,
-        scaled_dual_residual=args.scaled_dual_residual,
         objective_stride=args.thin,
     )
 
 
-def _fw_config(args) -> FrankWolfeConfig:
-    return FrankWolfeConfig(max_iter=args.fw_max_iter, step_mode=args.fw_step)
+def _fw_config(args, sp) -> FrankWolfeConfig:
+    """Frank-Wolfe settings; the ``lipschitz`` step rule takes ``||W||`` from ``sp.sigma1``."""
+    lipschitz = sp.sigma1 if sp is not None and args.fw_step == "lipschitz" else None
+    return FrankWolfeConfig(max_iter=args.fw_max_iter, lipschitz=lipschitz,
+                            step_mode=args.fw_step)
 
 
 def _load_graph(args) -> Graph:
@@ -101,17 +111,20 @@ def _load_graph(args) -> Graph:
 
 
 def _check_k(g: Graph, k: int) -> None:
-    if not 2 <= k <= g.n - 1:
-        raise UsageError(f"k must lie in [2, n-1] = [2, {g.n - 1}], got {k}")
+    try:
+        check_k(g, k)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
-def _run_method(g, k, method, solver_cfg, fw_cfg, relax_report):
+def _run_method(g, k, method, fw_cfg, relax_report, sp):
     """Dispatch one method; returns (vertex_set, iters, converged, extra_seconds).
 
     `extra_seconds` charges the (possibly shared) relaxation solve to the
-    methods that consume it.
+    methods that consume it; `sp` is the graph's spectral pair, needed only
+    by `rank1`.
     """
-    if method in ("ladmm-project", "ladmm-fw") and relax_report is None:
+    if method in RELAX_METHODS and relax_report is None:
         raise RuntimeError("relaxation solve failed; no iterate to round")
     if method == "ladmm-project":
         vset = project_topk(g, relax_report.x_avg, k)
@@ -126,7 +139,6 @@ def _run_method(g, k, method, solver_cfg, fw_cfg, relax_report):
         x0 = relax_report.x_avg if relax_report is not None else None
         return truncated_power_method(g, k, x0), 0, True, 0.0
     if method == "rank1":
-        sp = top_two_singular(g)
         vset, _ = rank1_dks(g, k, sp)
         return vset, 0, sp.converged, 0.0
     if method == "brute":
@@ -144,14 +156,18 @@ def run_single(args) -> int:
     k = args.k
     _check_k(g, k)
     solver_cfg = _solver_config(args)
-    fw_cfg = _fw_config(args)
+    sp = None
+    if (args.bound or args.method == "rank1"
+            or (args.method == "ladmm-fw" and args.fw_step == "lipschitz")):
+        sp = top_two_singular(g)
+    fw_cfg = _fw_config(args, sp)
 
     start = time.perf_counter()
     relax_report = None
-    if args.method in ("ladmm-project", "ladmm-fw"):
+    if args.method in RELAX_METHODS:
         relax_report = solve_lovasz_relaxation(g, k, solver_cfg)
     vset, iters, converged, _ = _run_method(
-        g, k, args.method, solver_cfg, fw_cfg, relax_report)
+        g, k, args.method, fw_cfg, relax_report, sp)
     runtime_ms = (time.perf_counter() - start) * 1e3
 
     payload = {
@@ -167,7 +183,6 @@ def run_single(args) -> int:
         "runtime_ms": runtime_ms,
     }
     if args.bound:
-        sp = top_two_singular(g)
         _, q = rank1_dks(g, k, sp)
         ub = density_upper_bound(g, k, sp, q)
         if np.isfinite(vset.density) and vset.density > ub * BOUND_SLACK:
@@ -202,12 +217,12 @@ def run_single(args) -> int:
 # sweep
 
 
-def _sweep_one_k(g, k, methods, solver_cfg, fw_cfg, sp, no_timing):
+def _sweep_one_k(g, k, methods, solver_cfg, fw_cfg, sp, lambda_hat, no_timing):
     records = []
     relax_report = None
-    if any(m in ("ladmm-project", "ladmm-fw") for m in methods):
+    if any(m in RELAX_METHODS for m in methods):
         try:
-            relax_report = solve_lovasz_relaxation(g, k, solver_cfg)
+            relax_report = solve_lovasz_relaxation(g, k, solver_cfg, lambda_hat)
         except Exception as exc:  # consumers record the failure row by row
             print(f"warning: k={k} relaxation solve failed: {exc}", file=sys.stderr)
 
@@ -217,14 +232,14 @@ def _sweep_one_k(g, k, methods, solver_cfg, fw_cfg, sp, no_timing):
     bound_ms = (time.perf_counter() - start) * 1e3
     records.append(SweepRecord(
         k=k, method=BOUND_METHOD, density=ub, weight=ub * k * (k - 1),
-        upper_bound=ub, bound_ratio=1.0, iters=0, converged=True,
+        upper_bound=ub, bound_ratio=1.0, iters=0, converged=sp.converged,
         runtime_ms=0.0 if no_timing else bound_ms))
 
     for method in methods:
         start = time.perf_counter()
         try:
             vset, iters, converged, extra = _run_method(
-                g, k, method, solver_cfg, fw_cfg, relax_report)
+                g, k, method, fw_cfg, relax_report, sp)
             elapsed_ms = (time.perf_counter() - start + extra) * 1e3
             density, weight = vset.density, vset.subgraph_weight
         except Exception as exc:  # a failed cell must not abort the sweep
@@ -290,11 +305,16 @@ def run_sweep(args) -> int:
         raise UsageError("no methods selected")
     threads = _thread_count(args)
     solver_cfg = _solver_config(args)
-    fw_cfg = _fw_config(args)
-    sp = top_two_singular(g)  # shared by every k's bound and rank1 rows
+    # graph-level quantities, computed once and shared by every k and method
+    sp = top_two_singular(g)
+    lambda_hat = None
+    if any(m in RELAX_METHODS for m in methods):
+        lambda_hat = incidence_norm_sq_upper(g, solver_cfg.spectral_tol)
+    fw_cfg = _fw_config(args, sp)
 
     def work(k):
-        return _sweep_one_k(g, k, methods, solver_cfg, fw_cfg, sp, args.no_timing)
+        return _sweep_one_k(g, k, methods, solver_cfg, fw_cfg, sp, lambda_hat,
+                            args.no_timing)
 
     if threads == 1:
         blocks = [work(k) for k in ks]
@@ -410,8 +430,6 @@ def _add_solver_args(sp) -> None:
                     help="record the objective every N iterations (default 1)")
     sp.add_argument("--prox-scale", choices=("derived", "literal"), default="derived",
                     help="bisection scaling: tau = 1/mu (derived) or tau = rho (literal)")
-    sp.add_argument("--scaled-dual-residual", action="store_true",
-                    help="scale the dual residual by rho (conventional ADMM form)")
 
 
 def build_parser() -> argparse.ArgumentParser:

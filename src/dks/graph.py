@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import gzip
 import io
-import struct
 import sys
 from dataclasses import dataclass
 
@@ -22,8 +21,8 @@ __all__ = [
     "VertexSet",
     "load_edge_list",
     "write_edge_list",
-    "save_cache",
-    "load_cache",
+    "check_k",
+    "topk",
     "edge_differences",
     "edge_differences_adjoint",
     "adjacency_matvec",
@@ -31,9 +30,6 @@ __all__ = [
     "subgraph_weight",
     "edge_density",
 ]
-
-_CACHE_MAGIC = b"DKSG"
-_CACHE_VERSION = 1
 
 
 class EdgeListParseError(ValueError):
@@ -169,6 +165,17 @@ class VertexSet:
         return cls(members=mem, subgraph_weight=w, density=w / (k * (k - 1)))
 
 
+def check_k(g: Graph, k: int) -> None:
+    """Raise ``ValueError`` unless ``2 <= k <= n - 1``, the sizes every method accepts."""
+    if not 2 <= k <= g.n - 1:
+        raise ValueError(f"k must lie in [2, n-1] = [2, {g.n - 1}], got {k}")
+
+
+def topk(x, k: int) -> np.ndarray:
+    """Indices of the ``k`` largest entries of ``x``, largest first; ties to the smallest index."""
+    return np.argsort(-np.asarray(x), kind="stable")[:k]
+
+
 # ---------------------------------------------------------------------------
 # ingestion
 
@@ -294,34 +301,6 @@ def write_edge_list(g: Graph, dest) -> None:
     finally:
         if own:
             f.close()
-
-
-def save_cache(g: Graph, path) -> None:
-    """Write the compact binary cache: tagged header, n, m, edges, weights, ids."""
-    with open(path, "wb") as f:
-        f.write(struct.pack("<4sIQQ", _CACHE_MAGIC, _CACHE_VERSION, g.n, g.m))
-        f.write(np.ascontiguousarray(g.edges, dtype="<i8").tobytes())
-        f.write(np.ascontiguousarray(g.weights, dtype="<f8").tobytes())
-        f.write(np.ascontiguousarray(g.original_ids, dtype="<i8").tobytes())
-
-
-def load_cache(path) -> Graph:
-    """Read a graph written by :func:`save_cache`."""
-    with open(path, "rb") as f:
-        head = f.read(struct.calcsize("<4sIQQ"))
-        if len(head) < struct.calcsize("<4sIQQ"):
-            raise ValueError("truncated graph cache")
-        magic, version, n, m = struct.unpack("<4sIQQ", head)
-        if magic != _CACHE_MAGIC:
-            raise ValueError("not a graph cache file")
-        if version != _CACHE_VERSION:
-            raise ValueError(f"unsupported graph cache version {version}")
-        edges = np.frombuffer(f.read(16 * m), dtype="<i8").reshape(m, 2)
-        weights = np.frombuffer(f.read(8 * m), dtype="<f8")
-        ids = np.frombuffer(f.read(8 * n), dtype="<i8")
-        if edges.shape != (m, 2) or weights.shape != (m,) or ids.shape != (n,):
-            raise ValueError("truncated graph cache")
-    return Graph.from_edges(n, edges, weights, original_ids=ids)
 
 
 # ---------------------------------------------------------------------------

@@ -13,34 +13,30 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, VertexSet, adjacency_matvec, power_iteration_norm
+from .graph import (
+    Graph,
+    VertexSet,
+    adjacency_matvec,
+    check_k,
+    power_iteration_norm,
+    topk,
+)
 
 __all__ = [
     "FrankWolfeConfig",
     "FrankWolfeResult",
-    "power_iteration_norm",
-    "adjacency_spectral_norm",
     "project_topk",
     "frank_wolfe_refine",
 ]
 
 
-def adjacency_spectral_norm(g: Graph, tol: float = 1e-4, max_iter: int = 1000):
-    """``||W||_2`` with its dominant unit vector: ``(sigma, vector, converged)``."""
-    if g.m == 0:
-        raise ValueError("graph has no edges")
-    return power_iteration_norm(lambda x: adjacency_matvec(g, x), g.n, tol, max_iter)
-
-
 def project_topk(g: Graph, x, k: int) -> VertexSet:
     """Support of the k largest entries of ``x``; ties go to the smallest index."""
-    if not 2 <= k <= g.n - 1:
-        raise ValueError(f"k must lie in [2, {g.n - 1}], got {k}")
+    check_k(g, k)
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (g.n,):
         raise ValueError(f"expected a length-{g.n} vector, got shape {x.shape}")
-    order = np.argsort(-x, kind="stable")
-    return VertexSet.from_members(g, order[:k])
+    return VertexSet.from_members(g, topk(x, k))
 
 
 @dataclass(frozen=True)
@@ -96,8 +92,7 @@ def frank_wolfe_refine(g: Graph, k: int, x0, cfg: FrankWolfeConfig | None = None
     """
     cfg = cfg if cfg is not None else FrankWolfeConfig()
     cfg.validate()
-    if not 2 <= k <= g.n - 1:
-        raise ValueError(f"k must lie in [2, {g.n - 1}], got {k}")
+    check_k(g, k)
     x = np.asarray(x0, dtype=np.float64).copy()
     if x.shape != (g.n,):
         raise ValueError(f"expected a length-{g.n} vector, got shape {x.shape}")
@@ -110,7 +105,8 @@ def frank_wolfe_refine(g: Graph, k: int, x0, cfg: FrankWolfeConfig | None = None
     if cfg.step_mode == "lipschitz":
         lipschitz = cfg.lipschitz
         if lipschitz is None:
-            lipschitz = adjacency_spectral_norm(g, cfg.spectral_tol)[0]
+            lipschitz = power_iteration_norm(
+                lambda v: adjacency_matvec(g, v), g.n, cfg.spectral_tol)[0]
         if not lipschitz > 0:
             raise ValueError("spectral norm estimate is not positive")
 
@@ -120,9 +116,8 @@ def frank_wolfe_refine(g: Graph, k: int, x0, cfg: FrankWolfeConfig | None = None
     alphas = []
     stop_reason = "max-iter"
     for _ in range(cfg.max_iter):
-        order = np.argsort(-wx, kind="stable")
         x_bar = np.zeros(g.n)
-        x_bar[order[:k]] = 1.0
+        x_bar[topk(wx, k)] = 1.0
         d = x_bar - x
         gap = float(wx @ d)   # = x' W d by symmetry; Frank-Wolfe gap / 2
         if gap <= 0.0:

@@ -25,9 +25,11 @@ import numpy as np
 
 from .graph import (
     Graph,
+    check_k,
     edge_differences,
     edge_differences_adjoint,
     incidence_norm_sq_upper,
+    topk,
 )
 from .prox import CappedSimplexParams, prox_capped_simplex, shrinkage
 
@@ -59,9 +61,8 @@ class SolverConfig:
     ``prox_scale_mode`` selects the quadratic scaling handed to the bisection:
     ``"derived"`` passes ``tau = 1/mu`` (consistent with the linearized
     x-update being a prox of ``g/mu``), ``"literal"`` passes ``tau = rho``.
-    ``scaled_dual_residual`` restores the conventional ``rho`` factor on the
-    dual residual; the default leaves it unscaled. ``objective_stride``
-    computes the objective history every N iterations (1 = every iteration).
+    ``objective_stride`` computes the objective history every N iterations
+    (1 = every iteration).
     """
 
     rho: float = 0.1
@@ -72,7 +73,6 @@ class SolverConfig:
     bisection_eps: float = 1e-6
     max_iter: int = 3000
     prox_scale_mode: str = "derived"
-    scaled_dual_residual: bool = False
     objective_stride: int = 1
     spectral_tol: float = 1e-2
 
@@ -131,7 +131,8 @@ def relaxation_objective(g: Graph, x) -> float:
     return -lovasz_objective(g, x)
 
 
-def solve_lovasz_relaxation(g: Graph, k: int, cfg: SolverConfig | None = None) -> SolverReport:
+def solve_lovasz_relaxation(g: Graph, k: int, cfg: SolverConfig | None = None,
+                            lambda_hat: float | None = None) -> SolverReport:
     """Solve the Lovász relaxation at cardinality ``k`` with linearized ADMM.
 
     Per iteration: an x-update through the capped-simplex prox at the
@@ -143,19 +144,25 @@ def solve_lovasz_relaxation(g: Graph, k: int, cfg: SolverConfig | None = None) -
         eps_pri  = sqrt(m) eps_abs + eps_rel max(||B^T x||, ||z||)
         eps_dual = sqrt(n) eps_abs + eps_rel ||B u||
 
-    or at ``max_iter``. Raises ``ValueError`` for out-of-range ``k`` or an
-    edgeless graph and :class:`NumericalDivergenceError` when an iterate goes
-    non-finite.
+    or at ``max_iter``. ``lambda_hat``, a safe upper estimate of ``||B||^2``,
+    depends on the graph alone: callers solving at several ``k`` compute it
+    once with :func:`incidence_norm_sq_upper` and pass it; by default it is
+    computed here at ``cfg.spectral_tol``. Raises ``ValueError`` for
+    out-of-range ``k``, an edgeless graph or a ``lambda_hat`` that is not
+    positive and finite, and :class:`NumericalDivergenceError` when an
+    iterate goes non-finite.
     """
     cfg = cfg if cfg is not None else SolverConfig()
     cfg.validate()
-    if not 2 <= k <= g.n - 1:
-        raise ValueError(f"k must lie in [2, {g.n - 1}], got {k}")
+    check_k(g, k)
     if g.m == 0:
         raise ValueError("graph has no edges")
+    if lambda_hat is not None and not (np.isfinite(lambda_hat) and lambda_hat > 0):
+        raise ValueError("lambda_hat must be positive and finite")
 
     start = time.perf_counter()
-    lambda_hat = incidence_norm_sq_upper(g, cfg.spectral_tol)
+    if lambda_hat is None:
+        lambda_hat = incidence_norm_sq_upper(g, cfg.spectral_tol)
     mu_cap = 1.0 / (cfg.rho * lambda_hat)
     mu = mu_cap if cfg.mu is None else cfg.mu
     if mu > mu_cap * (1.0 + 1e-12):
@@ -165,7 +172,7 @@ def solve_lovasz_relaxation(g: Graph, k: int, cfg: SolverConfig | None = None) -
     params = CappedSimplexParams(g.degree, float(k), tau, cfg.bisection_eps)
 
     x = np.zeros(g.n)
-    x[np.argsort(-g.degree, kind="stable")[:k]] = 1.0
+    x[topk(g.degree, k)] = 1.0
     btx = edge_differences(g, x)
     z = btx.copy()
     u = np.zeros(g.m)
@@ -194,10 +201,7 @@ def solve_lovasz_relaxation(g: Graph, k: int, cfg: SolverConfig | None = None) -
         iters = t + 1
 
         r_norm = float(np.linalg.norm(btx - z))
-        s = edge_differences_adjoint(g, z - z_prev)
-        if cfg.scaled_dual_residual:
-            s = rho * s
-        s_norm = float(np.linalg.norm(s))
+        s_norm = float(np.linalg.norm(edge_differences_adjoint(g, z - z_prev)))
         eps_pri = sqrt_m * cfg.eps_abs + cfg.eps_rel * max(
             float(np.linalg.norm(btx)), float(np.linalg.norm(z)))
         eps_dual = sqrt_n * cfg.eps_abs + cfg.eps_rel * float(

@@ -110,6 +110,20 @@ class TestTopTwoSingular:
             assert sp.sigma1 >= sp.sigma2 >= 0.0
             assert np.linalg.norm(sp.u1) == pytest.approx(1.0)
 
+    def test_iteration_cap_falls_back_to_certified_bound(self):
+        rng = np.random.default_rng(6)
+        for weighted in (False, True):
+            g = random_graph(rng, 12, 0.4, weighted=weighted)
+            sp = top_two_singular(g, max_iter=1)
+            assert not sp.converged
+            assert sp.sigma1 == sp.sigma2 == g.degree.max()
+            for k in range(2, g.n):
+                _, q = rank1_dks(g, k, sp)
+                bound = density_upper_bound(g, k, sp, q)
+                assert bound == min(g.weights.max(), sp.sigma1 / (k - 1))
+                best, _ = brute_force_dks(g, k)
+                assert bound >= best.density - 1e-9
+
 
 class TestRank1:
     def test_k4k2(self, k4k2):

@@ -138,6 +138,49 @@ class TestSweep:
         assert main(base + ["--threads", "3", "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_graph_quantities_computed_once(self, fixture_file, tmp_path, capsys,
+                                            monkeypatch):
+        import dks.cli as cli_mod
+
+        calls = {}
+
+        def counted(name):
+            original = getattr(cli_mod, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return original(*args, **kwargs)
+            monkeypatch.setattr(cli_mod, name, wrapper)
+
+        counted("top_two_singular")
+        counted("incidence_norm_sq_upper")
+        rc = main(["sweep", "--graph", fixture_file, "--k-list", "4,6,8",
+                   "--methods", "ladmm-fw,rank1", "--fw-step", "lipschitz",
+                   "--out", str(tmp_path / "x.csv")])
+        assert rc == 0
+        assert calls == {"top_two_singular": 1, "incidence_norm_sq_upper": 1}
+
+        for method in ("rank1", "ladmm-fw"):
+            calls.clear()
+            rc = main(["solve", "--graph", fixture_file, "--k", "4", "--method", method,
+                       "--fw-step", "lipschitz", "--bound", "--json"])
+            assert rc == 0
+            assert calls.get("top_two_singular") == 1
+
+    def test_unconverged_spectral_pair_reported(self, fixture_file, tmp_path, capsys,
+                                                monkeypatch):
+        import dks.cli as cli_mod
+
+        capped = cli_mod.top_two_singular
+        monkeypatch.setattr(cli_mod, "top_two_singular", lambda g: capped(g, max_iter=1))
+        out = tmp_path / "sweep.csv"
+        rc = main(["sweep", "--graph", fixture_file, "--k-list", "4,6",
+                   "--methods", "greedy,rank1", "--out", str(out)])
+        assert rc == 0
+        rows = [l.split(",") for l in out.read_text().splitlines()[1:]]
+        assert {r[1]: r[7] for r in rows} == {"bound": "false", "rank1": "false",
+                                              "greedy": "true"}
+
     def test_planted_sweep_hits_bound_at_planted_k(self, tmp_path, capsys):
         fixture = tmp_path / "planted.txt"
         assert main(["gen", "--n", "500", "--k", "20", "--p", "0.05", "--seed", "7",

@@ -14,9 +14,7 @@ from dks.graph import (
     edge_differences,
     edge_differences_adjoint,
     incidence_norm_sq_upper,
-    load_cache,
     load_edge_list,
-    save_cache,
     subgraph_weight,
     write_edge_list,
 )
@@ -94,25 +92,6 @@ class TestLoadEdgeList:
             assert (h.edges == h2.edges).all()
             assert (h.weights == h2.weights).all()
             assert (h.original_ids == h2.original_ids).all()
-
-
-class TestBinaryCache:
-    def test_roundtrip(self, tmp_path):
-        rng = np.random.default_rng(5)
-        g = random_graph(rng, 25, 0.2, weighted=True)
-        path = tmp_path / "g.bin"
-        save_cache(g, path)
-        h = load_cache(path)
-        assert h.n == g.n and h.m == g.m
-        assert (h.edges == g.edges).all()
-        assert (h.weights == g.weights).all()
-        assert (h.original_ids == g.original_ids).all()
-
-    def test_bad_magic(self, tmp_path):
-        path = tmp_path / "junk.bin"
-        path.write_bytes(b"NOPE" + b"\x00" * 32)
-        with pytest.raises(ValueError):
-            load_cache(path)
 
 
 class TestFromEdges:

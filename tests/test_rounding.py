@@ -4,14 +4,9 @@ import numpy as np
 import pytest
 
 from conftest import random_feasible_point, random_graph
-from dks.graph import Graph, adjacency_matvec
+from dks.graph import Graph, adjacency_matvec, power_iteration_norm
 from dks.oracles import dense_cross_check, generate_planted
-from dks.rounding import (
-    FrankWolfeConfig,
-    adjacency_spectral_norm,
-    frank_wolfe_refine,
-    project_topk,
-)
+from dks.rounding import FrankWolfeConfig, frank_wolfe_refine, project_topk
 from dks.solver import solve_lovasz_relaxation
 
 
@@ -40,6 +35,11 @@ class TestProjectTopk:
             project_topk(k3, np.zeros(3), 1)
         with pytest.raises(ValueError):
             project_topk(k3, np.zeros(3), 3)
+
+
+def adjacency_spectral_norm(g, tol):
+    """``||W||_2`` as the ``lipschitz`` Frank-Wolfe step estimates it."""
+    return power_iteration_norm(lambda x: adjacency_matvec(g, x), g.n, tol)
 
 
 class TestAdjacencySpectralNorm:

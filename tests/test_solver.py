@@ -3,7 +3,13 @@ import pytest
 
 import dks.solver as solver_mod
 from conftest import random_graph
-from dks.graph import Graph, edge_differences, edge_differences_adjoint, subgraph_weight
+from dks.graph import (
+    Graph,
+    edge_differences,
+    edge_differences_adjoint,
+    incidence_norm_sq_upper,
+    subgraph_weight,
+)
 from dks.oracles import brute_force_dks, edmonds_lovasz
 from dks.rounding import project_topk
 from dks.solver import (
@@ -150,17 +156,26 @@ class TestSolveRelaxation:
         with pytest.raises(NumericalDivergenceError, match="iteration 1"):
             solve_lovasz_relaxation(k3, 2)
 
+    def test_given_lambda_hat_is_used_as_is(self, c6, monkeypatch):
+        own = solve_lovasz_relaxation(c6, 3)
+        lambda_hat = incidence_norm_sq_upper(c6, SolverConfig().spectral_tol)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("lambda_hat recomputed")
+
+        monkeypatch.setattr(solver_mod, "incidence_norm_sq_upper", forbidden)
+        given = solve_lovasz_relaxation(c6, 3, lambda_hat=lambda_hat)
+        assert given.lambda_hat == own.lambda_hat and given.mu == own.mu
+        assert given.iters == own.iters
+        assert (given.x_avg == own.x_avg).all()
+        for bad in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(ValueError):
+                solve_lovasz_relaxation(c6, 3, lambda_hat=bad)
+
     def test_literal_prox_scale_runs(self, k3):
         report = solve_lovasz_relaxation(
             k3, 2, SolverConfig(prox_scale_mode="literal", max_iter=50))
         assert report.iters >= 1
-
-    def test_scaled_dual_residual_flag(self, c6):
-        base = solve_lovasz_relaxation(c6, 3, SolverConfig(max_iter=5))
-        scaled = solve_lovasz_relaxation(
-            c6, 3, SolverConfig(max_iter=5, scaled_dual_residual=True))
-        assert np.allclose(scaled.dual_residual_history,
-                           0.1 * base.dual_residual_history)
 
     def test_config_validation(self):
         for bad in (SolverConfig(rho=0.0), SolverConfig(alpha=2.0),
