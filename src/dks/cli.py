@@ -92,10 +92,7 @@ def _solver_config(args) -> SolverConfig:
         alpha=args.alpha,
         eps_abs=args.eps_abs,
         eps_rel=args.eps_rel,
-        bisection_eps=args.bisect_eps,
         max_iter=args.max_iter,
-        prox_scale_mode=args.prox_scale,
-        objective_stride=args.thin,
     )
 
 
@@ -190,6 +187,7 @@ def run_single(args) -> int:
                 f"internal error: density {vset.density} exceeds upper bound {ub}")
         payload["upper_bound"] = ub
         payload["bound_ratio"] = vset.density / ub if ub > 0 else float("nan")
+        payload["bound_converged"] = sp.converged
 
     if args.json:
         text = json.dumps(payload, indent=2)
@@ -202,6 +200,7 @@ def run_single(args) -> int:
         if args.bound:
             lines.append(f"upper_bound: {payload['upper_bound']!r}")
             lines.append(f"bound_ratio: {payload['bound_ratio']!r}")
+            lines.append(f"bound_converged: {str(sp.converged).lower()}")
         lines.append(f"iters: {iters}")
         lines.append(f"converged: {str(converged).lower()}")
         lines.append(f"runtime_ms: {runtime_ms:.3f}")
@@ -418,18 +417,12 @@ def _add_solver_args(sp) -> None:
                     help="absolute stopping tolerance (default 1e-3; use 1e-4 for very large graphs)")
     sp.add_argument("--eps-rel", type=float, default=1e-3,
                     help="relative stopping tolerance (default 1e-3)")
-    sp.add_argument("--bisect-eps", type=float, default=1e-6,
-                    help="bisection exit tolerance (default 1e-6)")
     sp.add_argument("--max-iter", type=int, default=3000,
                     help="solver iteration cap (default 3000)")
     sp.add_argument("--fw-max-iter", type=int, default=100,
                     help="Frank-Wolfe iteration cap (default 100)")
     sp.add_argument("--fw-step", choices=("exact-line-search", "lipschitz"),
                     default="exact-line-search", help="Frank-Wolfe step rule")
-    sp.add_argument("--thin", type=int, default=1, metavar="N",
-                    help="record the objective every N iterations (default 1)")
-    sp.add_argument("--prox-scale", choices=("derived", "literal"), default="derived",
-                    help="bisection scaling: tau = 1/mu (derived) or tau = rho (literal)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -1,10 +1,11 @@
 """Proximal operators used by the solver.
 
-Two closed or near-closed forms cover everything the splitting needs:
+Two closed forms cover everything the splitting needs:
 
 * the prox of a linear tilt over the capped simplex
-  ``{x in [0,1]^n : sum(x) = k}``, evaluated by bisection on the scalar dual
-  variable of the sum constraint, and
+  ``{x in [0,1]^n : sum(x) = k}``, solved exactly by a breakpoint search on
+  the scalar dual variable of the sum constraint (Wang & Lu, "Projection onto
+  the capped simplex", arXiv:1503.01002), and
 * elementwise soft-thresholding (``shrinkage``), the prox of a weighted L1
   norm.
 
@@ -25,14 +26,12 @@ class CappedSimplexParams:
     """Parameters of ``argmin -degrees @ x + (tau/2) ||x - v||^2`` over the capped simplex.
 
     ``tau`` is the quadratic scaling of the prox (callers that evaluate the
-    prox of ``g / mu`` pass ``tau = 1/mu``); ``eps`` is the bisection exit
-    tolerance on the cardinality gap.
+    prox of ``g / mu`` pass ``tau = 1/mu``).
     """
 
     degrees: np.ndarray
     k: float
     tau: float
-    eps: float
 
     def __post_init__(self):
         d = np.asarray(self.degrees, dtype=np.float64)
@@ -44,8 +43,6 @@ class CappedSimplexParams:
             raise ValueError("degrees must be finite")
         if not (self.tau > 0 and np.isfinite(self.tau)):
             raise ValueError("tau must be positive")
-        if not (self.eps > 0 and np.isfinite(self.eps)):
-            raise ValueError("eps must be positive")
         if not 2 <= self.k <= n - 1:
             raise ValueError(f"k must lie in [2, {n - 1}], got {self.k}")
 
@@ -61,17 +58,17 @@ def cardinality_gap(nu: float, v: np.ndarray, p: CappedSimplexParams) -> float:
 
 
 def prox_capped_simplex(v, p: CappedSimplexParams):
-    """Prox of the linear-plus-box-plus-sum-to-k function, by dual bisection.
+    """Exact prox of the linear-plus-box-plus-sum-to-k function.
 
     Returns ``(x, nu)`` where ``x_i = clamp(v_i + (degrees_i - nu)/tau, 0, 1)``
-    at the final dual iterate ``nu``, with ``|sum(x) - k| <= eps``. The box
-    constraints hold exactly by construction.
+    and ``nu`` is the root of the cardinality gap, so ``sum(x) = k`` up to
+    roundoff. The box constraints hold exactly by construction.
 
-    The initial bracket is ``[min_i(degrees_i + tau*v_i) - max(1, tau),
-    max_i(degrees_i + tau*v_i)]``, pinning the initial gap values to exactly
-    ``[n - k, -k]`` (the ``max(1, tau)`` offset keeps that guarantee when
-    ``tau > 1``). Bisection halves the bracket each step, so the step count is
-    logarithmic in the bracket width over the exit tolerance.
+    The gap is piecewise linear with breakpoints ``shifted_i - tau`` and
+    ``shifted_i``, where ``shifted = degrees + tau*v``: it equals ``n - k`` at
+    the smallest and ``-k`` at the largest. A binary search over the sorted
+    breakpoints finds the segment holding the root in ``ceil(log2(2n))`` gap
+    evaluations, and the root is interpolated on that segment.
     """
     v = np.asarray(v, dtype=np.float64)
     if v.shape != p.degrees.shape:
@@ -80,27 +77,20 @@ def prox_capped_simplex(v, p: CappedSimplexParams):
         raise ValueError("v must be finite")
 
     shifted = p.degrees + p.tau * v
-    lo = float(shifted.min()) - max(1.0, p.tau)
-    hi = float(shifted.max())
-    gap_lo = v.shape[0] - p.k   # by construction of the bracket
-    gap_hi = -p.k
-    while True:
-        mid = 0.5 * (lo + hi)
-        exhausted = mid == lo or mid == hi  # float resolution limit reached
-        gap_mid = cardinality_gap(mid, v, p)
-        # keep the invariant gap(lo) >= 0 >= gap(hi); testing the sign of
-        # gap(mid) directly stays correct when gap(hi) lands exactly on 0
+    breaks = np.sort(np.concatenate([shifted - p.tau, shifted]))
+    # invariant: gap(breaks[lo]) > 0 >= gap(breaks[hi])
+    lo, hi = 0, breaks.shape[0] - 1
+    gap_lo, gap_hi = v.shape[0] - p.k, -p.k
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        gap_mid = cardinality_gap(breaks[mid], v, p)
         if gap_mid > 0:
             lo, gap_lo = mid, gap_mid
         else:
             hi, gap_hi = mid, gap_mid
-        if gap_lo - gap_hi <= p.eps:
-            break
-        # stagnation guard: a collapsed bracket cannot improve further
-        if exhausted or hi - lo <= 1e-14 * (abs(lo) + abs(hi)):
-            break
-    x = np.clip(v + (p.degrees - mid) / p.tau, 0.0, 1.0)
-    return x, mid
+    nu = float(breaks[hi] - (breaks[hi] - breaks[lo]) * gap_hi / (gap_hi - gap_lo))
+    x = np.clip(v + (p.degrees - nu) / p.tau, 0.0, 1.0)
+    return x, nu
 
 
 def shrinkage(v, w, rho: float) -> np.ndarray:

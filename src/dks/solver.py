@@ -6,7 +6,7 @@ The relaxation minimizes the closed-form Lovász extension
 
 over the capped simplex ``{x in [0,1]^n : sum(x) = k}``. Splitting
 ``z = B^T x`` (per-edge differences) turns both blocks into cheap proximal
-steps: a capped-simplex bisection for the x-block and soft-thresholding for
+steps: an exact capped-simplex prox for the x-block and soft-thresholding for
 the z-block. The quadratic coupling term is linearized so no system involving
 ``B B^T`` is ever solved; the proximal regularization ``mu <= 1/(rho ||B||^2)``
 keeps that inexact update convergent, which is why the spectral estimate must
@@ -54,15 +54,9 @@ class SolverConfig:
     Defaults: penalty ``rho = 0.1``,
     over-relaxation ``alpha = 1.8``, ``mu = 1/(rho * lambda_hat)`` with
     ``lambda_hat`` a safe upper estimate of ``||B||^2``, stopping tolerances
-    ``eps_abs = eps_rel = 1e-3``, bisection tolerance ``1e-6``, and a cap of
-    3000 iterations. ``1e-4`` tolerances are the documented setting for very
-    large graphs.
-
-    ``prox_scale_mode`` selects the quadratic scaling handed to the bisection:
-    ``"derived"`` passes ``tau = 1/mu`` (consistent with the linearized
-    x-update being a prox of ``g/mu``), ``"literal"`` passes ``tau = rho``.
-    ``objective_stride`` computes the objective history every N iterations
-    (1 = every iteration).
+    ``eps_abs = eps_rel = 1e-3``, and a cap of 3000 iterations. ``1e-4``
+    tolerances are the documented setting for very large graphs. The x-update
+    is the prox of ``g/mu``, so the capped-simplex prox gets ``tau = 1/mu``.
     """
 
     rho: float = 0.1
@@ -70,10 +64,7 @@ class SolverConfig:
     mu: float | None = None
     eps_abs: float = 1e-3
     eps_rel: float = 1e-3
-    bisection_eps: float = 1e-6
     max_iter: int = 3000
-    prox_scale_mode: str = "derived"
-    objective_stride: int = 1
     spectral_tol: float = 1e-2
 
     def validate(self) -> None:
@@ -83,15 +74,11 @@ class SolverConfig:
             raise ValueError("alpha must lie in [1, 2)")
         if self.mu is not None and not self.mu > 0:
             raise ValueError("mu must be positive")
-        for name in ("eps_abs", "eps_rel", "bisection_eps", "spectral_tol"):
+        for name in ("eps_abs", "eps_rel", "spectral_tol"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
-        if self.objective_stride < 1:
-            raise ValueError("objective_stride must be at least 1")
-        if self.prox_scale_mode not in ("derived", "literal"):
-            raise ValueError("prox_scale_mode must be 'derived' or 'literal'")
 
 
 @dataclass(eq=False)
@@ -100,8 +87,8 @@ class SolverReport:
 
     ``x_avg`` is the running average of the post-update iterates (what the
     rounding stage consumes by default); ``x_last`` is the final iterate,
-    often sharper in practice. Residual histories have one entry per executed
-    iteration; the objective history is thinned by ``objective_stride``.
+    often sharper in practice. The residual and objective histories have one
+    entry per executed iteration.
     """
 
     x_avg: np.ndarray
@@ -168,8 +155,7 @@ def solve_lovasz_relaxation(g: Graph, k: int, cfg: SolverConfig | None = None,
     if mu > mu_cap * (1.0 + 1e-12):
         raise ValueError(
             f"mu={mu} violates the convergence condition mu <= 1/(rho*||B||^2) = {mu_cap}")
-    tau = (1.0 / mu) if cfg.prox_scale_mode == "derived" else cfg.rho
-    params = CappedSimplexParams(g.degree, float(k), tau, cfg.bisection_eps)
+    params = CappedSimplexParams(g.degree, float(k), 1.0 / mu)
 
     x = np.zeros(g.n)
     x[topk(g.degree, k)] = 1.0
@@ -208,8 +194,7 @@ def solve_lovasz_relaxation(g: Graph, k: int, cfg: SolverConfig | None = None,
             np.linalg.norm(edge_differences_adjoint(g, u)))
         prim_hist.append(r_norm)
         dual_hist.append(s_norm)
-        if t % cfg.objective_stride == 0:
-            obj_hist.append(float(g.weights @ np.abs(btx) - g.degree @ x))
+        obj_hist.append(float(g.weights @ np.abs(btx) - g.degree @ x))
         if r_norm <= eps_pri and s_norm <= eps_dual:
             converged = True
             break

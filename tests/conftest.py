@@ -59,9 +59,10 @@ def random_graph(rng, n, p, weighted=False, dyadic=False, ensure_edge=True):
 def capped_simplex_exact(v, d, k, tau):
     """Exact minimizer of -d@x + (tau/2)||x - v||^2 over the capped simplex.
 
-    Independent of the bisection path: the dual function's breakpoints are
-    sorted and the root located by linear interpolation on the unique segment
-    where the (piecewise-linear, non-increasing) cardinality gap crosses zero.
+    Independent of the library's binary search: the gap is evaluated at every
+    distinct breakpoint of the dual function and the root located by linear
+    interpolation on the unique segment where the (piecewise-linear,
+    non-increasing) cardinality gap crosses zero.
     Returns (x, nu).
     """
     v = np.asarray(v, dtype=float)

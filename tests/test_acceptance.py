@@ -157,21 +157,20 @@ def test_criterion_03_submodularity():
 def test_criterion_04_prox_kkt():
     start = time.perf_counter()
     rng = np.random.default_rng(104)
-    eps = 1e-6
     for _ in range(1000):
         n = int(rng.integers(3, 201))
         k = int(rng.integers(2, n))
         tau = float(np.exp(rng.uniform(-3, 3)))
-        params = CappedSimplexParams(rng.normal(size=n) * 3.0, float(k), tau, eps)
+        params = CappedSimplexParams(rng.normal(size=n) * 3.0, float(k), tau)
         v = rng.normal(size=n)
         x, nu = prox_capped_simplex(v, params)
         assert x.min() >= 0.0 and x.max() <= 1.0
-        assert abs(x.sum() - k) <= eps
+        assert abs(x.sum() - k) <= 1e-12 * n
         assert (x == np.clip(v + (params.degrees - nu) / tau, 0.0, 1.0)).all()
         ys = random_feasible_batch(rng, 100, n, k)
         fx = -params.degrees @ x + 0.5 * tau * ((x - v) ** 2).sum()
         fy = -(ys @ params.degrees) + 0.5 * tau * ((ys - v) ** 2).sum(axis=1)
-        assert (fx <= fy + abs(nu) * eps + 1e-9).all()
+        assert (fx <= fy + 1e-9).all()
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0
     _report(4, "prox KKT certificate", f"1000 instances x 100 comparisons, {elapsed:.1f}s")
@@ -200,7 +199,7 @@ def test_criterion_06_solver_convergence():
     c6 = Graph.from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5)])
     k4k2 = Graph.from_edges(6, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (4, 5)])
     planted = generate_planted(120, 10, 0.05, seed=0).graph
-    defaults = SolverConfig()  # rho 0.1, alpha 1.8, eps 1e-3, bisection 1e-6
+    defaults = SolverConfig()  # rho 0.1, alpha 1.8, eps 1e-3
     details = []
     for g, k in ((c6, 3), (k4k2, 4), (planted, 10)):
         report = solve_lovasz_relaxation(g, k, defaults)

@@ -37,6 +37,20 @@ class TestSolve:
         assert payload["density"] == 1.0
         assert payload["upper_bound"] == 1.0
         assert payload["bound_ratio"] == 1.0
+        assert payload["bound_converged"] is True
+
+    def test_unconverged_bound_reported(self, fixture_file, capsys, monkeypatch):
+        import dks.cli as cli_mod
+
+        capped = cli_mod.top_two_singular
+        monkeypatch.setattr(cli_mod, "top_two_singular", lambda g: capped(g, max_iter=1))
+        argv = ["solve", "--graph", fixture_file, "--k", "4", "--method", "greedy", "--bound"]
+        assert main(argv + ["--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["bound_converged"] is False
+        assert payload["upper_bound"] >= payload["density"]
+        assert main(argv) == 0
+        assert "bound_converged: false" in capsys.readouterr().out.splitlines()
 
     def test_brute_weight(self, k4k2_file, capsys):
         rc = main(["solve", "--graph", k4k2_file, "--k", "4",
@@ -72,6 +86,16 @@ class TestSolve:
                    "--json", "--out", str(out)])
         assert rc == 0
         assert json.loads(out.read_text())["density"] == 1.0
+
+    @pytest.mark.parametrize("command", ["solve", "sweep"])
+    @pytest.mark.parametrize("flag", ["--bisect-eps=1e-6", "--prox-scale=literal", "--thin=2"])
+    def test_removed_solver_flags_rejected(self, k4k2_file, tmp_path, command, flag):
+        argv = {"solve": ["solve", "--k", "4", "--method", "greedy"],
+                "sweep": ["sweep", "--k-list", "4", "--methods", "greedy",
+                          "--out", str(tmp_path / "x.csv")]}[command]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--graph", k4k2_file, flag])
+        assert exc.value.code == 2
 
     def test_stdin_dash(self, k4k2_file):
         with open(k4k2_file, "rb") as f:

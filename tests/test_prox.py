@@ -6,12 +6,20 @@ from conftest import capped_simplex_exact, random_feasible_point
 from dks.prox import CappedSimplexParams, cardinality_gap, prox_capped_simplex, shrinkage
 
 
-def _random_params(rng, n=None, tau=None):
+def _random_params(rng, n=None, tau=None, k=None, integer=False):
+    """Random prox instance; ``integer`` rounds degrees and v so breakpoints tie."""
     n = n if n is not None else int(rng.integers(3, 40))
-    k = int(rng.integers(2, n))
+    k = k if k is not None else int(rng.integers(2, n))
     tau = tau if tau is not None else float(np.exp(rng.uniform(-3, 3)))
     d = rng.normal(size=n) * 3.0
-    return CappedSimplexParams(d, float(k), tau, 1e-6), rng.normal(size=n)
+    v = rng.normal(size=n)
+    if integer:
+        d, v = np.round(d), np.round(v)
+    return CappedSimplexParams(d, float(k), tau), v
+
+
+def _roundoff(p):
+    return 1e-12 * p.degrees.shape[0]
 
 
 class TestCardinalityGap:
@@ -21,7 +29,7 @@ class TestCardinalityGap:
         for _ in range(25):
             p, v = _random_params(rng, tau=tau)
             shifted = p.degrees + p.tau * v
-            nu_lo = shifted.min() - max(1.0, p.tau)
+            nu_lo = shifted.min() - p.tau
             nu_hi = shifted.max()
             n = p.degrees.shape[0]
             assert cardinality_gap(nu_lo, v, p) == pytest.approx(n - p.k, abs=1e-12)
@@ -38,7 +46,7 @@ class TestCardinalityGap:
 
 class TestProxCappedSimplex:
     def test_symmetric_instance(self):
-        p = CappedSimplexParams(np.zeros(4), 2.0, 1.0, 1e-6)
+        p = CappedSimplexParams(np.zeros(4), 2.0, 1.0)
         x, nu = prox_capped_simplex(np.zeros(4), p)
         assert np.abs(x - 0.5).max() <= 1e-6
         assert nu == pytest.approx(-0.5, abs=1e-6)
@@ -50,25 +58,34 @@ class TestProxCappedSimplex:
             k = int(rng.integers(2, n))
             v = np.zeros(n)
             v[rng.choice(n, size=k, replace=False)] = 1.0
-            p = CappedSimplexParams(rng.random(n), float(k), 1e6, 1e-6)
+            p = CappedSimplexParams(rng.random(n), float(k), 1e6)
             x, _ = prox_capped_simplex(v, p)
             assert np.abs(x - v).max() <= 1e-3
 
     def test_matches_exact_oracle(self):
         rng = np.random.default_rng(4)
-        for _ in range(200):
-            p, v = _random_params(rng)
+        cases = [_random_params(rng) for _ in range(200)]
+        for _ in range(50):
+            n = int(rng.integers(3, 40))
+            cases += [
+                _random_params(rng, n=n, tau=float(rng.choice([0.5, 1.0, 2.0])), integer=True),
+                _random_params(rng, n=n, tau=float(10 ** rng.uniform(-3, 6))),
+                _random_params(rng, n=n, tau=float(10 ** rng.uniform(-3, 6)), integer=True),
+                _random_params(rng, n=n, k=2),
+                _random_params(rng, n=n, k=n - 1),
+            ]
+        for p, v in cases:
             x, _ = prox_capped_simplex(v, p)
             x_star, _ = capped_simplex_exact(v, p.degrees, p.k, p.tau)
-            assert np.abs(x - x_star).max() <= 1e-6
+            assert np.abs(x - x_star).max() <= _roundoff(p)
 
     def test_spec_example_dimensions(self):
         rng = np.random.default_rng(5)
         p, v = _random_params(rng, n=12)
-        p = CappedSimplexParams(p.degrees, 4.0, p.tau, 1e-6)
+        p = CappedSimplexParams(p.degrees, 4.0, p.tau)
         x, _ = prox_capped_simplex(v, p)
         x_star, _ = capped_simplex_exact(v, p.degrees, 4.0, p.tau)
-        assert np.abs(x - x_star).max() <= 1e-6
+        assert np.abs(x - x_star).max() <= _roundoff(p)
 
     def test_kkt_certificate(self):
         rng = np.random.default_rng(6)
@@ -76,7 +93,7 @@ class TestProxCappedSimplex:
             p, v = _random_params(rng)
             x, nu = prox_capped_simplex(v, p)
             assert x.min() >= 0.0 and x.max() <= 1.0
-            assert abs(x.sum() - p.k) <= p.eps
+            assert abs(x.sum() - p.k) <= _roundoff(p)
             clamp = np.clip(v + (p.degrees - nu) / p.tau, 0.0, 1.0)
             assert (x == clamp).all()
 
@@ -88,12 +105,11 @@ class TestProxCappedSimplex:
 
         for _ in range(30):
             p, v = _random_params(rng)
-            x, nu = prox_capped_simplex(v, p)
+            x, _ = prox_capped_simplex(v, p)
             fx = objective(p, v, x)
-            slack = abs(nu) * p.eps + 1e-9
             for _ in range(20):
                 y = random_feasible_point(rng, p.degrees.shape[0], p.k)
-                assert fx <= objective(p, v, y) + slack
+                assert fx <= objective(p, v, y) + 1e-9
 
     def test_step_count_logarithmic(self, monkeypatch):
         calls = {"n": 0}
@@ -109,26 +125,20 @@ class TestProxCappedSimplex:
             p, v = _random_params(rng)
             calls["n"] = 0
             prox_capped_simplex(v, p)
-            shifted = p.degrees + p.tau * v
-            width = float(shifted.max() - shifted.min()) + max(1.0, p.tau)
-            scale = abs(shifted.max()) + abs(shifted.min() - max(1.0, p.tau))
-            cap = int(np.ceil(np.log2(width / max(1e-14 * scale, 1e-300)))) + 2
-            assert calls["n"] <= cap
+            assert calls["n"] <= int(np.ceil(np.log2(2 * p.degrees.shape[0])))
 
     def test_non_finite_input_rejected(self):
-        p = CappedSimplexParams(np.zeros(4), 2.0, 1.0, 1e-6)
+        p = CappedSimplexParams(np.zeros(4), 2.0, 1.0)
         with pytest.raises(ValueError):
             prox_capped_simplex(np.array([0.0, np.nan, 0.0, 0.0]), p)
 
     def test_param_validation(self):
         with pytest.raises(ValueError):
-            CappedSimplexParams(np.zeros(4), 2.0, -1.0, 1e-6)
+            CappedSimplexParams(np.zeros(4), 2.0, -1.0)
         with pytest.raises(ValueError):
-            CappedSimplexParams(np.zeros(4), 2.0, 1.0, 0.0)
+            CappedSimplexParams(np.zeros(4), 4.0, 1.0)  # k > n-1
         with pytest.raises(ValueError):
-            CappedSimplexParams(np.zeros(4), 4.0, 1.0, 1e-6)  # k > n-1
-        with pytest.raises(ValueError):
-            CappedSimplexParams(np.zeros(4), 1.0, 1.0, 1e-6)  # k < 2
+            CappedSimplexParams(np.zeros(4), 1.0, 1.0)  # k < 2
 
 
 class TestShrinkage:

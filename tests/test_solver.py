@@ -114,11 +114,6 @@ class TestSolveRelaxation:
         assert report.lovasz_objective_history[-1] == pytest.approx(
             lovasz_objective(k4k2, report.x_last))
 
-    def test_objective_stride(self, c6):
-        thin = solve_lovasz_relaxation(c6, 3, SolverConfig(objective_stride=10))
-        full = solve_lovasz_relaxation(c6, 3)
-        assert len(thin.lovasz_objective_history) == -(-full.iters // 10)
-
     def test_deterministic(self, k4k2):
         a = solve_lovasz_relaxation(k4k2, 4)
         b = solve_lovasz_relaxation(k4k2, 4)
@@ -172,14 +167,8 @@ class TestSolveRelaxation:
             with pytest.raises(ValueError):
                 solve_lovasz_relaxation(c6, 3, lambda_hat=bad)
 
-    def test_literal_prox_scale_runs(self, k3):
-        report = solve_lovasz_relaxation(
-            k3, 2, SolverConfig(prox_scale_mode="literal", max_iter=50))
-        assert report.iters >= 1
-
     def test_config_validation(self):
         for bad in (SolverConfig(rho=0.0), SolverConfig(alpha=2.0),
-                    SolverConfig(alpha=0.5), SolverConfig(max_iter=0),
-                    SolverConfig(prox_scale_mode="bogus")):
+                    SolverConfig(alpha=0.5), SolverConfig(max_iter=0)):
             with pytest.raises(ValueError):
                 bad.validate()
