@@ -308,7 +308,7 @@ def run_sweep(args) -> int:
     sp = top_two_singular(g)
     lambda_hat = None
     if any(m in RELAX_METHODS for m in methods):
-        lambda_hat = incidence_norm_sq_upper(g, solver_cfg.spectral_tol)
+        lambda_hat = incidence_norm_sq_upper(g)
     fw_cfg = _fw_config(args, sp)
 
     def work(k):

@@ -10,7 +10,10 @@ from __future__ import annotations
 
 import gzip
 import io
+import math
 import sys
+import zlib
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,8 +50,7 @@ class Graph:
     Edges are stored once as ``(i, j)`` pairs with ``i < j``, sorted
     lexicographically. That fixed, deterministic orientation stands in for the
     signed vertex-edge incidence matrix, which is never materialized: a column
-    for edge ``(i, j)`` is understood as ``e_i - e_j``. Neighbor lists are kept
-    in CSR form for O(degree) row scans.
+    for edge ``(i, j)`` is understood as ``e_i - e_j``.
 
     ``original_ids[i]`` is the label vertex ``i`` carried before relabeling to
     the dense ``0..n-1`` range (the identity for programmatically built
@@ -60,9 +62,6 @@ class Graph:
     edges: np.ndarray        # (m, 2) int64, i < j, lexicographically sorted
     weights: np.ndarray      # (m,) float64, strictly positive
     degree: np.ndarray       # (n,) float64 weighted degree W @ 1
-    adj_indptr: np.ndarray   # (n + 1,) CSR offsets into the two arrays below
-    adj_indices: np.ndarray
-    adj_weights: np.ndarray
     original_ids: np.ndarray  # (n,) int64
 
     @classmethod
@@ -99,13 +98,7 @@ class Graph:
             if m > 1 and ((e[1:] == e[:-1]).all(axis=1)).any():
                 raise ValueError("duplicate edges are not allowed")
 
-        src = np.concatenate([e[:, 0], e[:, 1]])
-        dst = np.concatenate([e[:, 1], e[:, 0]])
-        wts = np.concatenate([w, w])
-        degree = np.bincount(src, weights=wts, minlength=n)
-        order = np.lexsort((dst, src))
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        indptr[1:] = np.cumsum(np.bincount(src, minlength=n))
+        degree = np.bincount(e.T.ravel(), weights=np.concatenate([w, w]), minlength=n)
         if original_ids is None:
             ids = np.arange(n, dtype=np.int64)
         else:
@@ -119,20 +112,11 @@ class Graph:
             edges=e,
             weights=w,
             degree=degree,
-            adj_indptr=indptr,
-            adj_indices=dst[order],
-            adj_weights=wts[order],
             original_ids=ids,
         )
-        for arr in (g.edges, g.weights, g.degree, g.adj_indptr,
-                    g.adj_indices, g.adj_weights, g.original_ids):
+        for arr in (g.edges, g.weights, g.degree, g.original_ids):
             arr.setflags(write=False)
         return g
-
-    def neighbors(self, i: int):
-        """Neighbor ids and edge weights of vertex ``i`` (sorted by id)."""
-        lo, hi = self.adj_indptr[i], self.adj_indptr[i + 1]
-        return self.adj_indices[lo:hi], self.adj_weights[lo:hi]
 
     @property
     def is_unweighted(self) -> bool:
@@ -194,27 +178,56 @@ def _text_stream(source):
     else:
         raise TypeError("source must be a path, '-', or a file-like object")
     if data[:2] == b"\x1f\x8b":
-        data = gzip.decompress(data)
+        try:
+            data = gzip.decompress(data)
+        except (EOFError, zlib.error) as exc:
+            raise ValueError(f"corrupt gzip input: {exc}") from None
     return io.StringIO(data.decode("utf-8"))
+
+
+def _largest_component(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Mask of the largest connected component of edges ``(a, b)`` over ``0..n-1``.
+
+    Hooking and shortcutting (Shiloach & Vishkin 1982): every root is hooked
+    onto the smallest root across its edges, then pointers are jumped until
+    each vertex points at its root. Roots only ever move to smaller ids, so
+    each component ends rooted at its smallest vertex, and ``argmax`` over the
+    component sizes breaks ties towards the component with the smallest id.
+    """
+    root = np.arange(n)
+    while True:
+        ra, rb = root[a], root[b]
+        if (ra == rb).all():
+            break
+        np.minimum.at(root, np.maximum(ra, rb), np.minimum(ra, rb))
+        while True:
+            jumped = root[root]
+            if (jumped == root).all():
+                break
+            root = jumped
+    return root == np.argmax(np.bincount(root, minlength=n))
 
 
 def load_edge_list(source, weighted: bool = False) -> Graph:
     """Load a graph from line-oriented edge-list text.
 
     Lines are ``u v`` (or ``u v w`` when ``weighted``); ``#``/``%`` lines are
-    comments. Preprocessing: arcs are symmetrized, self-loops dropped,
-    duplicate pairs merged (presence semantics for unweighted input, weight
-    sums for weighted), and the largest connected component is extracted with
-    vertices relabeled to a dense ``0..n-1`` range in ascending original-id
-    order. Gzip input is detected transparently; ``source`` may be a path,
-    ``"-"`` for stdin, or a file-like object.
+    comments. Vertex ids are integers that fit in a signed 64-bit integer.
+    Preprocessing: arcs are symmetrized, self-loops dropped, duplicate pairs
+    merged (presence semantics for unweighted input, weight sums in file
+    order for weighted), and the largest connected component is extracted
+    (ties go to the one holding the smallest id) with vertices relabeled to a
+    dense ``0..n-1`` range in ascending original-id order. Gzip input is
+    detected transparently; ``source`` may be a path, ``"-"`` for stdin, or a
+    file-like object.
 
-    Raises :class:`EdgeListParseError` on malformed lines and ``ValueError``
-    if no edges survive preprocessing.
+    Raises :class:`EdgeListParseError` on malformed lines, and ``ValueError``
+    on corrupt gzip input or if no edges survive preprocessing.
     """
     stream = _text_stream(source)
     want = 3 if weighted else 2
-    merged: dict = {}
+    ends = array("q")
+    weights = array("d")
     for lineno, line in enumerate(stream, 1):
         text = line.strip()
         if not text or text[0] in "#%":
@@ -229,57 +242,42 @@ def load_edge_list(source, weighted: bool = False) -> Graph:
         except ValueError:
             raise EdgeListParseError(
                 f"line {lineno}: non-numeric vertex id", lineno) from None
+        try:
+            ends.append(u)
+            ends.append(v)
+        except OverflowError:
+            raise EdgeListParseError(
+                f"line {lineno}: vertex id out of range", lineno) from None
         if weighted:
             try:
                 w = float(parts[2])
             except ValueError:
                 raise EdgeListParseError(
                     f"line {lineno}: non-numeric edge weight", lineno) from None
-            if not np.isfinite(w) or w <= 0:
+            if not math.isfinite(w) or w <= 0:
                 raise EdgeListParseError(
                     f"line {lineno}: edge weight must be positive and finite", lineno)
-        else:
-            w = 1.0
-        if u == v:
-            continue
-        key = (u, v) if u < v else (v, u)
-        if weighted:
-            merged[key] = merged.get(key, 0.0) + w
-        else:
-            merged[key] = 1.0
-    if not merged:
+            weights.append(w)
+
+    pairs = np.frombuffer(ends, dtype=np.int64).reshape(-1, 2)
+    proper = pairs[:, 0] != pairs[:, 1]
+    if not proper.any():
         raise ValueError("no edges left after preprocessing")
-
-    # largest connected component by union-find over original labels
-    parent: dict = {}
-
-    def find(a):
-        root = a
-        while parent[root] != root:
-            root = parent[root]
-        while parent[a] != root:
-            parent[a], a = root, parent[a]
-        return root
-
-    for u, v in merged:
-        parent.setdefault(u, u)
-        parent.setdefault(v, v)
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-
-    components: dict = {}
-    for v in parent:
-        components.setdefault(find(v), []).append(v)
-    keep = set(max(components.values(), key=lambda c: (len(c), -min(c))))
-
-    ids = sorted(keep)
-    index = {orig: i for i, orig in enumerate(ids)}
-    pairs = [(u, v) for (u, v) in merged if u in keep]
-    pairs.sort()
-    edges = [(index[u], index[v]) for u, v in pairs]
-    weights = [merged[p] for p in pairs]
-    return Graph.from_edges(len(ids), edges, weights, original_ids=ids)
+    pairs = np.sort(pairs[proper], axis=1)
+    ids, dense = np.unique(pairs.ravel(), return_inverse=True)
+    dense = dense.reshape(-1, 2)
+    keys, pair_of = np.unique(dense[:, 0] * ids.size + dense[:, 1], return_inverse=True)
+    if weighted:
+        # bincount adds in file order starting from 0.0, like a sequential fold
+        w = np.bincount(pair_of, weights=np.frombuffer(weights)[proper], minlength=keys.size)
+    else:
+        w = np.ones(keys.size)
+    a, b = np.divmod(keys, ids.size)
+    keep = _largest_component(ids.size, a, b)
+    relabel = np.cumsum(keep) - 1
+    inside = keep[a]
+    edges = np.stack([relabel[a[inside]], relabel[b[inside]]], axis=1)
+    return Graph.from_edges(int(keep.sum()), edges, w[inside], original_ids=ids[keep])
 
 
 def write_edge_list(g: Graph, dest) -> None:

@@ -79,11 +79,11 @@ def edmonds_lovasz(g: Graph, x) -> float:
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (g.n,):
         raise ValueError(f"expected a length-{g.n} vector, got shape {x.shape}")
+    W = _dense_adjacency(g)
     in_prefix = np.zeros(g.n, dtype=bool)
     total = 0.0
     for v in np.argsort(-x, kind="stable"):
-        ids, wts = g.neighbors(v)
-        total += x[v] * (-2.0 * float(wts[in_prefix[ids]].sum()))
+        total += x[v] * (-2.0 * float(W[v, in_prefix].sum()))
         in_prefix[v] = True
     return total
 

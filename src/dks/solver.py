@@ -51,30 +51,27 @@ class NumericalDivergenceError(RuntimeError):
 class SolverConfig:
     """Tuning parameters of the linearized ADMM solver.
 
-    Defaults: penalty ``rho = 0.1``,
-    over-relaxation ``alpha = 1.8``, ``mu = 1/(rho * lambda_hat)`` with
-    ``lambda_hat`` a safe upper estimate of ``||B||^2``, stopping tolerances
-    ``eps_abs = eps_rel = 1e-3``, and a cap of 3000 iterations. ``1e-4``
-    tolerances are the documented setting for very large graphs. The x-update
-    is the prox of ``g/mu``, so the capped-simplex prox gets ``tau = 1/mu``.
+    Defaults: penalty ``rho = 0.1``, over-relaxation ``alpha = 1.8``,
+    stopping tolerances ``eps_abs = eps_rel = 1e-3``, and a cap of 3000
+    iterations. ``1e-4`` tolerances are the documented setting for very large
+    graphs. The proximal step is not a setting: it is always the certified
+    ``mu = 1/(rho * lambda_hat)``, with ``lambda_hat`` a safe upper estimate of
+    ``||B||^2``, and the x-update is the prox of ``g/mu``, so the
+    capped-simplex prox gets ``tau = 1/mu``.
     """
 
     rho: float = 0.1
     alpha: float = 1.8
-    mu: float | None = None
     eps_abs: float = 1e-3
     eps_rel: float = 1e-3
     max_iter: int = 3000
-    spectral_tol: float = 1e-2
 
     def validate(self) -> None:
         if not self.rho > 0:
             raise ValueError("rho must be positive")
         if not 1.0 <= self.alpha < 2.0:
             raise ValueError("alpha must lie in [1, 2)")
-        if self.mu is not None and not self.mu > 0:
-            raise ValueError("mu must be positive")
-        for name in ("eps_abs", "eps_rel", "spectral_tol"):
+        for name in ("eps_abs", "eps_rel"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
         if self.max_iter < 1:
@@ -134,10 +131,9 @@ def solve_lovasz_relaxation(g: Graph, k: int, cfg: SolverConfig | None = None,
     or at ``max_iter``. ``lambda_hat``, a safe upper estimate of ``||B||^2``,
     depends on the graph alone: callers solving at several ``k`` compute it
     once with :func:`incidence_norm_sq_upper` and pass it; by default it is
-    computed here at ``cfg.spectral_tol``. Raises ``ValueError`` for
-    out-of-range ``k``, an edgeless graph or a ``lambda_hat`` that is not
-    positive and finite, and :class:`NumericalDivergenceError` when an
-    iterate goes non-finite.
+    computed here. Raises ``ValueError`` for out-of-range ``k``, an edgeless
+    graph or a ``lambda_hat`` that is not positive and finite, and
+    :class:`NumericalDivergenceError` when an iterate goes non-finite.
     """
     cfg = cfg if cfg is not None else SolverConfig()
     cfg.validate()
@@ -149,12 +145,8 @@ def solve_lovasz_relaxation(g: Graph, k: int, cfg: SolverConfig | None = None,
 
     start = time.perf_counter()
     if lambda_hat is None:
-        lambda_hat = incidence_norm_sq_upper(g, cfg.spectral_tol)
-    mu_cap = 1.0 / (cfg.rho * lambda_hat)
-    mu = mu_cap if cfg.mu is None else cfg.mu
-    if mu > mu_cap * (1.0 + 1e-12):
-        raise ValueError(
-            f"mu={mu} violates the convergence condition mu <= 1/(rho*||B||^2) = {mu_cap}")
+        lambda_hat = incidence_norm_sq_upper(g)
+    mu = 1.0 / (cfg.rho * lambda_hat)
     params = CappedSimplexParams(g.degree, float(k), 1.0 / mu)
 
     x = np.zeros(g.n)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from dks.graph import Graph
+from dks.graph import EdgeListParseError, Graph, _text_stream
 
 
 @pytest.fixture
@@ -105,3 +105,89 @@ def random_feasible_batch(rng, rows, n, k):
 
 def random_feasible_point(rng, n, k):
     return random_feasible_batch(rng, 1, n, k)[0]
+
+
+# The loader as it was before ingestion became one array pipeline: a dict
+# merge and a dict union-find, kept as the oracle for `load_edge_list`.
+def load_edge_list_reference(source, weighted: bool = False) -> Graph:
+    """Load a graph from line-oriented edge-list text.
+
+    Lines are ``u v`` (or ``u v w`` when ``weighted``); ``#``/``%`` lines are
+    comments. Preprocessing: arcs are symmetrized, self-loops dropped,
+    duplicate pairs merged (presence semantics for unweighted input, weight
+    sums for weighted), and the largest connected component is extracted with
+    vertices relabeled to a dense ``0..n-1`` range in ascending original-id
+    order. Gzip input is detected transparently; ``source`` may be a path,
+    ``"-"`` for stdin, or a file-like object.
+
+    Raises :class:`EdgeListParseError` on malformed lines and ``ValueError``
+    if no edges survive preprocessing.
+    """
+    stream = _text_stream(source)
+    want = 3 if weighted else 2
+    merged: dict = {}
+    for lineno, line in enumerate(stream, 1):
+        text = line.strip()
+        if not text or text[0] in "#%":
+            continue
+        parts = text.split()
+        if len(parts) != want:
+            raise EdgeListParseError(
+                f"line {lineno}: expected {want} fields, got {len(parts)}", lineno)
+        try:
+            u = int(parts[0])
+            v = int(parts[1])
+        except ValueError:
+            raise EdgeListParseError(
+                f"line {lineno}: non-numeric vertex id", lineno) from None
+        if weighted:
+            try:
+                w = float(parts[2])
+            except ValueError:
+                raise EdgeListParseError(
+                    f"line {lineno}: non-numeric edge weight", lineno) from None
+            if not np.isfinite(w) or w <= 0:
+                raise EdgeListParseError(
+                    f"line {lineno}: edge weight must be positive and finite", lineno)
+        else:
+            w = 1.0
+        if u == v:
+            continue
+        key = (u, v) if u < v else (v, u)
+        if weighted:
+            merged[key] = merged.get(key, 0.0) + w
+        else:
+            merged[key] = 1.0
+    if not merged:
+        raise ValueError("no edges left after preprocessing")
+
+    # largest connected component by union-find over original labels
+    parent: dict = {}
+
+    def find(a):
+        root = a
+        while parent[root] != root:
+            root = parent[root]
+        while parent[a] != root:
+            parent[a], a = root, parent[a]
+        return root
+
+    for u, v in merged:
+        parent.setdefault(u, u)
+        parent.setdefault(v, v)
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            parent[ru] = rv
+
+    components: dict = {}
+    for v in parent:
+        components.setdefault(find(v), []).append(v)
+    keep = set(max(components.values(), key=lambda c: (len(c), -min(c))))
+
+    ids = sorted(keep)
+    index = {orig: i for i, orig in enumerate(ids)}
+    pairs = [(u, v) for (u, v) in merged if u in keep]
+    pairs.sort()
+    edges = [(index[u], index[v]) for u, v in pairs]
+    weights = [merged[p] for p in pairs]
+    return Graph.from_edges(len(ids), edges, weights, original_ids=ids)

@@ -1,3 +1,4 @@
+import gzip
 import json
 import subprocess
 import sys
@@ -8,6 +9,9 @@ import pytest
 from dks.cli import CSV_HEADER, emit_plot_data, main
 from dks.graph import load_edge_list
 from dks.oracles import brute_force_dks
+
+
+_GZIPPED = gzip.compress("".join(f"{i} {i + 1}\n" for i in range(500)).encode())
 
 
 @pytest.fixture
@@ -79,6 +83,22 @@ class TestSolve:
         rc = main(["solve", "--graph", "/nonexistent/g.txt", "--k", "2",
                    "--method", "greedy"])
         assert rc == 1
+
+    @pytest.mark.parametrize("data", [
+        b"0 1\n1 2\n2 99999999999999999999999\n0 2\n",   # id beyond signed 64-bit
+        _GZIPPED[:len(_GZIPPED) // 2],                      # truncated gzip
+        b"",
+    ], ids=["oversized-id", "truncated-gzip", "empty"])
+    def test_bad_input_exits_1_without_traceback(self, tmp_path, data):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(data)
+        proc = subprocess.run(
+            [sys.executable, "-m", "dks", "solve", "--graph", str(path), "--k", "2",
+             "--method", "greedy"],
+            capture_output=True, text=True)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error:")
+        assert "Traceback" not in proc.stderr
 
     def test_report_written_to_file(self, k4k2_file, tmp_path, capsys):
         out = tmp_path / "report.json"

@@ -4,7 +4,7 @@ import io
 import numpy as np
 import pytest
 
-from conftest import random_graph
+from conftest import load_edge_list_reference, random_graph
 from dks.graph import (
     EdgeListParseError,
     Graph,
@@ -55,12 +55,26 @@ class TestLoadEdgeList:
         ("0 1 -2.0\n", True),     # negative weight
         ("0 1 0\n", True),        # zero weight
         ("0.5 1\n", False),       # fractional id
+        ("0 99999999999999999999999\n", False),  # beyond signed 64-bit
     ])
     def test_malformed_lines(self, text, weighted):
         with pytest.raises(EdgeListParseError) as err:
             _load(text, weighted=weighted)
         assert err.value.lineno == 1
         assert "line 1" in str(err.value)
+
+    def test_matches_reference_loader(self):
+        rng = np.random.default_rng(404)
+        for _ in range(2400):
+            weighted = bool(rng.integers(2))
+            text = _random_edge_text(rng, weighted)
+            _assert_same_load(text, weighted)
+        # a long path over shuffled labels takes many hooking rounds
+        labels = rng.permutation(200_000) - 100_000
+        path = "".join(f"{u} {v}\n" for u, v in zip(labels[:-1], labels[1:]))
+        _assert_same_load(path, False)
+        star = "".join(f"1000 {-leaf}\n" for leaf in range(50))
+        assert _assert_same_load(star, False).original_ids[-1] == 1000
 
     def test_line_number_reported(self):
         with pytest.raises(EdgeListParseError) as err:
@@ -92,6 +106,56 @@ class TestLoadEdgeList:
             assert (h.edges == h2.edges).all()
             assert (h.weights == h2.weights).all()
             assert (h.original_ids == h2.original_ids).all()
+
+
+_MALFORMED = ("x 1", "1", "1 2 3 4", "1 2 -1.5", "1 2 0", "1 2 nan",
+              "1 2 inf", "1 2 abc", "0.5 1", "1 y 2")
+
+
+def _random_edge_text(rng, weighted):
+    """A random edge list: shuffled orientations, repeats, self-loops, negative
+    and extreme ids, equal-size components, comments, blank lines and, in one
+    file out of five, one malformed line."""
+    pool = np.array([-2**63, 2**63 - 1, *rng.integers(-60, 60, size=40)])
+    pool = np.unique(pool)
+    rng.shuffle(pool)
+    size = int(rng.integers(2, 7))
+    lines = []
+    for c in range(int(rng.integers(1, 5))):
+        comp = pool[c * size:(c + 1) * size]
+        for _ in range(int(rng.integers(0, 3 * size + 2))):
+            u, v = rng.choice(comp, size=2)
+            lines.append(f"{u} {v}")
+    if weighted:
+        lines = [f"{ln} {float(rng.choice([1.0, 0.1, 2.5, rng.uniform(1e-3, 3.0)]))!r}"
+                 for ln in lines]
+    for _ in range(int(rng.integers(0, 4))):
+        lines.insert(int(rng.integers(len(lines) + 1)),
+                     str(rng.choice(["# snap", "% konect", "", "   ", "\t"])))
+    if rng.random() < 0.2:
+        lines.insert(int(rng.integers(len(lines) + 1)), str(rng.choice(_MALFORMED)))
+    return "\n".join(f"  {ln}\t" if rng.random() < 0.1 else ln for ln in lines) + "\n"
+
+
+def _assert_same_load(text, weighted):
+    """Load ``text`` with both loaders; the graphs, or the errors, must be identical."""
+    outcomes = []
+    for loader in (load_edge_list, load_edge_list_reference):
+        try:
+            outcomes.append(loader(io.StringIO(text), weighted=weighted))
+        except ValueError as exc:
+            outcomes.append(exc)
+    new, ref = outcomes
+    assert isinstance(new, Exception) == isinstance(ref, Exception), outcomes
+    if isinstance(ref, Exception):
+        assert type(new) is type(ref) and str(new) == str(ref)
+        assert getattr(new, "lineno", None) == getattr(ref, "lineno", None)
+        return None
+    assert (new.n, new.m) == (ref.n, ref.m)
+    for name in ("edges", "weights", "degree", "original_ids"):
+        a, b = getattr(new, name), getattr(ref, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    return new
 
 
 class TestFromEdges:

@@ -129,10 +129,6 @@ class TestSolveRelaxation:
             report = solve_lovasz_relaxation(g, k)
             assert abs(report.x_last.sum() - k) <= 1e-6 + 1e-9
 
-    def test_mu_feasibility_enforced(self, k3):
-        with pytest.raises(ValueError):
-            solve_lovasz_relaxation(k3, 2, SolverConfig(mu=100.0))
-
     def test_k_out_of_range(self, k3):
         for k in (0, 1, 3, 7):
             with pytest.raises(ValueError):
@@ -153,7 +149,7 @@ class TestSolveRelaxation:
 
     def test_given_lambda_hat_is_used_as_is(self, c6, monkeypatch):
         own = solve_lovasz_relaxation(c6, 3)
-        lambda_hat = incidence_norm_sq_upper(c6, SolverConfig().spectral_tol)
+        lambda_hat = incidence_norm_sq_upper(c6)
 
         def forbidden(*args, **kwargs):
             raise AssertionError("lambda_hat recomputed")
