@@ -38,7 +38,6 @@ from .oracles import (
 )
 from .prox import CappedSimplexParams, cardinality_gap, prox_capped_simplex, shrinkage
 from .rounding import (
-    FrankWolfeConfig,
     FrankWolfeResult,
     frank_wolfe_refine,
     project_topk,

@@ -2,8 +2,9 @@
 
 Greedy degree/attachment selection, the truncated power method, densest-k on
 the rank-1 adjacency surrogate, and the edge-density upper bound computed
-from the top two singular values. All are pure functions over an immutable
-Graph and can run concurrently.
+from the top two singular values and the rank-1 surrogate's optimum. Both
+rank-1 functions take a precomputed :class:`SpectralPair`. All are pure
+functions over an immutable Graph and can run concurrently.
 """
 
 from __future__ import annotations
@@ -136,35 +137,42 @@ def top_two_singular(g: Graph, tol: float = 1e-6, max_iter: int = 20000) -> Spec
     return SpectralPair(sigma1=sigma1, u1=u1, sigma2=sigma2)
 
 
-def rank1_dks(g: Graph, k: int, sp: SpectralPair):
-    """Densest-k on the rank-1 surrogate ``sigma1 (u1' 1_S)^2``.
+def _rank1_surrogate(g: Graph, k: int, sp: SpectralPair):
+    """Maximizers and maximum of the rank-1 surrogate ``sigma1 (u1' 1_S)^2`` over k-subsets.
 
-    The surrogate is maximized over k-subsets by the top-k entries of ``u1``
-    or of ``-u1`` (the sum is linear, so prefix sets are exhaustive).
-    Returns ``(vertex_set, q)`` where the vertex set is the candidate with
-    the larger true subgraph weight and ``q`` is the surrogate optimum,
-    needed by :func:`density_upper_bound`.
+    The sum is linear, so the top-k entries of ``u1`` or of ``-u1`` are
+    exhaustive. Returns ``(plus, minus, q)``: both supports and the
+    surrogate optimum ``q``.
     """
     check_k(g, k)
     u = np.asarray(sp.u1, dtype=np.float64)
     plus = topk(u, k)
     minus = topk(-u, k)
     q = sp.sigma1 * max(float(u[plus].sum()) ** 2, float(u[minus].sum()) ** 2)
+    return plus, minus, float(q)
+
+
+def rank1_dks(g: Graph, k: int, sp: SpectralPair) -> VertexSet:
+    """Densest-k on the rank-1 surrogate ``sigma1 (u1' 1_S)^2``.
+
+    Of the surrogate's two maximizers (the top-k entries of ``u1`` and of
+    ``-u1``), returns the one with the larger true subgraph weight.
+    """
+    plus, minus, _ = _rank1_surrogate(g, k, sp)
     cand_plus = VertexSet.from_members(g, plus)
     cand_minus = VertexSet.from_members(g, minus)
-    chosen = cand_plus if cand_plus.subgraph_weight >= cand_minus.subgraph_weight else cand_minus
-    return chosen, float(q)
+    return cand_plus if cand_plus.subgraph_weight >= cand_minus.subgraph_weight else cand_minus
 
 
-def density_upper_bound(g: Graph, k: int, sp: SpectralPair, q: float) -> float:
+def density_upper_bound(g: Graph, k: int, sp: SpectralPair) -> float:
     """A-posteriori cap on the best achievable edge density at size ``k``.
 
-    ``min(cap, (q/k + sigma2)/(k-1), sigma1/(k-1))`` with ``q`` the rank-1
-    surrogate optimum from :func:`rank1_dks` and ``cap`` the maximum edge
-    weight, the largest density any k-subset can reach (exactly 1 for
-    unweighted graphs). The bound holds for any heuristic's output, so it
-    benchmarks sub-optimality a posteriori.
+    ``min(cap, (q/k + sigma2)/(k-1), sigma1/(k-1))`` with ``q`` the optimum
+    of the rank-1 surrogate ``sigma1 (u1' 1_S)^2`` over k-subsets and ``cap``
+    the maximum edge weight, the largest density any k-subset can reach
+    (exactly 1 for unweighted graphs). The bound holds for any heuristic's
+    output, so it benchmarks sub-optimality a posteriori.
     """
-    check_k(g, k)
+    _, _, q = _rank1_surrogate(g, k, sp)
     cap = float(g.weights.max()) if g.m else 0.0
     return float(min(cap, (q / k + sp.sigma2) / (k - 1), sp.sigma1 / (k - 1)))

@@ -38,7 +38,7 @@ from .graph import (
     write_edge_list,
 )
 from .oracles import brute_force_dks, generate_planted
-from .rounding import FrankWolfeConfig, frank_wolfe_refine, project_topk
+from .rounding import frank_wolfe_refine, project_topk
 from .solver import NumericalDivergenceError, SolverConfig, solve_lovasz_relaxation
 
 __all__ = ["main", "SweepRecord", "run_single", "run_sweep", "run_gen", "emit_plot_data"]
@@ -87,20 +87,21 @@ class SweepRecord:
 
 
 def _solver_config(args) -> SolverConfig:
-    return SolverConfig(
+    """Solver settings from the flags; checks them and ``--fw-max-iter`` before any input is read."""
+    cfg = SolverConfig(
         rho=args.rho,
         alpha=args.alpha,
         eps_abs=args.eps_abs,
         eps_rel=args.eps_rel,
         max_iter=args.max_iter,
     )
-
-
-def _fw_config(args, sp) -> FrankWolfeConfig:
-    """Frank-Wolfe settings; the ``lipschitz`` step rule takes ``||W||`` from ``sp.sigma1``."""
-    lipschitz = sp.sigma1 if sp is not None and args.fw_step == "lipschitz" else None
-    return FrankWolfeConfig(max_iter=args.fw_max_iter, lipschitz=lipschitz,
-                            step_mode=args.fw_step)
+    try:
+        cfg.validate()
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+    if args.fw_max_iter < 1:
+        raise UsageError("--fw-max-iter must be at least 1")
+    return cfg
 
 
 def _load_graph(args) -> Graph:
@@ -114,7 +115,7 @@ def _check_k(g: Graph, k: int) -> None:
         raise UsageError(str(exc)) from None
 
 
-def _run_method(g, k, method, fw_cfg, relax_report, sp):
+def _run_method(g, k, method, fw_max_iter, relax_report, sp):
     """Dispatch one method; returns (vertex_set, iters, converged, extra_seconds).
 
     `extra_seconds` charges the (possibly shared) relaxation solve to the
@@ -127,7 +128,7 @@ def _run_method(g, k, method, fw_cfg, relax_report, sp):
         vset = project_topk(g, relax_report.x_avg, k)
         return vset, relax_report.iters, relax_report.converged, relax_report.wall_time
     if method == "ladmm-fw":
-        fw = frank_wolfe_refine(g, k, relax_report.x_avg, fw_cfg)
+        fw = frank_wolfe_refine(g, k, relax_report.x_avg, fw_max_iter)
         return (fw.selected, relax_report.iters + fw.iters,
                 relax_report.converged, relax_report.wall_time)
     if method == "greedy":
@@ -136,8 +137,7 @@ def _run_method(g, k, method, fw_cfg, relax_report, sp):
         x0 = relax_report.x_avg if relax_report is not None else None
         return truncated_power_method(g, k, x0), 0, True, 0.0
     if method == "rank1":
-        vset, _ = rank1_dks(g, k, sp)
-        return vset, 0, sp.converged, 0.0
+        return rank1_dks(g, k, sp), 0, sp.converged, 0.0
     if method == "brute":
         vset, _ = brute_force_dks(g, k)
         return vset, 0, True, 0.0
@@ -149,22 +149,18 @@ def _run_method(g, k, method, fw_cfg, relax_report, sp):
 
 
 def run_single(args) -> int:
+    solver_cfg = _solver_config(args)
     g = _load_graph(args)
     k = args.k
     _check_k(g, k)
-    solver_cfg = _solver_config(args)
-    sp = None
-    if (args.bound or args.method == "rank1"
-            or (args.method == "ladmm-fw" and args.fw_step == "lipschitz")):
-        sp = top_two_singular(g)
-    fw_cfg = _fw_config(args, sp)
+    sp = top_two_singular(g) if args.bound or args.method == "rank1" else None
 
     start = time.perf_counter()
     relax_report = None
     if args.method in RELAX_METHODS:
         relax_report = solve_lovasz_relaxation(g, k, solver_cfg)
     vset, iters, converged, _ = _run_method(
-        g, k, args.method, fw_cfg, relax_report, sp)
+        g, k, args.method, args.fw_max_iter, relax_report, sp)
     runtime_ms = (time.perf_counter() - start) * 1e3
 
     payload = {
@@ -180,8 +176,7 @@ def run_single(args) -> int:
         "runtime_ms": runtime_ms,
     }
     if args.bound:
-        _, q = rank1_dks(g, k, sp)
-        ub = density_upper_bound(g, k, sp, q)
+        ub = density_upper_bound(g, k, sp)
         if np.isfinite(vset.density) and vset.density > ub * BOUND_SLACK:
             raise BoundViolationError(
                 f"internal error: density {vset.density} exceeds upper bound {ub}")
@@ -216,7 +211,7 @@ def run_single(args) -> int:
 # sweep
 
 
-def _sweep_one_k(g, k, methods, solver_cfg, fw_cfg, sp, lambda_hat, no_timing):
+def _sweep_one_k(g, k, methods, solver_cfg, fw_max_iter, sp, lambda_hat, no_timing):
     records = []
     relax_report = None
     if any(m in RELAX_METHODS for m in methods):
@@ -226,8 +221,7 @@ def _sweep_one_k(g, k, methods, solver_cfg, fw_cfg, sp, lambda_hat, no_timing):
             print(f"warning: k={k} relaxation solve failed: {exc}", file=sys.stderr)
 
     start = time.perf_counter()
-    _, q = rank1_dks(g, k, sp)
-    ub = density_upper_bound(g, k, sp, q)
+    ub = density_upper_bound(g, k, sp)
     bound_ms = (time.perf_counter() - start) * 1e3
     records.append(SweepRecord(
         k=k, method=BOUND_METHOD, density=ub, weight=ub * k * (k - 1),
@@ -238,7 +232,7 @@ def _sweep_one_k(g, k, methods, solver_cfg, fw_cfg, sp, lambda_hat, no_timing):
         start = time.perf_counter()
         try:
             vset, iters, converged, extra = _run_method(
-                g, k, method, fw_cfg, relax_report, sp)
+                g, k, method, fw_max_iter, relax_report, sp)
             elapsed_ms = (time.perf_counter() - start + extra) * 1e3
             density, weight = vset.density, vset.subgraph_weight
         except Exception as exc:  # a failed cell must not abort the sweep
@@ -279,21 +273,10 @@ def _parse_k_grid(args, g) -> list:
     return ks
 
 
-def _thread_count(args) -> int:
-    if args.threads is not None:
-        if args.threads < 1:
-            raise UsageError("--threads must be at least 1")
-        return args.threads
-    env = os.environ.get("DKS_THREADS", "").strip()
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise UsageError(f"bad DKS_THREADS value {env!r}") from None
-    return 1
-
-
 def run_sweep(args) -> int:
+    if args.threads < 1:
+        raise UsageError("--threads must be at least 1")
+    solver_cfg = _solver_config(args)
     g = _load_graph(args)
     ks = _parse_k_grid(args, g)
     methods = sorted({m.strip() for m in args.methods.split(",") if m.strip()})
@@ -302,23 +285,20 @@ def run_sweep(args) -> int:
             raise UsageError(f"unknown method {m!r}; choose from {', '.join(SOLVE_METHODS)}")
     if not methods:
         raise UsageError("no methods selected")
-    threads = _thread_count(args)
-    solver_cfg = _solver_config(args)
     # graph-level quantities, computed once and shared by every k and method
     sp = top_two_singular(g)
     lambda_hat = None
     if any(m in RELAX_METHODS for m in methods):
         lambda_hat = incidence_norm_sq_upper(g)
-    fw_cfg = _fw_config(args, sp)
 
     def work(k):
-        return _sweep_one_k(g, k, methods, solver_cfg, fw_cfg, sp, lambda_hat,
+        return _sweep_one_k(g, k, methods, solver_cfg, args.fw_max_iter, sp, lambda_hat,
                             args.no_timing)
 
-    if threads == 1:
+    if args.threads == 1:
         blocks = [work(k) for k in ks]
     else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+        with ThreadPoolExecutor(max_workers=args.threads) as pool:
             blocks = list(pool.map(work, ks))
 
     records = sorted((r for block in blocks for r in block),
@@ -421,8 +401,6 @@ def _add_solver_args(sp) -> None:
                     help="solver iteration cap (default 3000)")
     sp.add_argument("--fw-max-iter", type=int, default=100,
                     help="Frank-Wolfe iteration cap (default 100)")
-    sp.add_argument("--fw-step", choices=("exact-line-search", "lipschitz"),
-                    default="exact-line-search", help="Frank-Wolfe step rule")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -454,8 +432,8 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="M1,M2,...",
                        help="comma-separated subset of: " + ", ".join(SOLVE_METHODS))
     sweep.add_argument("--out", required=True, metavar="CSV", help="output CSV path")
-    sweep.add_argument("--threads", type=int, default=None,
-                       help="worker threads across k values (default: DKS_THREADS or 1; "
+    sweep.add_argument("--threads", type=int, default=1,
+                       help="worker threads across k values (default 1; "
                             "1 guarantees bit-reproducible output)")
     sweep.add_argument("--no-timing", action="store_true",
                        help="write runtime_ms as 0.0 for byte-reproducible CSV")

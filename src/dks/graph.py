@@ -182,7 +182,9 @@ def _text_stream(source):
             data = gzip.decompress(data)
         except (EOFError, zlib.error) as exc:
             raise ValueError(f"corrupt gzip input: {exc}") from None
-    return io.StringIO(data.decode("utf-8"))
+    # a text view of the bytes, not a decoded copy: StringIO would hold the
+    # whole input again as UCS-4; newline="\n" splits lines as StringIO does
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="\n")
 
 
 def _largest_component(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -1,9 +1,14 @@
 """Shared fixtures and independent test oracles."""
 
+import gzip
+import io
+import sys
+import zlib
+
 import numpy as np
 import pytest
 
-from dks.graph import EdgeListParseError, Graph, _text_stream
+from dks.graph import EdgeListParseError, Graph
 
 
 @pytest.fixture
@@ -107,8 +112,30 @@ def random_feasible_point(rng, n, k):
     return random_feasible_batch(rng, 1, n, k)[0]
 
 
+def _text_stream_reference(source):
+    """Open `source` (path, '-', or file-like) as text, gunzipping if needed."""
+    if source == "-":
+        data = sys.stdin.buffer.read()
+    elif isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
+        with open(source, "rb") as raw:
+            data = raw.read()
+    elif hasattr(source, "read"):
+        data = source.read()
+        if isinstance(data, str):
+            return io.StringIO(data)
+    else:
+        raise TypeError("source must be a path, '-', or a file-like object")
+    if data[:2] == b"\x1f\x8b":
+        try:
+            data = gzip.decompress(data)
+        except (EOFError, zlib.error) as exc:
+            raise ValueError(f"corrupt gzip input: {exc}") from None
+    return io.StringIO(data.decode("utf-8"))
+
+
 # The loader as it was before ingestion became one array pipeline: a dict
-# merge and a dict union-find, kept as the oracle for `load_edge_list`.
+# merge and a dict union-find over a decoded StringIO copy of the input,
+# kept as the oracle for `load_edge_list`.
 def load_edge_list_reference(source, weighted: bool = False) -> Graph:
     """Load a graph from line-oriented edge-list text.
 
@@ -123,7 +150,7 @@ def load_edge_list_reference(source, weighted: bool = False) -> Graph:
     Raises :class:`EdgeListParseError` on malformed lines and ``ValueError``
     if no edges survive preprocessing.
     """
-    stream = _text_stream(source)
+    stream = _text_stream_reference(source)
     want = 3 if weighted else 2
     merged: dict = {}
     for lineno, line in enumerate(stream, 1):

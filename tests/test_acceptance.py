@@ -97,8 +97,7 @@ def dominance_batch():
                     project_topk(g, report.x_avg, k).subgraph_weight,
                     fw.selected.subgraph_weight,
                 )
-            _, q = rank1_dks(g, k, sp)
-            entry["bound"] = density_upper_bound(g, k, sp, q)
+            entry["bound"] = density_upper_bound(g, k, sp)
             cells.append(entry)
     return {"cells": cells, "elapsed": time.perf_counter() - start}
 
@@ -252,8 +251,7 @@ def test_criterion_08_planted_recovery():
         report = solve_lovasz_relaxation(g, 20)
         fw = frank_wolfe_refine(g, 20, report.x_avg)
         sp = top_two_singular(g)
-        _, q = rank1_dks(g, 20, sp)
-        bound = density_upper_bound(g, 20, sp, q)
+        bound = density_upper_bound(g, 20, sp)
         ratio = fw.selected.density / bound
         if fw.selected.density == 1.0 and ratio >= 1.0 - 1e-9:
             recovered += 1
@@ -290,8 +288,8 @@ def test_criterion_10_quality_proxy():
         for k in (10, 20, 40):
             report = solve_lovasz_relaxation(g, k)
             fw_weight = frank_wolfe_refine(g, k, report.x_avg).selected.subgraph_weight
-            rank1_set, q = rank1_dks(g, k, sp)
-            bound = density_upper_bound(g, k, sp, q)
+            rank1_set = rank1_dks(g, k, sp)
+            bound = density_upper_bound(g, k, sp)
             ratios.append(fw_weight / (k * (k - 1)) / bound)
             rivals = max(greedy_feige(g, k).subgraph_weight, rank1_set.subgraph_weight)
             pairs += 1

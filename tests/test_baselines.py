@@ -5,6 +5,7 @@ import pytest
 
 from conftest import random_graph
 from dks.baselines import (
+    _rank1_surrogate,
     density_upper_bound,
     greedy_feige,
     rank1_dks,
@@ -118,8 +119,7 @@ class TestTopTwoSingular:
             assert not sp.converged
             assert sp.sigma1 == sp.sigma2 == g.degree.max()
             for k in range(2, g.n):
-                _, q = rank1_dks(g, k, sp)
-                bound = density_upper_bound(g, k, sp, q)
+                bound = density_upper_bound(g, k, sp)
                 assert bound == min(g.weights.max(), sp.sigma1 / (k - 1))
                 best, _ = brute_force_dks(g, k)
                 assert bound >= best.density - 1e-9
@@ -128,7 +128,8 @@ class TestTopTwoSingular:
 class TestRank1:
     def test_k4k2(self, k4k2):
         sp = top_two_singular(k4k2)
-        vs, q = rank1_dks(k4k2, 4, sp)
+        vs = rank1_dks(k4k2, 4, sp)
+        _, _, q = _rank1_surrogate(k4k2, 4, sp)
         assert vs.members == (0, 1, 2, 3)
         assert vs.density == 1.0
         assert q == pytest.approx(12.0, rel=1e-4)
@@ -137,13 +138,15 @@ class TestRank1:
         # u1 is uniform up to solver noise, so members are tie-dependent;
         # every 3-subset of K5 has density 1 either way
         g = Graph.from_edges(5, list(itertools.combinations(range(5), 2)))
-        vs, q = rank1_dks(g, 3, top_two_singular(g))
+        sp = top_two_singular(g)
+        vs = rank1_dks(g, 3, sp)
+        _, _, q = _rank1_surrogate(g, 3, sp)
         assert vs.k == 3
         assert vs.density == 1.0
         assert q == pytest.approx(4.0 * 9 / 5, rel=1e-3)  # sigma1 (u1' 1_S)^2
 
     def test_star_k2(self, star5):
-        vs, _ = rank1_dks(star5, 2, top_two_singular(star5))
+        vs = rank1_dks(star5, 2, top_two_singular(star5))
         assert 0 in vs.members
         assert vs.density == 1.0
 
@@ -154,7 +157,7 @@ class TestRank1:
             g = random_graph(rng, n, 0.4, weighted=True)
             k = int(rng.integers(2, n - 1))
             sp = top_two_singular(g)
-            _, q = rank1_dks(g, k, sp)
+            _, _, q = _rank1_surrogate(g, k, sp)
             best = max(
                 sp.sigma1 * float(sp.u1[list(s)].sum()) ** 2
                 for s in itertools.combinations(range(n), k))
@@ -167,15 +170,14 @@ class TestDensityUpperBound:
             g = Graph.from_edges(n, list(itertools.combinations(range(n), 2)))
             sp = top_two_singular(g)
             for k in range(2, n):
-                _, q = rank1_dks(g, k, sp)
-                assert density_upper_bound(g, k, sp, q) == 1.0
+                assert density_upper_bound(g, k, sp) == 1.0
 
     def test_k4k2_hand_computation(self, k4k2):
         sp = top_two_singular(k4k2)
-        _, q = rank1_dks(k4k2, 4, sp)
+        _, _, q = _rank1_surrogate(k4k2, 4, sp)
         # middle term (12/4 + 1)/3 = 4/3, sigma1 term 3/3 = 1 -> capped at 1
         assert (q / 4 + sp.sigma2) / 3 == pytest.approx(4.0 / 3.0, rel=1e-3)
-        assert density_upper_bound(k4k2, 4, sp, q) == 1.0
+        assert density_upper_bound(k4k2, 4, sp) == 1.0
 
     def test_dominates_brute_force(self):
         rng = np.random.default_rng(4)
@@ -184,8 +186,7 @@ class TestDensityUpperBound:
             g = random_graph(rng, n, 0.35)
             sp = top_two_singular(g)
             for k in range(2, n):
-                _, q = rank1_dks(g, k, sp)
-                bound = density_upper_bound(g, k, sp, q)
+                bound = density_upper_bound(g, k, sp)
                 best, _ = brute_force_dks(g, k)
                 assert bound >= best.density - 1e-9
 
@@ -197,12 +198,28 @@ class TestDensityUpperBound:
             g = random_graph(rng, n, 0.5, weighted=True)
             sp = top_two_singular(g)
             for k in range(2, n):
-                _, q = rank1_dks(g, k, sp)
-                bound = density_upper_bound(g, k, sp, q)
+                bound = density_upper_bound(g, k, sp)
                 best, _ = brute_force_dks(g, k)
                 assert bound >= best.density - 1e-9
+
+    def test_matches_two_step_formula(self):
+        # the bound once took q from rank1_dks; computing q itself must not move a bit
+        rng = np.random.default_rng(7)
+        for weighted in (False, True):
+            for max_iter in (20000, 1):
+                g = random_graph(rng, 14, 0.4, weighted=weighted)
+                sp = top_two_singular(g, max_iter=max_iter)
+                u = np.asarray(sp.u1, dtype=np.float64)
+                for k in range(2, g.n):
+                    plus = np.argsort(-u, kind="stable")[:k]
+                    minus = np.argsort(u, kind="stable")[:k]
+                    q = float(sp.sigma1 * max(float(u[plus].sum()) ** 2,
+                                              float(u[minus].sum()) ** 2))
+                    expected = float(min(float(g.weights.max()),
+                                         (q / k + sp.sigma2) / (k - 1), sp.sigma1 / (k - 1)))
+                    assert density_upper_bound(g, k, sp) == expected
 
     def test_k_range(self, k3):
         sp = top_two_singular(k3)
         with pytest.raises(ValueError):
-            density_upper_bound(k3, 1, sp, 0.0)
+            density_upper_bound(k3, 1, sp)

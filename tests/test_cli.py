@@ -1,17 +1,27 @@
 import gzip
 import json
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import dks
 from dks.cli import CSV_HEADER, emit_plot_data, main
 from dks.graph import load_edge_list
 from dks.oracles import brute_force_dks
 
 
 _GZIPPED = gzip.compress("".join(f"{i} {i + 1}\n" for i in range(500)).encode())
+
+
+def _run_dks(args, **kwargs):
+    """Run ``python -m dks`` in a subprocess that imports the same dks as this process."""
+    src = os.path.dirname(os.path.dirname(dks.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "dks", *args], capture_output=True,
+                          env=dict(os.environ, PYTHONPATH=path), **kwargs)
 
 
 @pytest.fixture
@@ -70,6 +80,12 @@ class TestSolve:
         out = capsys.readouterr().out
         assert "members (original ids): 10 11" in out
 
+    def test_bad_solver_flag_is_usage_error(self, k4k2_file, tmp_path, capsys):
+        for graph in (k4k2_file, str(tmp_path / "missing.txt")):
+            rc = main(["solve", "--graph", graph, "--k", "4", "--alpha", "2.5"])
+            assert rc == 2
+        assert "alpha" in capsys.readouterr().err
+
     def test_k_zero_is_usage_error(self, k4k2_file, capsys):
         rc = main(["solve", "--graph", k4k2_file, "--k", "0", "--method", "greedy"])
         assert rc == 2
@@ -88,14 +104,13 @@ class TestSolve:
         b"0 1\n1 2\n2 99999999999999999999999\n0 2\n",   # id beyond signed 64-bit
         _GZIPPED[:len(_GZIPPED) // 2],                      # truncated gzip
         b"",
-    ], ids=["oversized-id", "truncated-gzip", "empty"])
+        b"0 1\n1 2\n\xe9 3\n",                               # not UTF-8
+    ], ids=["oversized-id", "truncated-gzip", "empty", "invalid-utf8"])
     def test_bad_input_exits_1_without_traceback(self, tmp_path, data):
         path = tmp_path / "bad.txt"
         path.write_bytes(data)
-        proc = subprocess.run(
-            [sys.executable, "-m", "dks", "solve", "--graph", str(path), "--k", "2",
-             "--method", "greedy"],
-            capture_output=True, text=True)
+        proc = _run_dks(["solve", "--graph", str(path), "--k", "2", "--method", "greedy"],
+                        text=True)
         assert proc.returncode == 1
         assert proc.stderr.startswith("error:")
         assert "Traceback" not in proc.stderr
@@ -108,7 +123,8 @@ class TestSolve:
         assert json.loads(out.read_text())["density"] == 1.0
 
     @pytest.mark.parametrize("command", ["solve", "sweep"])
-    @pytest.mark.parametrize("flag", ["--bisect-eps=1e-6", "--prox-scale=literal", "--thin=2"])
+    @pytest.mark.parametrize("flag", ["--bisect-eps=1e-6", "--prox-scale=literal", "--thin=2",
+                                      "--fw-step=lipschitz"])
     def test_removed_solver_flags_rejected(self, k4k2_file, tmp_path, command, flag):
         argv = {"solve": ["solve", "--k", "4", "--method", "greedy"],
                 "sweep": ["sweep", "--k-list", "4", "--methods", "greedy",
@@ -120,10 +136,8 @@ class TestSolve:
     def test_stdin_dash(self, k4k2_file):
         with open(k4k2_file, "rb") as f:
             data = f.read()
-        proc = subprocess.run(
-            [sys.executable, "-m", "dks", "solve", "--graph", "-", "--k", "4",
-             "--method", "greedy", "--json"],
-            input=data, capture_output=True)
+        proc = _run_dks(["solve", "--graph", "-", "--k", "4", "--method", "greedy", "--json"],
+                        input=data)
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["members"] == [0, 1, 2, 3]
 
@@ -198,18 +212,20 @@ class TestSweep:
 
         counted("top_two_singular")
         counted("incidence_norm_sq_upper")
+        counted("rank1_dks")
         rc = main(["sweep", "--graph", fixture_file, "--k-list", "4,6,8",
-                   "--methods", "ladmm-fw,rank1", "--fw-step", "lipschitz",
-                   "--out", str(tmp_path / "x.csv")])
+                   "--methods", "ladmm-fw,rank1", "--out", str(tmp_path / "x.csv")])
         assert rc == 0
-        assert calls == {"top_two_singular": 1, "incidence_norm_sq_upper": 1}
+        # the bound computes the rank-1 surrogate itself: one rank1_dks per k
+        assert calls == {"top_two_singular": 1, "incidence_norm_sq_upper": 1, "rank1_dks": 3}
 
         for method in ("rank1", "ladmm-fw"):
             calls.clear()
             rc = main(["solve", "--graph", fixture_file, "--k", "4", "--method", method,
-                       "--fw-step", "lipschitz", "--bound", "--json"])
+                       "--bound", "--json"])
             assert rc == 0
             assert calls.get("top_two_singular") == 1
+            assert calls.get("rank1_dks", 0) == (method == "rank1")
 
     def test_unconverged_spectral_pair_reported(self, fixture_file, tmp_path, capsys,
                                                 monkeypatch):
@@ -252,13 +268,6 @@ class TestSweep:
             if r[1] not in ("brute", "bound"):
                 assert float(r[3]) <= best[int(r[0])] + 1e-9
 
-    def test_env_thread_fallback(self, fixture_file, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("DKS_THREADS", "2")
-        out = tmp_path / "sweep.csv"
-        rc = main(["sweep", "--graph", fixture_file, "--k-list", "4",
-                   "--methods", "greedy", "--no-timing", "--out", str(out)])
-        assert rc == 0
-
     def test_complete_graph_every_method_saturates_bound(self, tmp_path, capsys):
         path = tmp_path / "k8.txt"
         path.write_text("\n".join(f"{i} {j}" for i in range(8)
@@ -277,7 +286,7 @@ class TestSweep:
         import dks.cli as cli_mod
 
         monkeypatch.setattr(cli_mod, "density_upper_bound",
-                            lambda g, k, sp, q: 1e-6)
+                            lambda g, k, sp: 1e-6)
         rc = main(["sweep", "--graph", fixture_file, "--k-list", "4",
                    "--methods", "greedy", "--out", str(tmp_path / "x.csv")])
         assert rc == 1
@@ -335,6 +344,14 @@ class TestSweep:
         rc = main(["sweep", "--graph", fixture_file, "--k-list", "4",
                    "--methods", "wat", "--out", str(tmp_path / "x.csv")])
         assert rc == 2
+        # solver and thread flags are checked before the graph is read
+        for flag in (["--max-iter", "0"], ["--alpha", "2.5"], ["--fw-max-iter", "0"],
+                     ["--rho", "0"], ["--eps-abs", "0"], ["--eps-rel", "-1"],
+                     ["--threads", "0"]):
+            for graph in (fixture_file, str(tmp_path / "missing.txt")):
+                rc = main(["sweep", "--graph", graph, "--k-list", "4", "--methods", "ladmm-fw",
+                           "--out", str(tmp_path / "x.csv"), *flag])
+                assert rc == 2, flag
 
 
 class TestGen:

@@ -1,5 +1,6 @@
 import gzip
 import io
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -76,6 +77,22 @@ class TestLoadEdgeList:
         star = "".join(f"1000 {-leaf}\n" for leaf in range(50))
         assert _assert_same_load(star, False).original_ids[-1] == 1000
 
+    def test_matches_reference_loader_from_paths(self, tmp_path):
+        # files are read as bytes and decoded, unlike the text streams above
+        rng = np.random.default_rng(405)
+        for i in range(40):
+            weighted = i % 2 == 1
+            raw = _random_edge_text(rng, weighted).encode()
+            for name, data in (("plain", raw), ("gzip", gzip.compress(raw)),
+                               ("crlf", raw.replace(b"\n", b"\r\n")),
+                               ("cr", raw.replace(b"\n", b"\r"))):
+                path = tmp_path / f"{i}-{name}.txt"
+                path.write_bytes(data)
+                _assert_same_load(path, weighted)
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(b"0 1\n1 2\n\xe9 3\n")
+        _assert_same_load(path, False, same_message=False)
+
     def test_line_number_reported(self):
         with pytest.raises(EdgeListParseError) as err:
             _load("0 1\n1 2\nbogus line\n")
@@ -137,19 +154,24 @@ def _random_edge_text(rng, weighted):
     return "\n".join(f"  {ln}\t" if rng.random() < 0.1 else ln for ln in lines) + "\n"
 
 
-def _assert_same_load(text, weighted):
-    """Load ``text`` with both loaders; the graphs, or the errors, must be identical."""
+def _assert_same_load(source, weighted, same_message=True):
+    """Load ``source`` (text, or a file's ``Path``) with both loaders; the graphs,
+    or the errors, must be identical. ``same_message=False`` compares only the
+    error types."""
     outcomes = []
     for loader in (load_edge_list, load_edge_list_reference):
         try:
-            outcomes.append(loader(io.StringIO(text), weighted=weighted))
+            outcomes.append(loader(
+                source if isinstance(source, Path) else io.StringIO(source), weighted=weighted))
         except ValueError as exc:
             outcomes.append(exc)
     new, ref = outcomes
     assert isinstance(new, Exception) == isinstance(ref, Exception), outcomes
     if isinstance(ref, Exception):
-        assert type(new) is type(ref) and str(new) == str(ref)
-        assert getattr(new, "lineno", None) == getattr(ref, "lineno", None)
+        assert type(new) is type(ref)
+        if same_message:
+            assert str(new) == str(ref)
+            assert getattr(new, "lineno", None) == getattr(ref, "lineno", None)
         return None
     assert (new.n, new.m) == (ref.n, ref.m)
     for name in ("edges", "weights", "degree", "original_ids"):

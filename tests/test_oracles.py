@@ -174,7 +174,7 @@ class TestOracleDominance:
             candidates = [
                 greedy_feige(g, k),
                 truncated_power_method(g, k, report.x_avg),
-                rank1_dks(g, k, sp)[0],
+                rank1_dks(g, k, sp),
                 project_topk(g, report.x_avg, k),
                 frank_wolfe_refine(g, k, report.x_avg).selected,
             ]

@@ -6,7 +6,7 @@ import pytest
 from conftest import random_feasible_point, random_graph
 from dks.graph import Graph, adjacency_matvec, power_iteration_norm
 from dks.oracles import dense_cross_check, generate_planted
-from dks.rounding import FrankWolfeConfig, frank_wolfe_refine, project_topk
+from dks.rounding import frank_wolfe_refine, project_topk
 from dks.solver import solve_lovasz_relaxation
 
 
@@ -98,14 +98,13 @@ class TestFrankWolfe:
         assert res.selected.density == 1.0
         assert set(res.selected.members) == set(inst.planted.members)
 
-    @pytest.mark.parametrize("mode", ["exact-line-search", "lipschitz"])
-    def test_objective_monotone(self, mode):
+    def test_objective_monotone(self):
         rng = np.random.default_rng(2)
         for _ in range(25):
             g = random_graph(rng, int(rng.integers(5, 25)), 0.4, weighted=True)
             k = int(rng.integers(2, g.n - 1))
             x0 = random_feasible_point(rng, g.n, k)
-            res = frank_wolfe_refine(g, k, x0, FrankWolfeConfig(step_mode=mode))
+            res = frank_wolfe_refine(g, k, x0)
             hist = res.objective_history
             assert all(b <= a + 1e-9 for a, b in zip(hist, hist[1:]))
 
@@ -156,8 +155,6 @@ class TestFrankWolfe:
         with pytest.raises(ValueError):
             frank_wolfe_refine(k4k2, 4, np.array([2.0, 1, 1, 0, 0, 0]))
 
-    def test_config_validation(self):
+    def test_config_validation(self, k4k2):
         with pytest.raises(ValueError):
-            FrankWolfeConfig(step_mode="newton").validate()
-        with pytest.raises(ValueError):
-            FrankWolfeConfig(max_iter=0).validate()
+            frank_wolfe_refine(k4k2, 4, np.full(6, 4.0 / 6.0), max_iter=0)
