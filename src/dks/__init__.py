@@ -19,7 +19,6 @@ from .graph import (
     Graph,
     VertexSet,
     adjacency_matvec,
-    edge_density,
     edge_differences,
     edge_differences_adjoint,
     incidence_norm_sq_upper,
@@ -27,27 +26,14 @@ from .graph import (
     subgraph_weight,
     write_edge_list,
 )
-from .oracles import (
-    DenseForms,
-    PlantedInstance,
-    brute_force_dks,
-    check_submodular,
-    dense_cross_check,
-    edmonds_lovasz,
-    generate_planted,
-)
+from .oracles import PlantedInstance, brute_force_dks, generate_planted
 from .prox import CappedSimplexParams, cardinality_gap, prox_capped_simplex, shrinkage
-from .rounding import (
-    FrankWolfeResult,
-    frank_wolfe_refine,
-    project_topk,
-)
+from .rounding import FrankWolfeResult, frank_wolfe_refine, project_topk
 from .solver import (
     NumericalDivergenceError,
     SolverConfig,
     SolverReport,
     lovasz_objective,
-    relaxation_objective,
     solve_lovasz_relaxation,
 )
 

@@ -16,6 +16,7 @@ import numpy as np
 from .graph import (
     Graph,
     VertexSet,
+    _check_vertex_vector,
     adjacency_matvec,
     check_k,
     power_iteration_norm,
@@ -68,9 +69,7 @@ def truncated_power_method(g: Graph, k: int, x0=None, max_iter: int = 100) -> Ve
         x = np.zeros(g.n)
         x[topk(g.degree, k)] = 1.0
     else:
-        x = np.asarray(x0, dtype=np.float64).copy()
-        if x.shape != (g.n,):
-            raise ValueError(f"expected a length-{g.n} vector, got shape {x.shape}")
+        x = _check_vertex_vector(g, x0)
         if not np.isfinite(x).all():
             raise ValueError("x0 must be finite")
         if not np.any(x):

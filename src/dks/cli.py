@@ -104,15 +104,19 @@ def _solver_config(args) -> SolverConfig:
     return cfg
 
 
-def _load_graph(args) -> Graph:
-    return load_edge_list(args.graph, weighted=args.weighted)
-
-
 def _check_k(g: Graph, k: int) -> None:
     try:
         check_k(g, k)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
+
+
+def _bound_ratio(density: float, ub: float, where: str) -> float:
+    """``density / ub``; a density above the bound aborts the run as an internal error."""
+    if np.isfinite(density) and density > ub * BOUND_SLACK:
+        raise BoundViolationError(
+            f"internal error: {where}density {density} exceeds upper bound {ub}")
+    return density / ub if ub > 0 else float("nan")
 
 
 def _run_method(g, k, method, fw_max_iter, relax_report, sp):
@@ -150,7 +154,7 @@ def _run_method(g, k, method, fw_max_iter, relax_report, sp):
 
 def run_single(args) -> int:
     solver_cfg = _solver_config(args)
-    g = _load_graph(args)
+    g = load_edge_list(args.graph, weighted=args.weighted)
     k = args.k
     _check_k(g, k)
     sp = top_two_singular(g) if args.bound or args.method == "rank1" else None
@@ -177,11 +181,8 @@ def run_single(args) -> int:
     }
     if args.bound:
         ub = density_upper_bound(g, k, sp)
-        if np.isfinite(vset.density) and vset.density > ub * BOUND_SLACK:
-            raise BoundViolationError(
-                f"internal error: density {vset.density} exceeds upper bound {ub}")
         payload["upper_bound"] = ub
-        payload["bound_ratio"] = vset.density / ub if ub > 0 else float("nan")
+        payload["bound_ratio"] = _bound_ratio(vset.density, ub, "")
         payload["bound_converged"] = sp.converged
 
     if args.json:
@@ -240,13 +241,9 @@ def _sweep_one_k(g, k, methods, solver_cfg, fw_max_iter, sp, lambda_hat, no_timi
             elapsed_ms = (time.perf_counter() - start) * 1e3
             density = weight = float("nan")
             iters, converged = 0, False
-        if np.isfinite(density) and density > ub * BOUND_SLACK:
-            raise BoundViolationError(
-                f"internal error: k={k} method={method} density {density} "
-                f"exceeds upper bound {ub}")
         records.append(SweepRecord(
             k=k, method=method, density=density, weight=weight, upper_bound=ub,
-            bound_ratio=density / ub if ub > 0 else float("nan"),
+            bound_ratio=_bound_ratio(density, ub, f"k={k} method={method} "),
             iters=iters, converged=converged,
             runtime_ms=0.0 if no_timing else elapsed_ms))
     return records
@@ -277,7 +274,7 @@ def run_sweep(args) -> int:
     if args.threads < 1:
         raise UsageError("--threads must be at least 1")
     solver_cfg = _solver_config(args)
-    g = _load_graph(args)
+    g = load_edge_list(args.graph, weighted=args.weighted)
     ks = _parse_k_grid(args, g)
     methods = sorted({m.strip() for m in args.methods.split(",") if m.strip()})
     for m in methods:
@@ -340,7 +337,8 @@ def emit_plot_data(csv_path, out_dir) -> list:
 
     Series files carry the CSV's string fields verbatim, so values round-trip
     bit-exactly. Returns the list of written paths; raises ``ValueError`` for
-    a malformed or empty CSV before writing anything.
+    a malformed or empty CSV, or one naming a method the CLI does not have,
+    before writing anything.
     """
     with open(csv_path) as f:
         lines = [line.rstrip("\n") for line in f]
@@ -354,6 +352,10 @@ def emit_plot_data(csv_path, out_dir) -> list:
         if len(fields) != 9:
             raise ValueError(f"malformed sweep CSV: line {lineno} has {len(fields)} fields")
         k_raw, method = fields[0], fields[1]
+        if method not in SOLVE_METHODS + (BOUND_METHOD,):
+            # the method names output files, so only known names pass
+            raise ValueError(
+                f"malformed sweep CSV: line {lineno} has unknown method {method!r}")
         series.setdefault(method, []).append((k_raw, fields[2], fields[8]))
     if not series:
         raise ValueError(f"sweep CSV {csv_path} has no data rows")

@@ -31,7 +31,6 @@ __all__ = [
     "adjacency_matvec",
     "incidence_norm_sq_upper",
     "subgraph_weight",
-    "edge_density",
 ]
 
 
@@ -210,23 +209,8 @@ def _largest_component(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return root == np.argmax(np.bincount(root, minlength=n))
 
 
-def load_edge_list(source, weighted: bool = False) -> Graph:
-    """Load a graph from line-oriented edge-list text.
-
-    Lines are ``u v`` (or ``u v w`` when ``weighted``); ``#``/``%`` lines are
-    comments. Vertex ids are integers that fit in a signed 64-bit integer.
-    Preprocessing: arcs are symmetrized, self-loops dropped, duplicate pairs
-    merged (presence semantics for unweighted input, weight sums in file
-    order for weighted), and the largest connected component is extracted
-    (ties go to the one holding the smallest id) with vertices relabeled to a
-    dense ``0..n-1`` range in ascending original-id order. Gzip input is
-    detected transparently; ``source`` may be a path, ``"-"`` for stdin, or a
-    file-like object.
-
-    Raises :class:`EdgeListParseError` on malformed lines, and ``ValueError``
-    on corrupt gzip input or if no edges survive preprocessing.
-    """
-    stream = _text_stream(source)
+def _parse_lines(stream, weighted: bool):
+    """Per-line parse of edge-list text into flat endpoint ids and weights."""
     want = 3 if weighted else 2
     ends = array("q")
     weights = array("d")
@@ -260,6 +244,36 @@ def load_edge_list(source, weighted: bool = False) -> Graph:
                 raise EdgeListParseError(
                     f"line {lineno}: edge weight must be positive and finite", lineno)
             weights.append(w)
+    return ends, weights
+
+
+def load_edge_list(source, weighted: bool = False) -> Graph:
+    """Load a graph from line-oriented edge-list text.
+
+    Lines are ``u v`` (or ``u v w`` when ``weighted``); ``#``/``%`` lines are
+    comments. Vertex ids are integers that fit in a signed 64-bit integer.
+    Preprocessing: arcs are symmetrized, self-loops dropped, duplicate pairs
+    merged (presence semantics for unweighted input, weight sums in file
+    order for weighted), and the largest connected component is extracted
+    (ties go to the one holding the smallest id) with vertices relabeled to a
+    dense ``0..n-1`` range in ascending original-id order. Gzip input is
+    detected transparently; ``source`` may be a path, ``"-"`` for stdin, or a
+    file-like object.
+
+    Raises :class:`EdgeListParseError` on malformed lines or invalid UTF-8,
+    and ``ValueError`` on corrupt gzip input or if no edges survive preprocessing.
+    """
+    stream = _text_stream(source)
+    try:
+        ends, weights = _parse_lines(stream, weighted)
+    except UnicodeDecodeError:
+        # the decoder names an offset inside its current chunk; find the line
+        data = stream.buffer.getvalue()
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            lineno = data.count(b"\n", 0, exc.start) + 1
+        raise EdgeListParseError(f"line {lineno}: invalid UTF-8", lineno) from None
 
     pairs = np.frombuffer(ends, dtype=np.int64).reshape(-1, 2)
     proper = pairs[:, 0] != pairs[:, 1]
@@ -401,21 +415,18 @@ def incidence_norm_sq_upper(g: Graph, tol: float = 1e-2, max_iter: int = 2000) -
     Power iteration on the unweighted combinatorial Laplacian ``B B^T``
     (matrix-free: ``L x = deg * x - A x``), inflated by ``(1 + tol)`` and
     capped at the certified Anderson-Morley bound ``max_edge(deg_i + deg_j)``.
-    If the iteration cap is hit, the always-valid Gershgorin bound
-    ``2 * max_degree`` is returned instead. Overestimating is safe for
-    consumers that need a feasible step size; underestimating is not.
+    If the iteration cap is hit, that bound is returned as is; it never
+    exceeds the Gershgorin bound ``2 * max_degree``. Overestimating is safe
+    for consumers that need a feasible step size; underestimating is not.
     """
     if g.m == 0:
         raise ValueError("graph has no edges")
     counts = np.bincount(g.edges.ravel(), minlength=g.n).astype(np.float64)
-    gershgorin = 2.0 * float(counts.max())
+    edge_bound = float((counts[g.edges[:, 0]] + counts[g.edges[:, 1]]).max())
     estimate, _, converged = power_iteration_norm(
         lambda x: counts * x - _unweighted_matvec(g, x), g.n,
         tol=0.5 * tol, max_iter=max_iter)
-    if not converged:
-        return gershgorin
-    edge_bound = float((counts[g.edges[:, 0]] + counts[g.edges[:, 1]]).max())
-    return min((1.0 + tol) * estimate, edge_bound)
+    return min((1.0 + tol) * estimate, edge_bound) if converged else edge_bound
 
 
 def subgraph_weight(g: Graph, members) -> float:
@@ -428,11 +439,3 @@ def subgraph_weight(g: Graph, members) -> float:
     inside = mask[g.edges[:, 0]] & mask[g.edges[:, 1]]
     return 2.0 * float(g.weights[inside].sum())
 
-
-def edge_density(g: Graph, members) -> float:
-    """Subgraph weight normalized by ``k*(k-1)``; 1.0 for an unweighted clique."""
-    mem = set(int(v) for v in members)
-    k = len(mem)
-    if k < 2:
-        raise ValueError("edge density needs at least 2 vertices")
-    return subgraph_weight(g, mem) / (k * (k - 1))

@@ -17,6 +17,7 @@ import numpy as np
 from .graph import (
     Graph,
     VertexSet,
+    _check_vertex_vector,
     adjacency_matvec,
     check_k,
     power_iteration_norm,  # noqa: F401 -- unused here; perfbench/layertrace.py patches this name
@@ -35,10 +36,7 @@ OBJECTIVE_TOL = 1e-9   # relative objective change that stops Frank-Wolfe
 def project_topk(g: Graph, x, k: int) -> VertexSet:
     """Support of the k largest entries of ``x``; ties go to the smallest index."""
     check_k(g, k)
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (g.n,):
-        raise ValueError(f"expected a length-{g.n} vector, got shape {x.shape}")
-    return VertexSet.from_members(g, topk(x, k))
+    return VertexSet.from_members(g, topk(_check_vertex_vector(g, x), k))
 
 
 @dataclass(eq=False)
@@ -47,7 +45,6 @@ class FrankWolfeResult:
     selected: VertexSet
     iters: int
     objective_history: np.ndarray   # -x'Wx at x^0, x^1, ...
-    alphas: np.ndarray
     stop_reason: str                # stationary | objective | max-iter
     integrality_gap: float          # ||x - round(x)||_inf of the final iterate
 
@@ -69,9 +66,7 @@ def frank_wolfe_refine(g: Graph, k: int, x0, max_iter: int = 100) -> FrankWolfeR
     check_k(g, k)
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
-    x = np.asarray(x0, dtype=np.float64).copy()
-    if x.shape != (g.n,):
-        raise ValueError(f"expected a length-{g.n} vector, got shape {x.shape}")
+    x = _check_vertex_vector(g, x0)
     if not np.isfinite(x).all():
         raise ValueError("x0 must be finite")
     if x.min() < -1e-8 or x.max() > 1 + 1e-8 or abs(x.sum() - k) > 1e-3 * max(1.0, k):
@@ -81,15 +76,13 @@ def frank_wolfe_refine(g: Graph, k: int, x0, max_iter: int = 100) -> FrankWolfeR
     wx = adjacency_matvec(g, x)
     objective = -float(x @ wx)
     history = [objective]
-    alphas = []
     stop_reason = "max-iter"
-    for _ in range(max_iter):
+    for iters in range(1, max_iter + 1):   # a zero step at a stationary stop counts
         x_bar = np.zeros(g.n)
         x_bar[topk(wx, k)] = 1.0
         d = x_bar - x
         gap = float(wx @ d)   # = x' W d by symmetry; Frank-Wolfe gap / 2
         if gap <= 0.0:
-            alphas.append(0.0)
             stop_reason = "stationary"
             break
         wd = adjacency_matvec(g, d)
@@ -101,7 +94,6 @@ def frank_wolfe_refine(g: Graph, k: int, x0, max_iter: int = 100) -> FrankWolfeR
             raise ValueError("Frank-Wolfe iterate became non-finite")
         new_objective = -float(x @ wx)
         history.append(new_objective)
-        alphas.append(alpha)
         changed = abs(new_objective - objective)
         objective = new_objective
         if changed <= OBJECTIVE_TOL * (1.0 + abs(objective)):
@@ -111,9 +103,8 @@ def frank_wolfe_refine(g: Graph, k: int, x0, max_iter: int = 100) -> FrankWolfeR
     return FrankWolfeResult(
         x=x,
         selected=project_topk(g, x, k),
-        iters=len(alphas),
+        iters=iters,
         objective_history=np.asarray(history),
-        alphas=np.asarray(alphas),
         stop_reason=stop_reason,
         integrality_gap=float(np.max(np.abs(x - np.round(x)))),
     )

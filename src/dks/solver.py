@@ -25,6 +25,7 @@ import numpy as np
 
 from .graph import (
     Graph,
+    _check_vertex_vector,
     check_k,
     edge_differences,
     edge_differences_adjoint,
@@ -38,7 +39,6 @@ __all__ = [
     "SolverReport",
     "NumericalDivergenceError",
     "lovasz_objective",
-    "relaxation_objective",
     "solve_lovasz_relaxation",
 ]
 
@@ -84,17 +84,17 @@ class SolverReport:
 
     ``x_avg`` is the running average of the post-update iterates (what the
     rounding stage consumes by default); ``x_last`` is the final iterate,
-    often sharper in practice. The residual and objective histories have one
-    entry per executed iteration.
+    often sharper in practice. ``r_norm_final`` and ``s_norm_final`` are the
+    primal and dual residual norms of the last iteration, checked against
+    ``eps_pri_final`` and ``eps_dual_final``.
     """
 
     x_avg: np.ndarray
     x_last: np.ndarray
     iters: int
     converged: bool
-    primal_residual_history: np.ndarray
-    dual_residual_history: np.ndarray
-    lovasz_objective_history: np.ndarray
+    r_norm_final: float
+    s_norm_final: float
     eps_pri_final: float
     eps_dual_final: float
     mu: float
@@ -104,15 +104,8 @@ class SolverReport:
 
 def lovasz_objective(g: Graph, x) -> float:
     """Closed-form Lovász extension value ``-degree @ x + sum_e w_e |x_i - x_j|``."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (g.n,):
-        raise ValueError(f"expected a length-{g.n} vector, got shape {x.shape}")
+    x = _check_vertex_vector(g, x)
     return float(g.weights @ np.abs(edge_differences(g, x)) - g.degree @ x)
-
-
-def relaxation_objective(g: Graph, x) -> float:
-    """Maximization-form objective (volume minus cut): ``-f_L(x)``."""
-    return -lovasz_objective(g, x)
 
 
 def solve_lovasz_relaxation(g: Graph, k: int, cfg: SolverConfig | None = None,
@@ -158,9 +151,8 @@ def solve_lovasz_relaxation(g: Graph, k: int, cfg: SolverConfig | None = None,
 
     rho, alpha = cfg.rho, cfg.alpha
     sqrt_m, sqrt_n = np.sqrt(g.m), np.sqrt(g.n)
-    prim_hist, dual_hist, obj_hist = [], [], []
     converged = False
-    eps_pri = eps_dual = np.inf
+    r_norm = s_norm = eps_pri = eps_dual = np.inf
     iters = 0
 
     for t in range(cfg.max_iter):
@@ -184,9 +176,6 @@ def solve_lovasz_relaxation(g: Graph, k: int, cfg: SolverConfig | None = None,
             float(np.linalg.norm(btx)), float(np.linalg.norm(z)))
         eps_dual = sqrt_n * cfg.eps_abs + cfg.eps_rel * float(
             np.linalg.norm(edge_differences_adjoint(g, u)))
-        prim_hist.append(r_norm)
-        dual_hist.append(s_norm)
-        obj_hist.append(float(g.weights @ np.abs(btx) - g.degree @ x))
         if r_norm <= eps_pri and s_norm <= eps_dual:
             converged = True
             break
@@ -196,9 +185,8 @@ def solve_lovasz_relaxation(g: Graph, k: int, cfg: SolverConfig | None = None,
         x_last=x,
         iters=iters,
         converged=converged,
-        primal_residual_history=np.asarray(prim_hist),
-        dual_residual_history=np.asarray(dual_hist),
-        lovasz_objective_history=np.asarray(obj_hist),
+        r_norm_final=r_norm,
+        s_norm_final=s_norm,
         eps_pri_final=float(eps_pri),
         eps_dual_final=float(eps_dual),
         mu=mu,

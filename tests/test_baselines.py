@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_graph
+from dense_oracles import dense_cross_check
 from dks.baselines import (
     _rank1_surrogate,
     density_upper_bound,
@@ -13,7 +14,7 @@ from dks.baselines import (
     truncated_power_method,
 )
 from dks.graph import Graph, subgraph_weight
-from dks.oracles import brute_force_dks, dense_cross_check
+from dks.oracles import brute_force_dks
 
 
 class TestGreedy:

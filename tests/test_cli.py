@@ -3,16 +3,18 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import dks
 from dks.cli import CSV_HEADER, emit_plot_data, main
-from dks.graph import load_edge_list
+from dks.graph import VertexSet, load_edge_list
 from dks.oracles import brute_force_dks
 
 
+_GOLDEN_SWEEP = Path(__file__).parent / "data" / "golden_sweep_planted.csv"
 _GZIPPED = gzip.compress("".join(f"{i} {i + 1}\n" for i in range(500)).encode())
 
 
@@ -79,6 +81,16 @@ class TestSolve:
         assert rc == 0
         out = capsys.readouterr().out
         assert "members (original ids): 10 11" in out
+
+    def test_bound_violation_aborts(self, k4k2_file, capsys, monkeypatch):
+        import dks.cli as cli_mod
+
+        monkeypatch.setattr(cli_mod, "density_upper_bound", lambda g, k, sp: 1e-6)
+        rc = main(["solve", "--graph", k4k2_file, "--k", "4", "--method", "greedy",
+                   "--bound"])
+        assert rc == 1
+        assert "internal error: density 1.0 exceeds upper bound 1e-06" in (
+            capsys.readouterr().err)
 
     def test_bad_solver_flag_is_usage_error(self, k4k2_file, tmp_path, capsys):
         for graph in (k4k2_file, str(tmp_path / "missing.txt")):
@@ -187,6 +199,24 @@ class TestSweep:
         assert main(argv + ["--out", str(a)]) == 0
         assert main(argv + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_matches_golden_sweep(self, tmp_path, capsys):
+        # the output contract: the planted graph of `dks gen --n 300 --k 12
+        # --p 0.05 --seed 3` swept with the default methods
+        graph, out = tmp_path / "planted.txt", tmp_path / "sweep.csv"
+        assert main(["gen", "--n", "300", "--k", "12", "--p", "0.05", "--seed", "3",
+                     "--out", str(graph)]) == 0
+        assert main(["sweep", "--graph", str(graph), "--k-min", "8", "--k-max", "16",
+                     "--k-step", "2", "--no-timing", "--out", str(out)]) == 0
+        got = [line.split(",") for line in out.read_text().splitlines()]
+        want = [line.split(",") for line in _GOLDEN_SWEEP.read_text().splitlines()]
+        assert got[0] == want[0] == CSV_HEADER.split(",")
+        assert len(got) == len(want)
+        for row, ref in zip(got[1:], want[1:]):
+            exact = (0, 1, 6, 7)   # k, method, iters, converged
+            assert [row[i] for i in exact] == [ref[i] for i in exact]
+            for i in (2, 3, 4, 5, 8):
+                assert float(row[i]) == pytest.approx(float(ref[i]), rel=1e-12, abs=0.0)
 
     def test_threads_flag_same_rows(self, fixture_file, tmp_path, capsys):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -366,8 +396,7 @@ class TestGen:
         # map original ids back to dense ids before measuring density
         lookup = {orig: i for i, orig in enumerate(g.original_ids.tolist())}
         dense = [lookup[v] for v in members]
-        from dks.graph import edge_density
-        assert edge_density(g, dense) == 1.0
+        assert VertexSet.from_members(g, dense).density == 1.0
 
     def test_deterministic(self, tmp_path, capsys):
         a, b = tmp_path / "a.txt", tmp_path / "b.txt"
@@ -383,7 +412,7 @@ class TestGen:
 
 
 class TestPlotData:
-    def _write_csv(self, path, methods=("alpha", "beta"), ks=(2, 3, 4)):
+    def _write_csv(self, path, methods=("greedy", "tpm"), ks=(2, 3, 4)):
         lines = [CSV_HEADER]
         for k in ks:
             for m in methods:
@@ -396,9 +425,9 @@ class TestPlotData:
         rc = main(["plotdata", "--csv", str(csv), "--out-dir", str(tmp_path / "out")])
         assert rc == 0
         written = sorted(p.name for p in (tmp_path / "out").iterdir())
-        assert written == ["density_alpha.dat", "density_beta.dat",
-                           "runtime_alpha.dat", "runtime_beta.dat"]
-        body = (tmp_path / "out" / "density_alpha.dat").read_text()
+        assert written == ["density_greedy.dat", "density_tpm.dat",
+                           "runtime_greedy.dat", "runtime_tpm.dat"]
+        body = (tmp_path / "out" / "density_greedy.dat").read_text()
         assert body == "2 0.5\n3 0.5\n4 0.5\n"
 
     def test_round_trip_bit_exact(self, fixture_file, tmp_path, capsys):
@@ -421,6 +450,17 @@ class TestPlotData:
         rc = main(["plotdata", "--csv", str(csv), "--out-dir", str(out_dir)])
         assert rc == 1
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize("method", ["sub/dir", "..", "alpha", ""])
+    def test_unknown_method_rejected_before_writing(self, tmp_path, capsys, method):
+        csv = tmp_path / "s.csv"
+        self._write_csv(csv, methods=("greedy", method))
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        rc = main(["plotdata", "--csv", str(csv), "--out-dir", str(out_dir)])
+        assert rc == 1
+        assert "malformed sweep CSV: line 3" in capsys.readouterr().err
+        assert list(out_dir.iterdir()) == []
 
     def test_malformed_csv(self, tmp_path, capsys):
         csv = tmp_path / "bad.csv"

@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 from conftest import load_edge_list_reference, random_graph
+from dense_oracles import dense_cross_check
 from dks.graph import (
     EdgeListParseError,
     Graph,
     VertexSet,
     adjacency_matvec,
-    edge_density,
     edge_differences,
     edge_differences_adjoint,
     incidence_norm_sq_upper,
@@ -19,7 +19,6 @@ from dks.graph import (
     subgraph_weight,
     write_edge_list,
 )
-from dks.oracles import dense_cross_check
 
 
 def _load(text, weighted=False):
@@ -89,14 +88,28 @@ class TestLoadEdgeList:
                 path = tmp_path / f"{i}-{name}.txt"
                 path.write_bytes(data)
                 _assert_same_load(path, weighted)
-        path = tmp_path / "latin1.txt"
-        path.write_bytes(b"0 1\n1 2\n\xe9 3\n")
-        _assert_same_load(path, False, same_message=False)
+        for name, data in (("latin1", b"0 1\n1 2\n\xe9 3\n"),
+                           ("latin1-crlf", b"0 1\r\n\r\n1 2 \xe9\r\n3 4\r\n"),
+                           ("latin1-gzip", gzip.compress(b"# \xe9\n0 1\n"))):
+            path = tmp_path / f"{name}.txt"
+            path.write_bytes(data)
+            _assert_same_load(path, False)
 
     def test_line_number_reported(self):
         with pytest.raises(EdgeListParseError) as err:
             _load("0 1\n1 2\nbogus line\n")
         assert err.value.lineno == 3
+
+    @pytest.mark.parametrize("compress", [False, True], ids=["plain", "gzip"])
+    def test_invalid_utf8_names_its_line(self, tmp_path, compress):
+        # the bad byte lies far past the decoder's first chunk
+        data = "".join(f"{i} {i + 1}\n" for i in range(5000)).encode() + b"\xe9 1\n"
+        path = tmp_path / "bad.txt"
+        path.write_bytes(gzip.compress(data) if compress else data)
+        with pytest.raises(EdgeListParseError) as err:
+            load_edge_list(path)
+        assert err.value.lineno == 5001
+        assert str(err.value) == "line 5001: invalid UTF-8"
 
     def test_empty_after_preprocessing(self):
         with pytest.raises(ValueError):
@@ -154,10 +167,10 @@ def _random_edge_text(rng, weighted):
     return "\n".join(f"  {ln}\t" if rng.random() < 0.1 else ln for ln in lines) + "\n"
 
 
-def _assert_same_load(source, weighted, same_message=True):
+def _assert_same_load(source, weighted):
     """Load ``source`` (text, or a file's ``Path``) with both loaders; the graphs,
-    or the errors, must be identical. ``same_message=False`` compares only the
-    error types."""
+    or the errors, must be identical. Where the reference fails to decode, the
+    loader must name the line that holds the reference's bad byte."""
     outcomes = []
     for loader in (load_edge_list, load_edge_list_reference):
         try:
@@ -167,11 +180,15 @@ def _assert_same_load(source, weighted, same_message=True):
             outcomes.append(exc)
     new, ref = outcomes
     assert isinstance(new, Exception) == isinstance(ref, Exception), outcomes
+    if isinstance(ref, UnicodeDecodeError):
+        lineno = ref.object.count(b"\n", 0, ref.start) + 1
+        assert type(new) is EdgeListParseError
+        assert (str(new), new.lineno) == (f"line {lineno}: invalid UTF-8", lineno)
+        return None
     if isinstance(ref, Exception):
         assert type(new) is type(ref)
-        if same_message:
-            assert str(new) == str(ref)
-            assert getattr(new, "lineno", None) == getattr(ref, "lineno", None)
+        assert str(new) == str(ref)
+        assert getattr(new, "lineno", None) == getattr(ref, "lineno", None)
         return None
     assert (new.n, new.m) == (ref.n, ref.m)
     for name in ("edges", "weights", "degree", "original_ids"):
@@ -297,9 +314,18 @@ class TestIncidenceNormBound:
             counts = np.bincount(g.edges.ravel(), minlength=g.n)
             assert lam <= min(2.0 * counts.max(), (1 + 10 * 0.02) * true) + 1e-9
 
-    def test_iteration_cap_falls_back_to_gershgorin(self, c6):
-        lam = incidence_norm_sq_upper(c6, 0.01, max_iter=0)
-        assert lam == 4.0  # 2 * max unweighted degree
+    # the fallback is max over edges of deg_i + deg_j: 4 on C6, as Gershgorin's
+    # 2 max_degree; n on a star, against Gershgorin's 2 (n - 1)
+    @pytest.mark.parametrize("n, edges, bound", [
+        (6, [(i, (i + 1) % 6) for i in range(6)], 4.0),
+        (5, [(0, i) for i in range(1, 5)], 5.0),
+        (17, [(0, i) for i in range(1, 17)], 17.0),
+    ], ids=["c6", "star5", "star17"])
+    def test_iteration_cap_falls_back_to_anderson_morley(self, n, edges, bound):
+        g = Graph.from_edges(n, edges)
+        lam = incidence_norm_sq_upper(g, 0.01, max_iter=0)
+        assert lam == bound
+        assert lam >= dense_cross_check(g).laplacian_eigenvalues[-1] - 1e-9
 
 
 class TestSubgraphQuantities:
@@ -328,15 +354,15 @@ class TestSubgraphQuantities:
             subgraph_weight(k3, {0, 7})
 
     def test_density_clique(self, k3):
-        assert edge_density(k3, {0, 1, 2}) == 1.0
-        assert edge_density(k3, {0, 1}) == 1.0
+        assert VertexSet.from_members(k3, {0, 1, 2}).density == 1.0
+        assert VertexSet.from_members(k3, {0, 1}).density == 1.0
 
     def test_density_no_internal_edge(self, path3):
-        assert edge_density(path3, {0, 2}) == 0.0
+        assert VertexSet.from_members(path3, {0, 2}).density == 0.0
 
     def test_density_needs_two(self, k3):
         with pytest.raises(ValueError):
-            edge_density(k3, {0})
+            VertexSet.from_members(k3, {0})
 
 
 class TestVertexSet:

@@ -5,15 +5,10 @@ import numpy as np
 import pytest
 
 from conftest import random_graph
+from dense_oracles import check_submodular, dense_cross_check, edmonds_lovasz
 from dks.baselines import greedy_feige, rank1_dks, top_two_singular, truncated_power_method
 from dks.graph import Graph, subgraph_weight
-from dks.oracles import (
-    brute_force_dks,
-    check_submodular,
-    dense_cross_check,
-    edmonds_lovasz,
-    generate_planted,
-)
+from dks.oracles import brute_force_dks, generate_planted
 from dks.rounding import frank_wolfe_refine, project_topk
 from dks.solver import lovasz_objective, solve_lovasz_relaxation
 
