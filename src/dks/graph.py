@@ -42,6 +42,16 @@ class EdgeListParseError(ValueError):
         self.lineno = lineno
 
 
+# the edge key below reaches n * n - 1, which must fit in int64
+_MAX_VERTICES = math.isqrt(np.iinfo(np.int64).max)
+
+
+def _edge_key(a, b, n: int) -> np.ndarray:
+    """Edge ``{a, b}``'s key over ``0..n-1``: keys ascend in canonical order and
+    ``divmod(key, n)`` gives back ``(i, j)`` with ``i < j``."""
+    return np.minimum(a, b) * n + np.maximum(a, b)
+
+
 @dataclass(frozen=True, eq=False)
 class Graph:
     """Immutable weighted undirected simple graph.
@@ -71,31 +81,26 @@ class Graph:
         duplicates (merge duplicates before calling; :func:`load_edge_list`
         does). Weights default to 1 and must be strictly positive and finite.
         """
-        if n < 1:
-            raise ValueError("vertex count must be positive")
+        if not 1 <= n <= _MAX_VERTICES:
+            raise ValueError(f"vertex count must lie in [1, {_MAX_VERTICES}], got {n}")
         e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
         m = e.shape[0]
-        if weights is None:
-            w = np.ones(m)
-        else:
-            w = np.asarray(weights, dtype=np.float64).copy()
-            if w.shape != (m,):
-                raise ValueError("weights length must match edge count")
-        if m:
-            if e.min() < 0 or e.max() >= n:
-                raise ValueError("vertex id out of range")
-            if (e[:, 0] == e[:, 1]).any():
-                raise ValueError("self-loops are not allowed")
-            if not np.isfinite(w).all() or (w <= 0).any():
-                raise ValueError("edge weights must be positive and finite")
-            lo = e.min(axis=1)
-            hi = e.max(axis=1)
-            e = np.stack([lo, hi], axis=1)
-            order = np.lexsort((e[:, 1], e[:, 0]))
-            e = e[order]
-            w = w[order]
-            if m > 1 and ((e[1:] == e[:-1]).all(axis=1)).any():
-                raise ValueError("duplicate edges are not allowed")
+        w = np.ones(m) if weights is None else np.asarray(weights, dtype=np.float64)
+        if w.shape != (m,):
+            raise ValueError("weights length must match edge count")
+        if m and (e.min() < 0 or e.max() >= n):
+            raise ValueError("vertex id out of range")
+        if (e[:, 0] == e[:, 1]).any():
+            raise ValueError("self-loops are not allowed")
+        if not np.isfinite(w).all() or (w <= 0).any():
+            raise ValueError("edge weights must be positive and finite")
+        key = _edge_key(e[:, 0], e[:, 1], n)
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        if (key[1:] == key[:-1]).any():
+            raise ValueError("duplicate edges are not allowed")
+        e = np.stack(np.divmod(key, n), axis=1)
+        w = w[order]
 
         degree = np.bincount(e.T.ravel(), weights=np.concatenate([w, w]), minlength=n)
         if original_ids is None:
@@ -181,6 +186,12 @@ def _text_stream(source):
             data = gzip.decompress(data)
         except (EOFError, zlib.error) as exc:
             raise ValueError(f"corrupt gzip input: {exc}") from None
+    # validated whole, so a bad byte is reported wherever it lies in the file
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise EdgeListParseError(f"line {lineno}: invalid UTF-8", lineno) from None
     # a text view of the bytes, not a decoded copy: StringIO would hold the
     # whole input again as UCS-4; newline="\n" splits lines as StringIO does
     return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="\n")
@@ -263,26 +274,15 @@ def load_edge_list(source, weighted: bool = False) -> Graph:
     Raises :class:`EdgeListParseError` on malformed lines or invalid UTF-8,
     and ``ValueError`` on corrupt gzip input or if no edges survive preprocessing.
     """
-    stream = _text_stream(source)
-    try:
-        ends, weights = _parse_lines(stream, weighted)
-    except UnicodeDecodeError:
-        # the decoder names an offset inside its current chunk; find the line
-        data = stream.buffer.getvalue()
-        try:
-            data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            lineno = data.count(b"\n", 0, exc.start) + 1
-        raise EdgeListParseError(f"line {lineno}: invalid UTF-8", lineno) from None
-
+    ends, weights = _parse_lines(_text_stream(source), weighted)
     pairs = np.frombuffer(ends, dtype=np.int64).reshape(-1, 2)
     proper = pairs[:, 0] != pairs[:, 1]
     if not proper.any():
         raise ValueError("no edges left after preprocessing")
-    pairs = np.sort(pairs[proper], axis=1)
-    ids, dense = np.unique(pairs.ravel(), return_inverse=True)
+    ids, dense = np.unique(pairs[proper].ravel(), return_inverse=True)
     dense = dense.reshape(-1, 2)
-    keys, pair_of = np.unique(dense[:, 0] * ids.size + dense[:, 1], return_inverse=True)
+    keys, pair_of = np.unique(_edge_key(dense[:, 0], dense[:, 1], ids.size),
+                              return_inverse=True)
     if weighted:
         # bincount adds in file order starting from 0.0, like a sequential fold
         w = np.bincount(pair_of, weights=np.frombuffer(weights)[proper], minlength=keys.size)

@@ -112,6 +112,63 @@ def random_feasible_point(rng, n, k):
     return random_feasible_batch(rng, 1, n, k)[0]
 
 
+# `Graph.from_edges` as it was before the canonical order became one int64
+# key: axis-1 min/max, a two-key lexsort and a 2-D duplicate scan, kept as the
+# oracle for that constructor.
+def from_edges_reference(n, edges, weights=None, original_ids=None) -> Graph:
+    """Build a graph from ``(u, v)`` pairs, canonicalizing orientation and order.
+
+    Pairs may come in either orientation but must be free of self-loops and
+    duplicates (merge duplicates before calling; :func:`load_edge_list`
+    does). Weights default to 1 and must be strictly positive and finite.
+    """
+    if n < 1:
+        raise ValueError("vertex count must be positive")
+    e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    m = e.shape[0]
+    if weights is None:
+        w = np.ones(m)
+    else:
+        w = np.asarray(weights, dtype=np.float64).copy()
+        if w.shape != (m,):
+            raise ValueError("weights length must match edge count")
+    if m:
+        if e.min() < 0 or e.max() >= n:
+            raise ValueError("vertex id out of range")
+        if (e[:, 0] == e[:, 1]).any():
+            raise ValueError("self-loops are not allowed")
+        if not np.isfinite(w).all() or (w <= 0).any():
+            raise ValueError("edge weights must be positive and finite")
+        lo = e.min(axis=1)
+        hi = e.max(axis=1)
+        e = np.stack([lo, hi], axis=1)
+        order = np.lexsort((e[:, 1], e[:, 0]))
+        e = e[order]
+        w = w[order]
+        if m > 1 and ((e[1:] == e[:-1]).all(axis=1)).any():
+            raise ValueError("duplicate edges are not allowed")
+
+    degree = np.bincount(e.T.ravel(), weights=np.concatenate([w, w]), minlength=n)
+    if original_ids is None:
+        ids = np.arange(n, dtype=np.int64)
+    else:
+        ids = np.asarray(original_ids, dtype=np.int64).copy()
+        if ids.shape != (n,):
+            raise ValueError("original_ids length must equal n")
+
+    g = Graph(
+        n=int(n),
+        m=int(m),
+        edges=e,
+        weights=w,
+        degree=degree,
+        original_ids=ids,
+    )
+    for arr in (g.edges, g.weights, g.degree, g.original_ids):
+        arr.setflags(write=False)
+    return g
+
+
 def _text_stream_reference(source):
     """Open `source` (path, '-', or file-like) as text, gunzipping if needed."""
     if source == "-":
@@ -217,4 +274,4 @@ def load_edge_list_reference(source, weighted: bool = False) -> Graph:
     pairs.sort()
     edges = [(index[u], index[v]) for u, v in pairs]
     weights = [merged[p] for p in pairs]
-    return Graph.from_edges(len(ids), edges, weights, original_ids=ids)
+    return from_edges_reference(len(ids), edges, weights, original_ids=ids)

@@ -256,6 +256,8 @@ class TestSweep:
             assert rc == 0
             assert calls.get("top_two_singular") == 1
             assert calls.get("rank1_dks", 0) == (method == "rank1")
+            # λ̂ comes before the clock starts, as in a sweep
+            assert calls.get("incidence_norm_sq_upper", 0) == (method == "ladmm-fw")
 
     def test_unconverged_spectral_pair_reported(self, fixture_file, tmp_path, capsys,
                                                 monkeypatch):
@@ -374,6 +376,12 @@ class TestSweep:
         rc = main(["sweep", "--graph", fixture_file, "--k-list", "4",
                    "--methods", "wat", "--out", str(tmp_path / "x.csv")])
         assert rc == 2
+        # the grid's ends are checked before the grid is listed
+        rc = main(["sweep", "--graph", fixture_file, "--k-min", "2",
+                   "--k-max", str(10**20), "--methods", "greedy",
+                   "--out", str(tmp_path / "x.csv")])
+        assert rc == 2
+        assert "got 100000000000000000000" in capsys.readouterr().err
         # solver and thread flags are checked before the graph is read
         for flag in (["--max-iter", "0"], ["--alpha", "2.5"], ["--fw-max-iter", "0"],
                      ["--rho", "0"], ["--eps-abs", "0"], ["--eps-rel", "-1"],
@@ -406,9 +414,12 @@ class TestGen:
         assert a.read_bytes() == b.read_bytes()
 
     def test_param_validation(self, tmp_path, capsys):
-        rc = main(["gen", "--n", "5", "--k", "9", "--p", "0.1", "--seed", "0",
-                   "--out", str(tmp_path / "x.txt")])
-        assert rc == 2
+        for n, k, p in ((5, 9, 0.1), (5, 1, 0.1), (5, 3, 1.0), (2, 2, 0.1)):
+            rc = main(["gen", "--n", str(n), "--k", str(k), "--p", str(p), "--seed", "0",
+                       "--out", str(tmp_path / "x.txt")])
+            assert rc == 2, (n, k, p)
+            assert capsys.readouterr().err.startswith("usage error:")
+            assert not (tmp_path / "x.txt").exists()
 
 
 class TestPlotData:

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import load_edge_list_reference, random_graph
+from conftest import from_edges_reference, load_edge_list_reference, random_graph
 from dense_oracles import dense_cross_check
 from dks.graph import (
     EdgeListParseError,
@@ -111,6 +111,20 @@ class TestLoadEdgeList:
         assert err.value.lineno == 5001
         assert str(err.value) == "line 5001: invalid UTF-8"
 
+    @pytest.mark.parametrize("filler", [10, 3000])
+    @pytest.mark.parametrize("compress", [False, True], ids=["plain", "gzip"])
+    def test_invalid_utf8_reported_before_any_line(self, tmp_path, filler, compress):
+        # a malformed line 2 comes first; the bad byte wins however far past
+        # the decoder's first chunk it lies, as in the reference loader
+        data = b"0 1\nbogus\n" + b"2 3\n" * filler + b"\xe9 1\n"
+        path = tmp_path / "bad.txt"
+        path.write_bytes(gzip.compress(data) if compress else data)
+        with pytest.raises(EdgeListParseError) as err:
+            load_edge_list(path)
+        assert err.value.lineno == filler + 3
+        assert str(err.value) == f"line {filler + 3}: invalid UTF-8"
+        _assert_same_load(path, False)
+
     def test_empty_after_preprocessing(self):
         with pytest.raises(ValueError):
             _load("# only comments\n3 3\n")  # self-loop only
@@ -197,6 +211,31 @@ def _assert_same_load(source, weighted):
     return new
 
 
+def _random_edge_set(rng, m=None):
+    """A simple edge set over ``n`` vertices in shuffled order and random
+    orientation, with float weights, dyadic weights or none."""
+    n = int(rng.choice([2, 3, int(rng.integers(4, 40)), int(rng.integers(40, 5000))]))
+    most = min(n * (n - 1) // 2, 300)
+    if m is None:
+        m = int(rng.integers(0, most + 1))
+    seen = set()
+    edges = []
+    while len(edges) < m:
+        u, v = (int(t) for t in rng.integers(0, n, size=2))
+        if u != v and (min(u, v), max(u, v)) not in seen:
+            seen.add((min(u, v), max(u, v)))
+            edges.append((u, v))
+    edges = np.array(edges, dtype=np.int64).reshape(-1, 2)
+    kind = int(rng.integers(3))
+    if kind == 0:
+        weights = None
+    elif kind == 1:
+        weights = rng.uniform(1e-3, 3.0, size=m)
+    else:
+        weights = rng.integers(1, 2**21, size=m) * 2.0**-20
+    return n, edges, weights
+
+
 class TestFromEdges:
     def test_rejects_self_loop(self):
         with pytest.raises(ValueError):
@@ -205,6 +244,52 @@ class TestFromEdges:
     def test_rejects_duplicates(self):
         with pytest.raises(ValueError):
             Graph.from_edges(3, [(0, 1), (1, 0)])
+        # either orientation, not adjacent in the input
+        for edges in ([(0, 1), (2, 3), (1, 0)], [(0, 1), (2, 3), (0, 1)],
+                      [(3, 2), (0, 1), (1, 2), (2, 3)],
+                      [(1, 3), (0, 2), (1, 2), (0, 3), (3, 1)]):
+            with pytest.raises(ValueError, match="duplicate"):
+                Graph.from_edges(4, edges)
+
+    def test_rejects_random_duplicates(self):
+        rng = np.random.default_rng(808)
+        for _ in range(100):
+            n, edges, weights = _random_edge_set(rng)
+            if len(edges) < 2:
+                continue
+            u, v = edges[int(rng.integers(len(edges)))]
+            spot = int(rng.integers(len(edges) + 1))
+            edges = np.insert(edges, spot, (v, u) if rng.random() < 0.5 else (u, v), axis=0)
+            if weights is not None:
+                weights = np.insert(weights, spot, 1.0)
+            with pytest.raises(ValueError, match="duplicate"):
+                Graph.from_edges(n, edges, weights)
+
+    def test_matches_reference_constructor(self):
+        rng = np.random.default_rng(707)
+        for trial in range(500):
+            n, edges, weights = _random_edge_set(rng, m={0: 0, 1: 1}.get(trial % 25))
+            ids = rng.permutation(n) - n if trial % 3 == 0 else None
+            new = Graph.from_edges(n, edges, weights, original_ids=ids)
+            ref = from_edges_reference(n, edges, weights, original_ids=ids)
+            assert (new.n, new.m) == (ref.n, ref.m)
+            for name in ("edges", "weights", "degree", "original_ids"):
+                a, b = getattr(new, name), getattr(ref, name)
+                assert a.dtype == b.dtype and a.shape == b.shape, name
+                assert a.tobytes() == b.tobytes(), name
+
+    def test_weights_not_aliased(self):
+        w = np.array([2.0, 1.0])
+        g = Graph.from_edges(3, [(1, 2), (0, 1)], w)
+        w[0] = 5.0
+        assert g.weights.tolist() == [1.0, 2.0]
+
+    def test_rejects_vertex_count_beyond_edge_key(self):
+        # the key min * n + max needs n * n to fit in int64; refused before
+        # the length-n degree array is allocated
+        for edges in ([(0, 1)], []):
+            with pytest.raises(ValueError, match="vertex count"):
+                Graph.from_edges(2**32, edges)
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
