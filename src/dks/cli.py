@@ -120,31 +120,40 @@ def _bound_ratio(density: float, ub: float, where: str) -> float:
 
 
 def _run_method(g, k, method, fw_max_iter, relax_report, sp):
-    """Dispatch one method; returns (vertex_set, iters, converged, extra_seconds).
+    """Dispatch one method; returns (vertex_set, iters, converged, extra_seconds, details).
 
     `extra_seconds` charges the (possibly shared) relaxation solve to the
     methods that consume it; `sp` is the graph's spectral pair, needed only
-    by `rank1`.
+    by `rank1`. `details` holds the method's own report fields for `solve`:
+    the relaxation's duality certificate and, for `ladmm-fw`, why Frank-Wolfe
+    stopped and how far its final iterate is from integral. An `ladmm-fw`
+    row is converged only when the relaxation converged and Frank-Wolfe
+    stopped before its iteration cap.
     """
-    if method in RELAX_METHODS and relax_report is None:
-        raise RuntimeError("relaxation solve failed; no iterate to round")
+    if method in RELAX_METHODS:
+        if relax_report is None:
+            raise RuntimeError("relaxation solve failed; no iterate to round")
+        details = {"dual_bound": relax_report.dual_bound, "gap": relax_report.gap}
     if method == "ladmm-project":
         vset = project_topk(g, relax_report.x_avg, k)
-        return vset, relax_report.iters, relax_report.converged, relax_report.wall_time
+        return (vset, relax_report.iters, relax_report.converged,
+                relax_report.wall_time, details)
     if method == "ladmm-fw":
         fw = frank_wolfe_refine(g, k, relax_report.x_avg, fw_max_iter)
+        details.update(fw_stop_reason=fw.stop_reason, integrality_gap=fw.integrality_gap)
         return (fw.selected, relax_report.iters + fw.iters,
-                relax_report.converged, relax_report.wall_time)
+                relax_report.converged and fw.stop_reason != "max-iter",
+                relax_report.wall_time, details)
     if method == "greedy":
-        return greedy_feige(g, k), 0, True, 0.0
+        return greedy_feige(g, k), 0, True, 0.0, {}
     if method == "tpm":
         x0 = relax_report.x_avg if relax_report is not None else None
-        return truncated_power_method(g, k, x0), 0, True, 0.0
+        return truncated_power_method(g, k, x0), 0, True, 0.0, {}
     if method == "rank1":
-        return rank1_dks(g, k, sp), 0, sp.converged, 0.0
+        return rank1_dks(g, k, sp), 0, sp.converged, 0.0, {}
     if method == "brute":
         vset, _ = brute_force_dks(g, k)
-        return vset, 0, True, 0.0
+        return vset, 0, True, 0.0, {}
     raise UsageError(f"unknown method {method!r}")
 
 
@@ -164,7 +173,7 @@ def run_single(args) -> int:
     relax_report = None
     if args.method in RELAX_METHODS:
         relax_report = solve_lovasz_relaxation(g, k, solver_cfg, lambda_hat)
-    vset, iters, converged, _ = _run_method(
+    vset, iters, converged, _, details = _run_method(
         g, k, args.method, args.fw_max_iter, relax_report, sp)
     runtime_ms = (time.perf_counter() - start) * 1e3
 
@@ -179,6 +188,7 @@ def run_single(args) -> int:
         "iters": iters,
         "converged": converged,
         "runtime_ms": runtime_ms,
+        **details,
     }
     if args.bound:
         ub = density_upper_bound(g, k, sp)
@@ -200,6 +210,8 @@ def run_single(args) -> int:
             lines.append(f"bound_converged: {str(sp.converged).lower()}")
         lines.append(f"iters: {iters}")
         lines.append(f"converged: {str(converged).lower()}")
+        lines.extend(f"{key}: {value if isinstance(value, str) else repr(value)}"
+                     for key, value in details.items())
         lines.append(f"runtime_ms: {runtime_ms:.3f}")
         text = "\n".join(lines)
     print(text)
@@ -233,7 +245,7 @@ def _sweep_one_k(g, k, methods, solver_cfg, fw_max_iter, sp, lambda_hat, no_timi
     for method in methods:
         start = time.perf_counter()
         try:
-            vset, iters, converged, extra = _run_method(
+            vset, iters, converged, extra, _ = _run_method(
                 g, k, method, fw_max_iter, relax_report, sp)
             elapsed_ms = (time.perf_counter() - start + extra) * 1e3
             density, weight = vset.density, vset.subgraph_weight
@@ -392,7 +404,8 @@ def _add_graph_args(sp) -> None:
 
 
 def _add_solver_args(sp) -> None:
-    sp.add_argument("--rho", type=float, default=0.1, help="ADMM penalty (default 0.1)")
+    sp.add_argument("--rho", type=float, default=0.1,
+                    help="initial ADMM penalty, then adapted by residual balancing (default 0.1)")
     sp.add_argument("--alpha", type=float, default=1.8,
                     help="over-relaxation parameter (default 1.8)")
     sp.add_argument("--eps-abs", type=float, default=1e-3,

@@ -12,6 +12,13 @@ the z-block. The quadratic coupling term is linearized so no system involving
 keeps that inexact update convergent, which is why the spectral estimate must
 only ever overestimate.
 
+The penalty ``rho`` adapts by residual balancing for the first
+``BALANCE_UNTIL`` iterations and is fixed after that, so the fixed-``rho``
+convergence argument covers the tail. Since ``rho u`` always lies in the box
+``|y_e| <= w_e``, every iteration also yields an LP dual bound on
+``min f_L``; a solve stops only once the final iterate's objective is within
+``eps_rel`` of that bound, a certificate that a moving ``rho`` cannot fool.
+
 A solve is sequential over iterations and confined to local state; concurrent
 solves over a shared (immutable) Graph are safe.
 """
@@ -42,6 +49,13 @@ __all__ = [
     "solve_lovasz_relaxation",
 ]
 
+# residual balancing (Boyd et al. 2011, "Distributed Optimization and
+# Statistical Learning via ADMM", section 3.4.1); see solve_lovasz_relaxation
+BALANCE_EVERY = 10
+BALANCE_UNTIL = 200
+BALANCE_RATIO = 10.0
+BALANCE_FACTOR = 2.0
+
 
 class NumericalDivergenceError(RuntimeError):
     """A solver iterate became non-finite."""
@@ -51,13 +65,15 @@ class NumericalDivergenceError(RuntimeError):
 class SolverConfig:
     """Tuning parameters of the linearized ADMM solver.
 
-    Defaults: penalty ``rho = 0.1``, over-relaxation ``alpha = 1.8``,
-    stopping tolerances ``eps_abs = eps_rel = 1e-3``, and a cap of 3000
-    iterations. ``1e-4`` tolerances are the documented setting for very large
-    graphs. The proximal step is not a setting: it is always the certified
-    ``mu = 1/(rho * lambda_hat)``, with ``lambda_hat`` a safe upper estimate of
-    ``||B||^2``, and the x-update is the prox of ``g/mu``, so the
-    capped-simplex prox gets ``tau = 1/mu``.
+    Defaults: initial penalty ``rho = 0.1``, over-relaxation
+    ``alpha = 1.8``, stopping tolerances ``eps_abs = eps_rel = 1e-3``, and a
+    cap of 3000 iterations. ``1e-4`` tolerances are the documented setting for
+    very large graphs. ``rho`` is only the starting penalty: residual
+    balancing moves it by factors of 2 during the first ``BALANCE_UNTIL``
+    iterations. The proximal step is not a setting: it is always the
+    certified ``mu = 1/(rho * lambda_hat)`` for the current ``rho``, with
+    ``lambda_hat`` a safe upper estimate of ``||B||^2``, and the x-update is
+    the prox of ``g/mu``, so the capped-simplex prox gets ``tau = 1/mu``.
     """
 
     rho: float = 0.1
@@ -86,7 +102,12 @@ class SolverReport:
     rounding stage consumes by default); ``x_last`` is the final iterate,
     often sharper in practice. ``r_norm_final`` and ``s_norm_final`` are the
     primal and dual residual norms of the last iteration, checked against
-    ``eps_pri_final`` and ``eps_dual_final``.
+    ``eps_pri_final`` and ``eps_dual_final``. ``dual_bound`` is the LP dual
+    bound of the last iteration, a certified lower bound on ``min f_L`` (up
+    to roundoff), and ``gap`` is ``lovasz_objective(g, x_last) - dual_bound``.
+    ``converged`` means both residual tests and
+    ``gap <= eps_rel * max(1, |dual_bound|)`` held. ``mu`` is the final
+    proximal step, ``1/(rho * lambda_hat)`` at the final ``rho``.
     """
 
     x_avg: np.ndarray
@@ -97,6 +118,8 @@ class SolverReport:
     s_norm_final: float
     eps_pri_final: float
     eps_dual_final: float
+    dual_bound: float
+    gap: float
     mu: float
     lambda_hat: float
     wall_time: float = field(default=0.0)
@@ -115,17 +138,27 @@ def solve_lovasz_relaxation(g: Graph, k: int, cfg: SolverConfig | None = None,
     Per iteration: an x-update through the capped-simplex prox at the
     linearized point, an over-relaxed z-update through shrinkage, and the
     scaled dual ascent step. Starts from the indicator of the k
-    largest-degree vertices. Stops when the primal residual ``B^T x - z``
-    and dual residual ``B (z - z_prev)`` fall below
+    largest-degree vertices and from ``cfg.rho``. Every ``BALANCE_EVERY``
+    (10) iterations up to ``BALANCE_UNTIL`` (200), ``rho`` is doubled
+    (halved) when the primal residual exceeds ``rho`` times the dual
+    residual tenfold (or the reverse); the scaled dual ``u`` is rescaled so
+    that ``rho u`` is unchanged, and ``mu`` is recomputed. Stops at
+    ``max_iter``, or when the primal residual ``B^T x - z`` and dual residual
+    ``B (z - z_prev)`` fall below
 
         eps_pri  = sqrt(m) eps_abs + eps_rel max(||B^T x||, ||z||)
         eps_dual = sqrt(n) eps_abs + eps_rel ||B u||
 
-    or at ``max_iter``. ``lambda_hat``, a safe upper estimate of ``||B||^2``,
-    depends on the graph alone: callers solving at several ``k`` compute it
-    once with :func:`incidence_norm_sq_upper` and pass it; by default it is
-    computed here. Raises ``ValueError`` for out-of-range ``k``, an edgeless
-    graph or a ``lambda_hat`` that is not positive and finite, and
+    and the duality gap ``f_L(x) - D`` is at most ``eps_rel max(1, |D|)``,
+    where ``D``, the sum of the k smallest entries of ``rho B u - degree``,
+    is a lower bound on ``min f_L`` by LP weak duality because
+    ``|rho u_e| <= w_e``.
+
+    ``lambda_hat``, a safe upper estimate of ``||B||^2``, depends on the
+    graph alone: callers solving at several ``k`` compute it once with
+    :func:`incidence_norm_sq_upper` and pass it; by default it is computed
+    here. Raises ``ValueError`` for out-of-range ``k``, an edgeless graph or
+    a ``lambda_hat`` that is not positive and finite, and
     :class:`NumericalDivergenceError` when an iterate goes non-finite.
     """
     cfg = cfg if cfg is not None else SolverConfig()
@@ -139,8 +172,9 @@ def solve_lovasz_relaxation(g: Graph, k: int, cfg: SolverConfig | None = None,
     start = time.perf_counter()
     if lambda_hat is None:
         lambda_hat = incidence_norm_sq_upper(g)
-    mu = 1.0 / (cfg.rho * lambda_hat)
-    params = CappedSimplexParams(g.degree, float(k), 1.0 / mu)
+    rho, alpha = cfg.rho, cfg.alpha
+    params = CappedSimplexParams(g.degree, float(k), rho * lambda_hat)
+    mu = 1.0 / params.tau
 
     x = np.zeros(g.n)
     x[topk(g.degree, k)] = 1.0
@@ -149,10 +183,9 @@ def solve_lovasz_relaxation(g: Graph, k: int, cfg: SolverConfig | None = None,
     u = np.zeros(g.m)
     x_sum = np.zeros(g.n)
 
-    rho, alpha = cfg.rho, cfg.alpha
     sqrt_m, sqrt_n = np.sqrt(g.m), np.sqrt(g.n)
     converged = False
-    r_norm = s_norm = eps_pri = eps_dual = np.inf
+    r_norm = s_norm = eps_pri = eps_dual = dual_bound = gap = np.inf
     iters = 0
 
     for t in range(cfg.max_iter):
@@ -172,13 +205,31 @@ def solve_lovasz_relaxation(g: Graph, k: int, cfg: SolverConfig | None = None,
 
         r_norm = float(np.linalg.norm(btx - z))
         s_norm = float(np.linalg.norm(edge_differences_adjoint(g, z - z_prev)))
+        bu = edge_differences_adjoint(g, u)
         eps_pri = sqrt_m * cfg.eps_abs + cfg.eps_rel * max(
             float(np.linalg.norm(btx)), float(np.linalg.norm(z)))
-        eps_dual = sqrt_n * cfg.eps_abs + cfg.eps_rel * float(
-            np.linalg.norm(edge_differences_adjoint(g, u)))
-        if r_norm <= eps_pri and s_norm <= eps_dual:
+        eps_dual = sqrt_n * cfg.eps_abs + cfg.eps_rel * float(np.linalg.norm(bu))
+        # u = clip(relaxed + u_prev, +-w/rho), so y = rho u has |y_e| <= w_e and
+        # f_L(x) >= (B y - degree) @ x on the capped simplex: the k smallest
+        # entries of B y - degree sum to a lower bound on min f_L
+        dual_bound = float(np.partition(rho * bu - g.degree, k - 1)[:k].sum())
+        gap = float(g.weights @ np.abs(btx) - g.degree @ x) - dual_bound
+        if (r_norm <= eps_pri and s_norm <= eps_dual
+                and gap <= cfg.eps_rel * max(1.0, abs(dual_bound))):
             converged = True
             break
+
+        if iters % BALANCE_EVERY == 0 and iters <= BALANCE_UNTIL:
+            factor = 1.0
+            if r_norm > BALANCE_RATIO * rho * s_norm:
+                factor = BALANCE_FACTOR
+            elif rho * s_norm > BALANCE_RATIO * r_norm:
+                factor = 1.0 / BALANCE_FACTOR
+            if factor != 1.0:
+                rho *= factor
+                u = u / factor   # keeps rho u, the unscaled dual, unchanged
+                params = CappedSimplexParams(g.degree, float(k), rho * lambda_hat)
+                mu = 1.0 / params.tau
 
     return SolverReport(
         x_avg=x_sum / iters,
@@ -189,6 +240,8 @@ def solve_lovasz_relaxation(g: Graph, k: int, cfg: SolverConfig | None = None,
         s_norm_final=s_norm,
         eps_pri_final=float(eps_pri),
         eps_dual_final=float(eps_dual),
+        dual_bound=dual_bound,
+        gap=gap,
         mu=mu,
         lambda_hat=lambda_hat,
         wall_time=time.perf_counter() - start,

@@ -89,6 +89,7 @@ def dominance_batch():
                     -lovasz_objective(g, report.x_avg),
                     -lovasz_objective(g, report.x_last),
                 )
+                entry["dual_bound"] = report.dual_bound
                 entry["rounded_weights"] = (
                     project_topk(g, report.x_avg, k).subgraph_weight,
                     fw.selected.subgraph_weight,
@@ -181,6 +182,9 @@ def test_criterion_05_relaxation_dominance(dominance_batch):
             slack = 1e-6 * (1.0 + g.degree.sum())
             for value in cell["solver_values"]:
                 assert value <= cell["lp_value"] + slack
+            # the solver's dual bound certifies min f_L = -lp_value from below
+            lp_value = cell["lp_value"]
+            assert -cell["dual_bound"] >= lp_value - 1e-9 * (1.0 + lp_value)
             for weight in cell["rounded_weights"]:
                 assert weight <= cell["best_weight"] + 1e-9
     elapsed = dominance_batch["elapsed"]
@@ -201,6 +205,7 @@ def test_criterion_06_solver_convergence():
         assert report.converged and report.iters <= 3000
         assert report.r_norm_final <= report.eps_pri_final
         assert report.s_norm_final <= report.eps_dual_final
+        assert report.gap <= defaults.eps_rel * max(1.0, abs(report.dual_bound))
         details.append(f"{report.iters} iters")
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0

@@ -55,6 +55,37 @@ class TestSolve:
         assert payload["bound_ratio"] == 1.0
         assert payload["bound_converged"] is True
 
+    def test_relaxation_certificate_reported(self, k4k2_file, capsys):
+        for method in ("ladmm-project", "ladmm-fw"):
+            argv = ["solve", "--graph", k4k2_file, "--k", "4", "--method", method]
+            assert main(argv + ["--json"]) == 0
+            payload = json.loads(capsys.readouterr().out)
+            assert payload["converged"] is True
+            assert payload["dual_bound"] <= -6.0   # min f_L <= -2 * weight of K4
+            assert -1e-9 <= payload["gap"] <= 1e-3 * max(1.0, abs(payload["dual_bound"]))
+            assert main(argv) == 0
+            text = capsys.readouterr().out.splitlines()
+            assert f"dual_bound: {payload['dual_bound']!r}" in text
+            assert f"gap: {payload['gap']!r}" in text
+
+    def test_ladmm_fw_converged_needs_frank_wolfe_to_finish(self, k4k2_file, capsys):
+        def solve(method, *extra):
+            assert main(["solve", "--graph", k4k2_file, "--k", "4", "--method", method,
+                         "--json", *extra]) == 0
+            return json.loads(capsys.readouterr().out)
+
+        relax_iters = solve("ladmm-project")["iters"]
+        full = solve("ladmm-fw")
+        assert full["iters"] - relax_iters > 1   # Frank-Wolfe takes more than one step here
+        assert full["converged"] is True
+        assert full["fw_stop_reason"] in ("stationary", "objective")
+        assert full["integrality_gap"] == 0.0
+        capped = solve("ladmm-fw", "--fw-max-iter", "1")
+        assert capped["iters"] == relax_iters + 1
+        assert capped["converged"] is False
+        assert capped["fw_stop_reason"] == "max-iter"
+        assert capped["integrality_gap"] >= 0.0
+
     def test_unconverged_bound_reported(self, fixture_file, capsys, monkeypatch):
         import dks.cli as cli_mod
 
@@ -357,6 +388,14 @@ class TestSweep:
         rows = {r.split(",")[1]: r.split(",") for r in out.read_text().splitlines()[1:]}
         assert rows["ladmm-fw"][7] == "false" and rows["ladmm-fw"][2] == "nan"
         assert rows["greedy"][7] == "true"
+
+    def test_ladmm_fw_row_not_converged_at_fw_cap(self, k4k2_file, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--graph", k4k2_file, "--k-list", "4", "--methods",
+                     "ladmm-fw,ladmm-project", "--fw-max-iter", "1", "--out", str(out)]) == 0
+        rows = {r.split(",")[1]: r.split(",") for r in out.read_text().splitlines()[1:]}
+        assert rows["ladmm-project"][7] == "true"
+        assert rows["ladmm-fw"][7] == "false"
 
     def test_single_solve_other_methods(self, k4k2_file, capsys):
         for method in ("tpm", "rank1", "ladmm-project"):

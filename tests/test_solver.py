@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import dks.solver as solver_mod
-from conftest import random_graph
+from conftest import random_feasible_batch, random_graph
 from dense_oracles import edmonds_lovasz
 from dks.graph import (
     Graph,
@@ -11,7 +11,7 @@ from dks.graph import (
     incidence_norm_sq_upper,
     subgraph_weight,
 )
-from dks.oracles import brute_force_dks
+from dks.oracles import brute_force_dks, generate_planted
 from dks.rounding import project_topk
 from dks.solver import (
     NumericalDivergenceError,
@@ -105,6 +105,7 @@ class TestSolveRelaxation:
         assert report.converged
         assert report.r_norm_final <= report.eps_pri_final
         assert report.s_norm_final <= report.eps_dual_final
+        assert report.gap <= SolverConfig().eps_rel * max(1.0, abs(report.dual_bound))
 
     def test_deterministic(self, k4k2):
         a = solve_lovasz_relaxation(k4k2, 4)
@@ -160,3 +161,56 @@ class TestSolveRelaxation:
                     SolverConfig(alpha=0.5), SolverConfig(max_iter=0)):
             with pytest.raises(ValueError):
                 bad.validate()
+
+
+class TestDualityGap:
+    def test_dual_bound_below_every_feasible_objective(self):
+        rng = np.random.default_rng(6)
+        for trial in range(30):
+            g = random_graph(rng, int(rng.integers(10, 40)), 0.3, weighted=True)
+            k = int(rng.integers(2, g.n - 1))
+            cfg = SolverConfig(max_iter=5) if trial % 2 else SolverConfig()
+            report = solve_lovasz_relaxation(g, k, cfg)
+            if cfg.max_iter == 5:
+                assert not report.converged
+            else:
+                assert report.converged
+                assert report.gap <= cfg.eps_rel * max(1.0, abs(report.dual_bound))
+            assert report.gap == pytest.approx(
+                lovasz_objective(g, report.x_last) - report.dual_bound, rel=1e-9, abs=1e-9)
+            points = [report.x_avg, report.x_last, *random_feasible_batch(rng, 20, g.n, k)]
+            for x in points:
+                value = lovasz_objective(g, x)
+                assert report.dual_bound <= value + 1e-9 * (1.0 + abs(value))
+
+    def test_mu_stays_certified_while_rho_moves(self, monkeypatch):
+        taus, rhos = [], []
+        prox, shrink = solver_mod.prox_capped_simplex, solver_mod.shrinkage
+
+        def recording_prox(v, params):
+            taus.append(params.tau)
+            return prox(v, params)
+
+        def recording_shrinkage(v, w, rho):
+            rhos.append(rho)
+            return shrink(v, w, rho)
+
+        monkeypatch.setattr(solver_mod, "prox_capped_simplex", recording_prox)
+        monkeypatch.setattr(solver_mod, "shrinkage", recording_shrinkage)
+        g = generate_planted(120, 10, 0.05, seed=0).graph
+        # tolerances no solve meets, so the run goes past the freeze
+        cfg = SolverConfig(eps_abs=1e-12, eps_rel=1e-12, max_iter=solver_mod.BALANCE_UNTIL + 100)
+        report = solve_lovasz_relaxation(g, 25, cfg)
+        assert not report.converged and len(taus) == len(rhos) == report.iters == cfg.max_iter
+        # iteration t (from 1) runs the x-prox, then the shrinkage, at one rho
+        assert all(tau == rho * report.lambda_hat for tau, rho in zip(taus, rhos))
+        assert rhos[0] == cfg.rho
+        assert report.mu == 1.0 / (rhos[-1] * report.lambda_hat)
+        changes = [(t, rhos[t] / rhos[t - 1]) for t in range(1, len(rhos))
+                   if rhos[t] != rhos[t - 1]]
+        assert changes
+        for t, factor in changes:
+            # rho moves only after an iteration t that is a multiple of
+            # BALANCE_EVERY and no later than BALANCE_UNTIL
+            assert factor in (2.0, 0.5)
+            assert t % solver_mod.BALANCE_EVERY == 0 and t <= solver_mod.BALANCE_UNTIL
