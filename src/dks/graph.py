@@ -12,6 +12,7 @@ import gzip
 import io
 import math
 import sys
+import warnings
 import zlib
 from array import array
 from dataclasses import dataclass
@@ -168,8 +169,15 @@ def topk(x, k: int) -> np.ndarray:
 # ingestion
 
 
-def _text_stream(source):
-    """Open `source` (path, '-', or file-like) as text, gunzipping if needed."""
+def _read_source(source):
+    """All of `source` (path, '-', or file-like), gunzipped if needed.
+
+    Bytes come back checked to be UTF-8 (a bad byte raises the per-line
+    parser's ``line N: invalid UTF-8`` wherever it lies in the file); the
+    check is skipped when they are ASCII, so no decoded copy is built. A text
+    file-like's str comes back encoded when it is ASCII, so every source kind
+    can take :func:`_fast_parse`, and as is otherwise.
+    """
     if source == "-":
         data = sys.stdin.buffer.read()
     elif isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
@@ -178,7 +186,7 @@ def _text_stream(source):
     elif hasattr(source, "read"):
         data = source.read()
         if isinstance(data, str):
-            return io.StringIO(data)
+            return data.encode("ascii") if data.isascii() else data
     else:
         raise TypeError("source must be a path, '-', or a file-like object")
     if data[:2] == b"\x1f\x8b":
@@ -186,15 +194,13 @@ def _text_stream(source):
             data = gzip.decompress(data)
         except (EOFError, zlib.error) as exc:
             raise ValueError(f"corrupt gzip input: {exc}") from None
-    # validated whole, so a bad byte is reported wherever it lies in the file
-    try:
-        data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        lineno = data.count(b"\n", 0, exc.start) + 1
-        raise EdgeListParseError(f"line {lineno}: invalid UTF-8", lineno) from None
-    # a text view of the bytes, not a decoded copy: StringIO would hold the
-    # whole input again as UCS-4; newline="\n" splits lines as StringIO does
-    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="\n")
+    if not data.isascii():
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            lineno = data.count(b"\n", 0, exc.start) + 1
+            raise EdgeListParseError(f"line {lineno}: invalid UTF-8", lineno) from None
+    return data
 
 
 def _largest_component(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -258,6 +264,99 @@ def _parse_lines(stream, weighted: bool):
     return ends, weights
 
 
+# bytes the fast path lets through besides cut comment lines: ASCII digits,
+# signs, the weight's decimal point and exponent, and the blanks and line
+# ends both parsers split on alike
+_ID_BYTES = b"0123456789+- \t\r\n"
+_WEIGHT_BYTES = _ID_BYTES + b".eE"
+_WEIGHTED_ROW = np.dtype([("u", np.int64), ("v", np.int64), ("w", np.float64)])
+
+
+def _drop_comment_lines(data: bytes):
+    """`data` without the lines whose first non-blank byte is ``#`` or ``%``,
+    or None if either byte appears anywhere else."""
+    kept, pos = [], 0
+    marks = {c: data.find(c) for c in (b"#", b"%")}
+    view = memoryview(data)  # slices of it are not copies
+    while max(marks.values()) >= 0:
+        mark = min(i for i in marks.values() if i >= 0)
+        start = data.rfind(b"\n", pos, mark) + 1 or pos
+        if data[start:mark].strip(b" \t"):
+            return None
+        kept.append(view[pos:start])
+        pos = data.find(b"\n", mark) + 1 or len(data)
+        # search again only for a byte whose next hit was cut with this line
+        marks = {c: data.find(c, pos) if 0 <= i < pos else i for c, i in marks.items()}
+    if not kept:
+        return data
+    kept.append(view[pos:])
+    return b"".join(kept)
+
+
+def _fast_parse(data, weighted: bool):
+    """:func:`_parse_lines`' ids and weights as arrays, from one C-level
+    ``np.loadtxt`` call, or None where the input is outside what it reads.
+
+    It reads ASCII bytes whose ``#``/``%`` all lie in comment lines, whose other
+    bytes are in ``_ID_BYTES`` (``_WEIGHT_BYTES`` when weighted) and whose every
+    carriage return ends a line as CR LF. On those bytes ``loadtxt`` accepts
+    only fields that ``int()`` and ``float()`` read to the same values; anything
+    else it raises on, and so does a wrong field count. A weight that is not
+    positive and finite also gives None, so the per-line parser's errors are
+    the only ones a caller ever sees.
+    """
+    if isinstance(data, str) or not data.isascii():
+        return None
+    data = _drop_comment_lines(data)
+    if (data is None or data.translate(None, _WEIGHT_BYTES if weighted else _ID_BYTES)
+            or data.count(b"\r") != data.count(b"\r\n")):
+        return None
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = np.loadtxt(io.BytesIO(data), dtype=_WEIGHTED_ROW if weighted else np.int64,
+                              comments=None, ndmin=1 if weighted else 2)
+    except Exception:  # whatever loadtxt cannot read, the per-line parser reads or reports
+        return None
+    if not weighted:
+        return (rows, np.empty(0)) if rows.shape[1] == 2 else None
+    w = rows["w"]
+    if not (np.isfinite(w).all() and (w > 0).all()):
+        return None
+    return np.stack([rows["u"], rows["v"]], axis=1), np.ascontiguousarray(w)
+
+
+def _parse(data, weighted: bool):
+    """Ids as an ``(m, 2)`` int64 array and weights (empty unless weighted):
+    by :func:`_fast_parse` where it reads the input, else by :func:`_parse_lines`."""
+    parsed = _fast_parse(data, weighted)
+    if parsed is not None:
+        return parsed
+    if isinstance(data, str):
+        stream = io.StringIO(data)
+    else:
+        # a text view of the bytes, not a decoded copy: StringIO would hold the
+        # whole input again as UCS-4; newline="\n" splits lines as StringIO does
+        stream = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="\n")
+    ends, weights = _parse_lines(stream, weighted)
+    return np.frombuffer(ends, dtype=np.int64).reshape(-1, 2), np.frombuffer(weights)
+
+
+# ids no larger than this multiple of their count are relabeled through a
+# presence bitmap, whose memory then stays linear in the input
+_BITMAP_SPAN = 4
+
+
+def _relabel(flat: np.ndarray):
+    """``np.unique(flat, return_inverse=True)``, in linear time for dense ids."""
+    top = int(flat.max())
+    if flat.min() >= 0 and top < _BITMAP_SPAN * flat.size:
+        present = np.zeros(top + 1, dtype=bool)
+        present[flat] = True
+        return np.flatnonzero(present), (np.cumsum(present) - 1)[flat]
+    return np.unique(flat, return_inverse=True)
+
+
 def load_edge_list(source, weighted: bool = False) -> Graph:
     """Load a graph from line-oriented edge-list text.
 
@@ -271,23 +370,31 @@ def load_edge_list(source, weighted: bool = False) -> Graph:
     detected transparently; ``source`` may be a path, ``"-"`` for stdin, or a
     file-like object.
 
+    Plain input is parsed at C speed by one ``np.loadtxt`` call: ASCII with LF
+    or CR LF line ends, spaces or tabs between fields, ``#``/``%`` only in
+    comment lines, and decimal numbers without ``_``, ``inf`` or ``nan``, the
+    weights positive. Any other input, and every input with an error, is
+    read by the per-line parser instead, so errors and their line numbers are
+    always the per-line parser's.
+
     Raises :class:`EdgeListParseError` on malformed lines or invalid UTF-8,
     and ``ValueError`` on corrupt gzip input or if no edges survive preprocessing.
     """
-    ends, weights = _parse_lines(_text_stream(source), weighted)
-    pairs = np.frombuffer(ends, dtype=np.int64).reshape(-1, 2)
+    pairs, weights = _parse(_read_source(source), weighted)
     proper = pairs[:, 0] != pairs[:, 1]
     if not proper.any():
         raise ValueError("no edges left after preprocessing")
-    ids, dense = np.unique(pairs[proper].ravel(), return_inverse=True)
+    ids, dense = _relabel(pairs[proper].ravel())
     dense = dense.reshape(-1, 2)
     keys, pair_of = np.unique(_edge_key(dense[:, 0], dense[:, 1], ids.size),
                               return_inverse=True)
     if weighted:
         # bincount adds in file order starting from 0.0, like a sequential fold
-        w = np.bincount(pair_of, weights=np.frombuffer(weights)[proper], minlength=keys.size)
+        w = np.bincount(pair_of, weights=weights[proper], minlength=keys.size)
     else:
         w = np.ones(keys.size)
+    # the per-line arrays are dead from here: freed, they lower the peak in from_edges
+    del pairs, weights, proper, dense, pair_of
     a, b = np.divmod(keys, ids.size)
     keep = _largest_component(ids.size, a, b)
     relabel = np.cumsum(keep) - 1

@@ -7,6 +7,7 @@ import pytest
 
 from conftest import from_edges_reference, load_edge_list_reference, random_graph
 from dense_oracles import dense_cross_check
+import dks.graph as graph_mod
 from dks.graph import (
     EdgeListParseError,
     Graph,
@@ -150,6 +151,178 @@ class TestLoadEdgeList:
             assert (h.edges == h2.edges).all()
             assert (h.weights == h2.weights).all()
             assert (h.original_ids == h2.original_ids).all()
+
+
+# inputs on the edge of the fast path's subset: each must load (or fail)
+# exactly as through the per-line parser alone
+_EDGE_CASES = [
+    ("+5 1\n", False), ("007 1\n", False), ("1_000 2\n", False),
+    ("\u0661 2\n", False),  # ARABIC-INDIC DIGIT ONE, which int() reads as 1
+    ("1.0 2\n", False), ("1e3 2\n", False),
+    ("1 2 # note\n", False), ("  # indented\n1 2\n\t% also\n", False),
+    ("% konect header\n% 3 3 3\n1 2\n2 3\n", False), ("1 2\n3 #4\n", False),
+    ("1 2\r3 4\n", False), ("1 2\r\n2 3\r\n", False), ("# h\r\n1 2\r\n", False),
+    ("1\x0b2\n", False), ("1\x0c2\n2 3\n", False),
+    ("9223372036854775807 1\n1 -9223372036854775808\n", False),
+    ("", False), ("# only\n% comments\n", False), ("\n  \n", False),
+    ("1\n", False), ("1 2 3\n", False), ("1 2\n3\n", False),
+    ("1 2 nan\n", True), ("1 2 inf\n", True), ("1 2 -1\n", True), ("1 2 0\n", True),
+    ("1 2 1e400\n", True), ("1 2 1e-400\n", True), ("1 2 1_0.5\n", True),
+    ("1 2\n", True), ("1 2 3 4\n", True), ("1.5 2 3\n", True), ("1 2 .\n", True),
+    ("+1 2 +.5\n2 3 5.\n3 4 1E+05\n4 5 4.9e-324\n", True),
+]
+
+# one past the int64 range: the reference loader cannot build these at all
+_OUT_OF_RANGE = ["9223372036854775808 1\n", "0 1\n1 -9223372036854775809\n"]
+
+
+def _spy_parse_lines(monkeypatch):
+    """Record every call of the per-line parser; returns the call list."""
+    calls = []
+    parse_lines = graph_mod._parse_lines
+
+    def spy(stream, weighted):
+        calls.append(weighted)
+        return parse_lines(stream, weighted)
+
+    monkeypatch.setattr(graph_mod, "_parse_lines", spy)
+    return calls
+
+
+def _outcome(source, weighted):
+    """The loaded graph's arrays, or the error's type, message and line."""
+    try:
+        g = load_edge_list(source, weighted=weighted)
+    except ValueError as exc:
+        return type(exc), str(exc), getattr(exc, "lineno", None)
+    return tuple((a.dtype, a.tobytes()) for a in
+                 (g.edges, g.weights, g.degree, g.original_ids))
+
+
+class TestFastPath:
+    @pytest.mark.parametrize("text,weighted", _EDGE_CASES)
+    def test_edge_cases_match_reference(self, tmp_path, text, weighted):
+        for body in (text, "0 1\n" + text):
+            _assert_same_load(body, weighted)
+            path = tmp_path / "edges.txt"
+            path.write_bytes(body.encode())
+            _assert_same_load(path, weighted)
+
+    @pytest.mark.parametrize("text,weighted", _EDGE_CASES + [(t, False) for t in _OUT_OF_RANGE])
+    def test_same_as_per_line_parser_alone(self, monkeypatch, text, weighted):
+        fast = _outcome(io.StringIO(text), weighted)
+        monkeypatch.setattr(graph_mod, "_fast_parse", lambda data, weighted: None)
+        assert _outcome(io.StringIO(text), weighted) == fast
+
+    @pytest.mark.parametrize("text", _OUT_OF_RANGE)
+    def test_id_past_int64_names_its_line(self, text):
+        lineno = text.count("\n")
+        with pytest.raises(EdgeListParseError) as err:
+            _load(text)
+        assert (str(err.value), err.value.lineno) == (
+            f"line {lineno}: vertex id out of range", lineno)
+
+    def test_clean_inputs_skip_per_line_parser(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(406)
+        u, v = rng.integers(0, 300, size=(2, 2000))
+        lines = [f"{a} {b}" for a, b in zip(u, v)]
+        weights = [repr(w) for w in rng.uniform(1e-3, 3.0, size=len(lines)).tolist()]
+        body = "\n".join(lines) + "\n"
+        cases = [
+            (f"# perfbench spectral-sweep seed=1 n=300 pairs={len(lines)}\n" + body, False),
+            (body.replace("\n", "\r\n"), False),
+            ("% sym unweighted\n% 2000 300 300\n" + body, False),
+            ("".join(f"{ln} {w}\n" for ln, w in zip(lines, weights)), True),
+        ]
+        calls = _spy_parse_lines(monkeypatch)
+        for i, (text, weighted) in enumerate(cases):
+            _assert_same_load(text, weighted)
+            path = tmp_path / f"{i}.txt"
+            path.write_bytes(text.encode())
+            _assert_same_load(path, weighted)
+            path.write_bytes(gzip.compress(text.encode()))
+            _assert_same_load(path, weighted)
+        assert calls == []
+
+    def test_reference_cases_take_fast_path(self, tmp_path, monkeypatch):
+        # replays the inputs of the two differential tests above: each one
+        # loads without the per-line parser unless it holds one of _MALFORMED's
+        # lines, has no data line (loadtxt warns on those) or ends lines in CR
+        calls = _spy_parse_lines(monkeypatch)
+
+        def falls_back(source, weighted):
+            before = len(calls)
+            _assert_same_load(source, weighted)
+            return len(calls) > before
+
+        def clean(text):
+            return (not any(ln.strip() in _MALFORMED for ln in text.split("\n"))
+                    and any(ch.isdigit() for ch in text))
+
+        rng = np.random.default_rng(404)
+        fallbacks = 0
+        for _ in range(300):
+            weighted = bool(rng.integers(2))
+            text = _random_edge_text(rng, weighted)
+            fallback = falls_back(text, weighted)
+            assert fallback != clean(text), text
+            fallbacks += fallback
+        assert fallbacks < 100
+        rng = np.random.default_rng(405)
+        for i in range(40):
+            weighted = i % 2 == 1
+            raw = _random_edge_text(rng, weighted).encode()
+            for name, data in (("plain", raw), ("gzip", gzip.compress(raw)),
+                               ("crlf", raw.replace(b"\n", b"\r\n"))):
+                path = tmp_path / f"{i}-{name}.txt"
+                path.write_bytes(data)
+                assert falls_back(path, weighted) != clean(raw.decode()), name
+
+    def test_weights_read_as_float_does(self, monkeypatch):
+        rng = np.random.default_rng(407)
+        mantissas = rng.integers(1, 10**17, size=400).astype(str)
+        exps = rng.integers(-330, 310, size=400)
+        weights = [f"{m[:1]}.{m[1:]}e{e}" for m, e in zip(mantissas, exps)]
+        weights += [f"{m}" for m in mantissas[:50]] + [f".{m}" for m in mantissas[50:100]]
+        weights = [w for w in weights if 0.0 < float(w) < float("inf")]
+        text = "".join(f"{i} {i + 1} {w}\n" for i, w in enumerate(weights))
+        calls = _spy_parse_lines(monkeypatch)
+        g = _assert_same_load(text, True)
+        assert calls == []
+        assert g.weights.tolist() == [float(w) for w in weights]
+
+
+class TestRelabel:
+    def test_matches_unique(self):
+        rng = np.random.default_rng(408)
+        span = graph_mod._BITMAP_SPAN
+        for _ in range(300):
+            size = int(rng.integers(1, 50))
+            top = int(rng.choice([span * size - 1, span * size, 2 * size, 10**6]))
+            flat = rng.integers(0, top + 1, size=size)
+            flat[rng.integers(size)] = top
+            if rng.random() < 0.2:
+                flat[0] = -1
+            ids, dense = graph_mod._relabel(flat)
+            want_ids, want_dense = np.unique(flat, return_inverse=True)
+            assert ids.dtype == want_ids.dtype and ids.tobytes() == want_ids.tobytes()
+            assert dense.dtype == want_dense.dtype and dense.tobytes() == want_dense.tobytes()
+
+    def test_loads_match_reference(self):
+        # non-negative ids with gaps, the largest one just inside or just past
+        # the range the bitmap covers (`_BITMAP_SPAN` times the endpoint count)
+        rng = np.random.default_rng(409)
+        span = graph_mod._BITMAP_SPAN
+        for _ in range(200):
+            m = int(rng.integers(1, 40))
+            weighted = bool(rng.integers(2))
+            top = span * 2 * m - int(rng.integers(2))
+            pool = rng.choice(top, size=min(int(rng.integers(2, 12)), top), replace=False)
+            edges = [rng.choice(pool, size=2, replace=False) for _ in range(m - 1)]
+            edges.append((int(rng.choice(pool)), top))
+            lines = [f"{a} {b}" + (f" {float(rng.uniform(0.5, 2.0))!r}" if weighted else "")
+                     for a, b in edges]
+            _assert_same_load("\n".join(lines) + "\n", weighted)
 
 
 _MALFORMED = ("x 1", "1", "1 2 3 4", "1 2 -1.5", "1 2 0", "1 2 nan",
