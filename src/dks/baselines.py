@@ -105,13 +105,18 @@ class SpectralPair:
     converged: bool = True
 
 
-def top_two_singular(g: Graph, tol: float = 1e-6, max_iter: int = 20000) -> SpectralPair:
-    """``sigma1, u1`` by power iteration on W; ``sigma2`` by deflating against u1.
+_DEFLATED_SEED = 0xDEF1A7E
 
-    Power iteration approaches singular values from below, so both estimates
-    are inflated by ``(1 + 10*tol)`` into safe upper estimates: the density
-    bound built from them must err on the loose side, never the tight one.
-    If either iteration hits its cap, no inflation certifies the estimate, so
+
+def top_two_singular(g: Graph, tol: float = 1e-6, max_iter: int = 20000) -> SpectralPair:
+    """``sigma1, u1`` by Lanczos on W; ``sigma2`` by deflating against u1.
+
+    Ritz values approach singular values from below, so both estimates are
+    inflated by ``(1 + 10*tol)`` into safe upper estimates: the density bound
+    built from them must err on the loose side, never the tight one. The
+    deflated run starts from its own seed, so a repeated top eigenvalue (two
+    identical largest components, say) gives ``sigma2 = sigma1``. If either run
+    hits its matvec cap ``max_iter``, no inflation certifies the estimate, so
     both values fall back to the maximum weighted degree, a certified upper
     bound on ``||W||``, and the pair is flagged ``converged = False``.
     """
@@ -124,7 +129,7 @@ def top_two_singular(g: Graph, tol: float = 1e-6, max_iter: int = 20000) -> Spec
     def deflated(x):
         return adjacency_matvec(g, x) - lambda1 * (u1 @ x) * u1
 
-    sigma2, _, ok2 = power_iteration_norm(deflated, g.n, tol, max_iter)
+    sigma2, _, ok2 = power_iteration_norm(deflated, g.n, tol, max_iter, seed=_DEFLATED_SEED)
     if not (ok1 and ok2):
         cap = float(g.degree.max())
         return SpectralPair(sigma1=cap, u1=u1, sigma2=cap, converged=False)

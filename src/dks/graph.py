@@ -465,51 +465,82 @@ def _unweighted_matvec(g: Graph, x: np.ndarray) -> np.ndarray:
             + np.bincount(e1, weights=x[e0], minlength=g.n))
 
 
+_KRYLOV_BASIS = 12  # Lanczos vectors per restart cycle: the basis holds 12 n floats
+
+
 def power_iteration_norm(matvec, n: int, tol: float = 1e-4, max_iter: int = 1000,
-                         block: int = 4):
-    """Spectral norm of a symmetric operator by block power iteration.
+                         seed: int = 0x5EED):
+    """Spectral norm of a symmetric operator by restarted Lanczos.
 
-    A single power-iteration vector can plateau near a sub-dominant
-    eigenvalue when the start vector barely overlaps the top eigenspace; a
-    small orthonormal block makes that failure mode vanish in practice.
-    Rayleigh-Ritz on the block gives signed Ritz pairs (so indefinite
-    spectra, bipartite adjacencies and deflated operators included, need no
-    sign games), and iteration stops only when the dominant pair's residual
-    ``||A v - mu v||`` falls below ``0.5 * tol * |mu|``: value-increment
-    tests can be fooled while the top eigendirection is still emerging, a
-    residual cannot. A small residual places an eigenvalue within ``r`` of
-    ``mu``, so callers inflating by ``(1 + tol)`` hold a safe upper estimate.
+    Each cycle builds an orthonormal Krylov basis of up to ``_KRYLOV_BASIS``
+    vectors, fully reorthogonalized, takes the Ritz pair of largest ``|mu|``
+    (signed, so indefinite spectra, bipartite adjacencies and deflated
+    operators included, need no sign games) and restarts from that Ritz
+    vector. Iteration stops only when one more matvec, on the Ritz vector
+    itself, shows the explicit residual ``||A v - mu v|| <= 0.5 * tol * |mu|``
+    with ``mu = v' A v``; the recurrence's cheaper residual estimate only
+    decides when to make that check, and the matvec also starts the next
+    cycle.
 
-    The start block comes from a fixed seed and the returned vector's sign is
-    normalized, so results are deterministic. Returns
-    ``(sigma, unit_vector, converged)`` with the vector a dominant
-    eigenvector; hitting the iteration cap returns the current estimate
-    flagged ``converged = False``, never silently.
+    A small residual places *an* eigenvalue within ``r`` of ``mu``, not
+    necessarily the dominant one. That it is the dominant one rests on the
+    random start overlapping every eigenspace, which holds with probability
+    one; then callers inflating by ``(1 + tol)`` hold a safe upper estimate.
+    A Krylov sequence holds one direction per eigenspace, so it sees a
+    repeated eigenvalue once: to find the second copy of a repeated top
+    eigenvalue, an operator deflated by the first needs a start from another
+    ``seed``.
+
+    ``max_iter`` counts matvecs. The start vector comes from ``seed`` and the
+    returned vector's sign is normalized, so results are deterministic.
+    Returns ``(sigma, unit_vector, converged)`` with the vector a dominant
+    eigenvector; running out of matvecs returns the current estimate flagged
+    ``converged = False``, never silently.
     """
-    rng = np.random.default_rng(0x5EED)
-    width = min(block, n)
-    basis, _ = np.linalg.qr(rng.standard_normal((n, width)))
+    rng = np.random.default_rng(seed)
+    vec = rng.standard_normal(n)
+    vec /= np.linalg.norm(vec)
     sigma = 0.0
-    vec = basis[:, 0]
     converged = False
-    for _ in range(max_iter):
-        image = np.column_stack([matvec(basis[:, j]) for j in range(width)])
-        small = basis.T @ image
-        eigvals, eigvecs = np.linalg.eigh(0.5 * (small + small.T))
-        idx = int(np.argmax(np.abs(eigvals)))
-        mu = float(eigvals[idx])
+    basis = np.empty((min(_KRYLOV_BASIS, n), n))
+    image = matvec(vec) if max_iter >= 1 else None
+    used = 1
+    while image is not None:
+        # one cycle from vec, whose image is known; it ends when the basis is
+        # full, when the recurrence's residual estimate passes, or when only
+        # the matvec reserved for the explicit residual is left
+        basis[0] = vec
+        alpha, beta = [], []
+        while True:
+            size = len(alpha) + 1
+            span = basis[:size]
+            coef = span @ image
+            w = image - span.T @ coef
+            fix = span @ w  # second Gram-Schmidt pass: full reorthogonalization
+            w -= span.T @ fix
+            alpha.append(float(coef[-1] + fix[-1]))
+            b = float(np.linalg.norm(w))
+            ritz, vecs = np.linalg.eigh(np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1))
+            idx = int(np.argmax(np.abs(ritz)))
+            sigma = abs(float(ritz[idx]))
+            if (size == len(basis) or used + 1 >= max_iter
+                    or b * abs(vecs[-1, idx]) <= 0.5 * tol * sigma):
+                break
+            beta.append(b)
+            basis[size] = w / b
+            image = matvec(basis[size])
+            used += 1
+        vec = vecs[:, idx] @ span
+        vec /= np.linalg.norm(vec)
+        if used >= max_iter:
+            break
+        image = matvec(vec)
+        used += 1
+        mu = float(vec @ image)
         sigma = abs(mu)
-        vec = basis @ eigvecs[:, idx]
-        if sigma == 0.0:
-            if float(np.abs(image).max()) == 0.0:
-                converged = True
-                break
-        else:
-            residual = float(np.linalg.norm(image @ eigvecs[:, idx] - mu * vec))
-            if residual <= 0.5 * tol * sigma:
-                converged = True
-                break
-        basis, _ = np.linalg.qr(image)
+        if float(np.linalg.norm(image - mu * vec)) <= 0.5 * tol * sigma:
+            converged = True
+            break
     top = int(np.argmax(np.abs(vec)))
     if vec[top] < 0:
         vec = -vec
@@ -519,12 +550,13 @@ def power_iteration_norm(matvec, n: int, tol: float = 1e-4, max_iter: int = 1000
 def incidence_norm_sq_upper(g: Graph, tol: float = 1e-2, max_iter: int = 2000) -> float:
     """Safe upper estimate of the squared incidence spectral norm ``||B||^2``.
 
-    Power iteration on the unweighted combinatorial Laplacian ``B B^T``
-    (matrix-free: ``L x = deg * x - A x``), inflated by ``(1 + tol)`` and
-    capped at the certified Anderson-Morley bound ``max_edge(deg_i + deg_j)``.
-    If the iteration cap is hit, that bound is returned as is; it never
-    exceeds the Gershgorin bound ``2 * max_degree``. Overestimating is safe
-    for consumers that need a feasible step size; underestimating is not.
+    Lanczos (:func:`power_iteration_norm`) on the unweighted combinatorial
+    Laplacian ``B B^T`` (matrix-free: ``L x = deg * x - A x``), inflated by
+    ``(1 + tol)`` and capped at the certified Anderson-Morley bound
+    ``max_edge(deg_i + deg_j)``. If the matvec cap ``max_iter`` is hit, that
+    bound is returned as is; it never exceeds the Gershgorin bound
+    ``2 * max_degree``. Overestimating is safe for consumers that need a
+    feasible step size; underestimating is not.
     """
     if g.m == 0:
         raise ValueError("graph has no edges")

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import random_graph
 from dense_oracles import dense_cross_check
+import dks.baselines as baselines_mod
 from dks.baselines import (
     _rank1_surrogate,
     density_upper_bound,
@@ -13,7 +14,15 @@ from dks.baselines import (
     top_two_singular,
     truncated_power_method,
 )
-from dks.graph import Graph, subgraph_weight
+import dks.graph as graph_mod
+from dks.cli import main as cli_main
+from dks.graph import (
+    Graph,
+    incidence_norm_sq_upper,
+    load_edge_list,
+    power_iteration_norm,
+    subgraph_weight,
+)
 from dks.oracles import brute_force_dks
 
 
@@ -224,3 +233,63 @@ class TestDensityUpperBound:
         sp = top_two_singular(k3)
         with pytest.raises(ValueError):
             density_upper_bound(k3, 1, sp)
+
+
+def clique_union(copies, size, extra_edge):
+    """``copies`` disjoint copies of K_size, plus one disjoint edge if ``extra_edge``."""
+    edges = [(c * size + a, c * size + b) for c in range(copies)
+             for a, b in itertools.combinations(range(size), 2)]
+    n = copies * size
+    if extra_edge:
+        edges.append((n, n + 1))
+        n += 2
+    return Graph.from_edges(n, edges)
+
+
+CLIQUE_UNIONS = [(c, s, e) for c in range(1, 9) for s in range(3, 7) for e in (False, True)]
+
+
+class TestCliqueUnions:
+    # Repeated eigenvalues everywhere: s - 1 once per copy and -1 with
+    # multiplicity copies * (s - 1), plus +-1 from the extra edge. A block
+    # start can meet the -1 eigenspace, and one Krylov sequence sees the
+    # repeated top eigenvalue once; both once under-reported sigma1/sigma2
+    # with converged=true (2 x K4: sigma2 = 1 against 3).
+    @pytest.mark.parametrize("copies, size, extra_edge", CLIQUE_UNIONS,
+                             ids=[f"{c}xK{s}{'+K2' if e else ''}" for c, s, e in CLIQUE_UNIONS])
+    def test_spectral_pair_and_bound(self, copies, size, extra_edge):
+        g = clique_union(copies, size, extra_edge)
+        sp = top_two_singular(g)
+        svals = np.sort(np.abs(dense_cross_check(g).adjacency_eigenvalues))[::-1]
+        assert sp.converged
+        assert svals[0] <= sp.sigma1 <= svals[0] * (1 + 1e-4)
+        assert svals[1] <= sp.sigma2 <= svals[1] * (1 + 1e-4)
+        if g.n <= 18:  # every case the block power iteration got wrong
+            for k in range(2, g.n):
+                best, _ = brute_force_dks(g, k)
+                assert density_upper_bound(g, k, sp) >= best.density - 1e-9, k
+
+
+class TestMatvecCounts:
+    def test_golden_graph(self, tmp_path, monkeypatch, capsys):
+        # the block power iteration took 124 matvecs for lambda_hat and 240
+        # for the spectral pair on this graph
+        path = tmp_path / "planted.txt"
+        assert cli_main(["gen", "--n", "300", "--k", "12", "--p", "0.05", "--seed", "3",
+                         "--out", str(path)]) == 0
+        g = load_edge_list(path)
+        calls = []
+
+        def counting(matvec, n, *args, **kwargs):
+            def counted(x):
+                calls.append(1)
+                return matvec(x)
+            return power_iteration_norm(counted, n, *args, **kwargs)
+
+        monkeypatch.setattr(baselines_mod, "power_iteration_norm", counting)
+        monkeypatch.setattr(graph_mod, "power_iteration_norm", counting)
+        assert incidence_norm_sq_upper(g) > 0
+        lambda_hat_calls, calls[:] = len(calls), []
+        assert top_two_singular(g).converged
+        assert lambda_hat_calls <= 30
+        assert len(calls) <= 50

@@ -1,11 +1,17 @@
 import gzip
 import io
+import itertools
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import from_edges_reference, load_edge_list_reference, random_graph
+from conftest import (
+    from_edges_reference,
+    load_edge_list_reference,
+    power_iteration_norm_reference,
+    random_graph,
+)
 from dense_oracles import dense_cross_check
 import dks.graph as graph_mod
 from dks.graph import (
@@ -17,9 +23,11 @@ from dks.graph import (
     edge_differences_adjoint,
     incidence_norm_sq_upper,
     load_edge_list,
+    power_iteration_norm,
     subgraph_weight,
     write_edge_list,
 )
+from dks.baselines import top_two_singular
 
 
 def _load(text, weighted=False):
@@ -584,6 +592,147 @@ class TestIncidenceNormBound:
         lam = incidence_norm_sq_upper(g, 0.01, max_iter=0)
         assert lam == bound
         assert lam >= dense_cross_check(g).laplacian_eigenvalues[-1] - 1e-9
+
+
+def _complete(n):
+    return list(itertools.combinations(range(n), 2))
+
+
+def _spectral_cases():
+    """``(name, graph)`` pairs: seeded random graphs, then adversarial spectra."""
+    rng = np.random.default_rng(12)
+    cases = []
+    for i in range(24):
+        g = random_graph(rng, int(rng.integers(3, 60)), float(rng.uniform(0.05, 0.5)),
+                         weighted=i % 2 == 1)
+        cases.append((f"random{i}", g))
+    sparse = random_graph(rng, 20, 0.2)
+    cases += [
+        ("isolated", Graph.from_edges(26, sparse.edges)),  # six more, all isolated
+        ("K3,4", Graph.from_edges(7, [(i, j) for i in range(3) for j in range(3, 7)])),
+        ("path5", Graph.from_edges(5, [(i, i + 1) for i in range(4)])),
+        ("C6", Graph.from_edges(6, [(i, (i + 1) % 6) for i in range(6)])),
+        ("K3", Graph.from_edges(3, _complete(3))),
+        ("K5", Graph.from_edges(5, _complete(5))),
+        ("K9", Graph.from_edges(9, _complete(9))),
+        ("star5", Graph.from_edges(5, [(0, i) for i in range(1, 5)])),
+        ("star17", Graph.from_edges(17, [(0, i) for i in range(1, 17)])),
+        ("path3", Graph.from_edges(3, [(0, 1), (1, 2)])),
+        ("edge", Graph.from_edges(2, [(0, 1)])),
+        ("2xK4+K2", Graph.from_edges(10, [(a + s, b + s) for s in (0, 4)
+                                          for a, b in _complete(4)] + [(8, 9)])),
+    ]
+    return cases
+
+
+SPECTRAL_CASES = _spectral_cases()
+
+
+def _operators(g):
+    """The two operators the library runs Lanczos on: W and the Laplacian of λ̂."""
+    dense = dense_cross_check(g)
+    counts = np.bincount(g.edges.ravel(), minlength=g.n).astype(np.float64)
+    return [
+        ("W", lambda x: adjacency_matvec(g, x), dense.adjacency_eigenvalues),
+        ("L", lambda x: counts * x - graph_mod._unweighted_matvec(g, x),
+         dense.laplacian_eigenvalues),
+    ]
+
+
+class TestPowerIterationNorm:
+    @pytest.mark.parametrize("name, g", SPECTRAL_CASES, ids=[c[0] for c in SPECTRAL_CASES])
+    @pytest.mark.parametrize("tol", [1e-4, 1e-6])
+    def test_against_dense_and_block_reference(self, name, g, tol):
+        for op, matvec, eigenvalues in _operators(g):
+            true = float(np.abs(eigenvalues).max())
+            sigma, vec, converged = power_iteration_norm(matvec, g.n, tol)
+            assert converged, (name, op)
+            assert abs(sigma - true) <= tol * true, (name, op, sigma, true)
+            # the certificate, recomputed from scratch on the returned vector
+            assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-12)
+            image = matvec(vec)
+            mu = float(vec @ image)
+            assert abs(mu) == pytest.approx(sigma, rel=1e-12, abs=1e-15)
+            assert np.linalg.norm(image - mu * vec) <= 0.5 * tol * sigma * (1 + 1e-9)
+            ref_sigma, _, ref_converged = power_iteration_norm_reference(matvec, g.n, tol)
+            ref_right = ref_converged and abs(ref_sigma - true) <= tol * true
+            if name.startswith("random"):
+                assert ref_right, (name, op)
+            if ref_right:
+                assert sigma == pytest.approx(ref_sigma, rel=2 * tol)
+
+    @pytest.mark.parametrize("name, g", SPECTRAL_CASES, ids=[c[0] for c in SPECTRAL_CASES])
+    def test_last_matvec_checks_the_returned_vector(self, name, g):
+        # the certificate is an explicit product with the returned vector, not
+        # the recurrence's residual estimate
+        for _, matvec, _ in _operators(g):
+            seen = []
+
+            def recorded(x):
+                seen.append(x.copy())
+                return matvec(x)
+
+            _, vec, converged = power_iteration_norm(recorded, g.n, 1e-6)
+            assert converged
+            assert any(np.array_equal(s * seen[-1], vec) for s in (1.0, -1.0))
+
+    def test_near_invariant_start_stays_orthogonal(self):
+        # a tight cluster far from one isolated eigenvalue: the Krylov space is
+        # nearly invariant from the start, so one Gram-Schmidt pass leaves the
+        # basis far from orthogonal (it then did not converge in 20000 matvecs)
+        d = np.concatenate([np.linspace(90, 100, 1999), [-80.0]])
+        sigma, vec, converged = power_iteration_norm(lambda x: d * x, d.size, 1e-6,
+                                                     max_iter=20000)
+        assert converged
+        assert sigma == pytest.approx(100.0, rel=1e-6)
+        mu = float(vec @ (d * vec))
+        assert np.linalg.norm(d * vec - mu * vec) <= 0.5e-6 * sigma * (1 + 1e-9)
+
+    def test_reference_certifies_a_subdominant_eigenvalue(self):
+        # the defect Lanczos removes: on 2 x K4 plus a disjoint edge (n = 10)
+        # the 4-vector start block meets the 7-dimensional eigenspace of -1,
+        # and that Ritz pair has zero residual at the first iteration
+        g = dict(SPECTRAL_CASES)["2xK4+K2"]
+        matvec = lambda x: adjacency_matvec(g, x)  # noqa: E731
+        assert power_iteration_norm_reference(matvec, g.n, 1e-6)[::2] == (
+            pytest.approx(1.0), True)
+        sigma, _, converged = power_iteration_norm(matvec, g.n, 1e-6)
+        assert converged and sigma == pytest.approx(3.0, rel=1e-6)
+
+    @pytest.mark.parametrize("name, g", SPECTRAL_CASES, ids=[c[0] for c in SPECTRAL_CASES])
+    def test_repeat_calls_bitwise_equal(self, name, g):
+        for _, matvec, _ in _operators(g):
+            first = power_iteration_norm(matvec, g.n, 1e-6)
+            second = power_iteration_norm(matvec, g.n, 1e-6)
+            assert first[0] == second[0] and first[2] == second[2]
+            assert first[1].tobytes() == second[1].tobytes()
+
+    @pytest.mark.parametrize("max_iter", [0, 1, 2, 3, 7, 13, 14, 30])
+    def test_max_iter_counts_matvecs(self, max_iter):
+        for name, g in SPECTRAL_CASES:
+            calls = []
+
+            def counted(x):
+                calls.append(1)
+                return adjacency_matvec(g, x)
+
+            _, vec, converged = power_iteration_norm(counted, g.n, 1e-6, max_iter=max_iter)
+            assert len(calls) <= max_iter, name
+            assert np.linalg.norm(vec) == pytest.approx(1.0)
+            if max_iter <= 2:
+                # one matvec builds a one-vector basis and a second checks its
+                # residual; a random start is no eigenvector
+                assert not converged, name
+
+    @pytest.mark.parametrize("max_iter", [0, 1, 2])
+    def test_cap_keeps_the_fallbacks(self, max_iter):
+        for name, g in SPECTRAL_CASES:
+            sp = top_two_singular(g, max_iter=max_iter)
+            assert not sp.converged, name
+            assert sp.sigma1 == sp.sigma2 == g.degree.max()
+            counts = np.bincount(g.edges.ravel(), minlength=g.n)
+            edge_bound = float((counts[g.edges[:, 0]] + counts[g.edges[:, 1]]).max())
+            assert incidence_norm_sq_upper(g, 0.01, max_iter=max_iter) == edge_bound
 
 
 class TestSubgraphQuantities:
