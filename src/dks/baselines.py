@@ -9,7 +9,7 @@ functions over an immutable Graph and can run concurrently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -57,9 +57,10 @@ def truncated_power_method(g: Graph, k: int, x0=None, max_iter: int = 100) -> Ve
     """Power iterations snapped to k-sparse indicators; returns the best support seen.
 
     Each step replaces ``x`` by the indicator of the top-k entries of ``W x``
-    (ties to the smallest id). Stops when the support repeats, when the
-    subgraph weight stops increasing, or at ``max_iter``; the best-weight
-    support visited is returned, so the result never degrades with extra
+    (ties to the smallest id). Stops when the subgraph weight stops
+    increasing (a repeated support included) or at ``max_iter``. Weights rise
+    strictly until then, so the last support that gained is the best one
+    visited, and that is returned: the result never degrades with extra
     iterations. ``x0`` defaults to the top-k degree indicator.
     """
     check_k(g, k)
@@ -75,34 +76,38 @@ def truncated_power_method(g: Graph, k: int, x0=None, max_iter: int = 100) -> Ve
         if not np.any(x):
             raise ValueError("x0 must be nonzero")
 
-    best_support = None
-    best_weight = -np.inf
-    prev_support = None
-    prev_weight = None
+    best_support, best_weight = None, -np.inf
     for _ in range(max_iter):
-        wx = adjacency_matvec(g, x)
-        support = tuple(np.sort(topk(wx, k)))
+        support = topk(adjacency_matvec(g, x), k)
         weight = subgraph_weight(g, support)
-        if weight > best_weight:
-            best_weight, best_support = weight, support
-        if support == prev_support:
+        if weight <= best_weight:
             break
-        if prev_weight is not None and weight <= prev_weight:
-            break
-        prev_support, prev_weight = support, weight
+        best_support, best_weight = support, weight
         x = np.zeros(g.n)
-        x[list(support)] = 1.0
+        x[support] = 1.0
     return VertexSet.from_members(g, best_support)
 
 
 @dataclass(frozen=True, eq=False)
 class SpectralPair:
-    """Upper estimates of the top two singular values of W and the leading unit vector."""
+    """Upper estimates of the top two singular values of W and the leading unit vector.
+
+    ``order_plus`` and ``order_minus``, read-only and built once with the pair,
+    are ``topk(u1, n)`` and ``topk(-u1, n)``; their first k are ``topk(±u1, k)``.
+    """
 
     sigma1: float
     u1: np.ndarray
     sigma2: float
     converged: bool = True
+    order_plus: np.ndarray = field(init=False, repr=False)
+    order_minus: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        u = np.asarray(self.u1, dtype=np.float64)
+        for name, order in (("order_plus", topk(u, u.size)), ("order_minus", topk(-u, u.size))):
+            order.flags.writeable = False
+            object.__setattr__(self, name, order)
 
 
 _DEFLATED_SEED = 0xDEF1A7E
@@ -145,13 +150,13 @@ def _rank1_surrogate(g: Graph, k: int, sp: SpectralPair):
     """Maximizers and maximum of the rank-1 surrogate ``sigma1 (u1' 1_S)^2`` over k-subsets.
 
     The sum is linear, so the top-k entries of ``u1`` or of ``-u1`` are
-    exhaustive. Returns ``(plus, minus, q)``: both supports and the
-    surrogate optimum ``q``.
+    exhaustive; they are the first k of the pair's two orders, so a call
+    costs O(k). Returns ``(plus, minus, q)``: both supports and the surrogate
+    optimum ``q``.
     """
     check_k(g, k)
     u = np.asarray(sp.u1, dtype=np.float64)
-    plus = topk(u, k)
-    minus = topk(-u, k)
+    plus, minus = sp.order_plus[:k], sp.order_minus[:k]
     q = sp.sigma1 * max(float(u[plus].sum()) ** 2, float(u[minus].sum()) ** 2)
     return plus, minus, float(q)
 

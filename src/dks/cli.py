@@ -88,13 +88,7 @@ class SweepRecord:
 
 def _solver_config(args) -> SolverConfig:
     """Solver settings from the flags; checks them and ``--fw-max-iter`` before any input is read."""
-    cfg = SolverConfig(
-        rho=args.rho,
-        alpha=args.alpha,
-        eps_abs=args.eps_abs,
-        eps_rel=args.eps_rel,
-        max_iter=args.max_iter,
-    )
+    cfg = SolverConfig(eps_abs=args.eps_abs, eps_rel=args.eps_rel, max_iter=args.max_iter)
     try:
         cfg.validate()
     except ValueError as exc:
@@ -262,7 +256,8 @@ def _sweep_one_k(g, k, methods, solver_cfg, fw_max_iter, sp, lambda_hat, no_timi
     return records
 
 
-def _parse_k_grid(args, g) -> list:
+def _parse_k_grid(args):
+    """The sorted k grid of the flags, a list or a range; it is checked against n after the load."""
     if args.k_list:
         try:
             ks = sorted({int(t) for t in args.k_list.split(",") if t.strip()})
@@ -278,23 +273,23 @@ def _parse_k_grid(args, g) -> list:
         ks = range(args.k_min, args.k_max + 1, args.k_step)
         if not ks:
             raise UsageError("empty k grid")
-    _check_k(g, ks[0])  # the grid is sorted: its ends bound every k, checked before listing
-    _check_k(g, ks[-1])
-    return list(ks)
+    return ks
 
 
 def run_sweep(args) -> int:
     if args.threads < 1:
         raise UsageError("--threads must be at least 1")
     solver_cfg = _solver_config(args)
-    g = load_edge_list(args.graph, weighted=args.weighted)
-    ks = _parse_k_grid(args, g)
+    ks = _parse_k_grid(args)
     methods = sorted({m.strip() for m in args.methods.split(",") if m.strip()})
     for m in methods:
         if m not in SOLVE_METHODS:
             raise UsageError(f"unknown method {m!r}; choose from {', '.join(SOLVE_METHODS)}")
     if not methods:
         raise UsageError("no methods selected")
+    g = load_edge_list(args.graph, weighted=args.weighted)
+    _check_k(g, ks[0])  # the grid is sorted: its ends bound every k, and a range is never listed
+    _check_k(g, ks[-1])
     # graph-level quantities, computed once and shared by every k and method
     sp = top_two_singular(g)
     lambda_hat = None
@@ -404,10 +399,6 @@ def _add_graph_args(sp) -> None:
 
 
 def _add_solver_args(sp) -> None:
-    sp.add_argument("--rho", type=float, default=0.1,
-                    help="initial ADMM penalty, then adapted by residual balancing (default 0.1)")
-    sp.add_argument("--alpha", type=float, default=1.8,
-                    help="over-relaxation parameter (default 1.8)")
     sp.add_argument("--eps-abs", type=float, default=1e-3,
                     help="absolute stopping tolerance (default 1e-3; use 1e-4 for very large graphs)")
     sp.add_argument("--eps-rel", type=float, default=1e-3,

@@ -175,8 +175,8 @@ def _read_source(source):
     Bytes come back checked to be UTF-8 (a bad byte raises the per-line
     parser's ``line N: invalid UTF-8`` wherever it lies in the file); the
     check is skipped when they are ASCII, so no decoded copy is built. A text
-    file-like's str comes back encoded when it is ASCII, so every source kind
-    can take :func:`_fast_parse`, and as is otherwise.
+    file-like's str is encoded first, a lone surrogate kept as the bytes that
+    check then reports, so every source kind takes one parse path.
     """
     if source == "-":
         data = sys.stdin.buffer.read()
@@ -186,7 +186,7 @@ def _read_source(source):
     elif hasattr(source, "read"):
         data = source.read()
         if isinstance(data, str):
-            return data.encode("ascii") if data.isascii() else data
+            data = data.encode("utf-8", "surrogatepass")
     else:
         raise TypeError("source must be a path, '-', or a file-like object")
     if data[:2] == b"\x1f\x8b":
@@ -305,7 +305,7 @@ def _fast_parse(data, weighted: bool):
     positive and finite also gives None, so the per-line parser's errors are
     the only ones a caller ever sees.
     """
-    if isinstance(data, str) or not data.isascii():
+    if not data.isascii():
         return None
     data = _drop_comment_lines(data)
     if (data is None or data.translate(None, _WEIGHT_BYTES if weighted else _ID_BYTES)
@@ -332,12 +332,9 @@ def _parse(data, weighted: bool):
     parsed = _fast_parse(data, weighted)
     if parsed is not None:
         return parsed
-    if isinstance(data, str):
-        stream = io.StringIO(data)
-    else:
-        # a text view of the bytes, not a decoded copy: StringIO would hold the
-        # whole input again as UCS-4; newline="\n" splits lines as StringIO does
-        stream = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="\n")
+    # a text view of the bytes, not a decoded copy: StringIO would hold the
+    # whole input again as UCS-4; newline="\n" splits lines as StringIO does
+    stream = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="\n")
     ends, weights = _parse_lines(stream, weighted)
     return np.frombuffer(ends, dtype=np.int64).reshape(-1, 2), np.frombuffer(weights)
 

@@ -49,8 +49,10 @@ __all__ = [
     "solve_lovasz_relaxation",
 ]
 
-# residual balancing (Boyd et al. 2011, "Distributed Optimization and
-# Statistical Learning via ADMM", section 3.4.1); see solve_lovasz_relaxation
+# starting penalty, over-relaxation and residual balancing (Boyd et al. 2011, "Distributed
+# Optimization and Statistical Learning via ADMM", section 3.4.1); see solve_lovasz_relaxation
+RHO_START = 0.1
+ALPHA = 1.8
 BALANCE_EVERY = 10
 BALANCE_UNTIL = 200
 BALANCE_RATIO = 10.0
@@ -63,30 +65,24 @@ class NumericalDivergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Tuning parameters of the linearized ADMM solver.
+    """The stopping rule of the linearized ADMM solver.
 
-    Defaults: initial penalty ``rho = 0.1``, over-relaxation
-    ``alpha = 1.8``, stopping tolerances ``eps_abs = eps_rel = 1e-3``, and a
-    cap of 3000 iterations. ``1e-4`` tolerances are the documented setting for
-    very large graphs. ``rho`` is only the starting penalty: residual
-    balancing moves it by factors of 2 during the first ``BALANCE_UNTIL``
-    iterations. The proximal step is not a setting: it is always the
-    certified ``mu = 1/(rho * lambda_hat)`` for the current ``rho``, with
+    Defaults: stopping tolerances ``eps_abs = eps_rel = 1e-3`` and a cap of
+    3000 iterations. ``1e-4`` tolerances are the documented setting for very
+    large graphs. The penalty is not a setting: it starts at ``RHO_START``
+    and residual balancing moves it by factors of 2 during the first
+    ``BALANCE_UNTIL`` iterations; the over-relaxation is the fixed ``ALPHA``.
+    Nor is the proximal step: it is always the certified
+    ``mu = 1/(rho * lambda_hat)`` for the current ``rho``, with
     ``lambda_hat`` a safe upper estimate of ``||B||^2``, and the x-update is
     the prox of ``g/mu``, so the capped-simplex prox gets ``tau = 1/mu``.
     """
 
-    rho: float = 0.1
-    alpha: float = 1.8
     eps_abs: float = 1e-3
     eps_rel: float = 1e-3
     max_iter: int = 3000
 
     def validate(self) -> None:
-        if not self.rho > 0:
-            raise ValueError("rho must be positive")
-        if not 1.0 <= self.alpha < 2.0:
-            raise ValueError("alpha must lie in [1, 2)")
         for name in ("eps_abs", "eps_rel"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
@@ -136,15 +132,15 @@ def solve_lovasz_relaxation(g: Graph, k: int, cfg: SolverConfig | None = None,
     """Solve the Lovász relaxation at cardinality ``k`` with linearized ADMM.
 
     Per iteration: an x-update through the capped-simplex prox at the
-    linearized point, an over-relaxed z-update through shrinkage, and the
-    scaled dual ascent step. Starts from the indicator of the k
-    largest-degree vertices and from ``cfg.rho``. Every ``BALANCE_EVERY``
-    (10) iterations up to ``BALANCE_UNTIL`` (200), ``rho`` is doubled
-    (halved) when the primal residual exceeds ``rho`` times the dual
-    residual tenfold (or the reverse); the scaled dual ``u`` is rescaled so
-    that ``rho u`` is unchanged, and ``mu`` is recomputed. Stops at
-    ``max_iter``, or when the primal residual ``B^T x - z`` and dual residual
-    ``B (z - z_prev)`` fall below
+    linearized point, a z-update through shrinkage over-relaxed by
+    ``ALPHA`` (1.8), and the scaled dual ascent step. Starts from the
+    indicator of the k largest-degree vertices and from ``RHO_START`` (0.1).
+    Every ``BALANCE_EVERY`` (10) iterations up to ``BALANCE_UNTIL`` (200),
+    ``rho`` is doubled (halved) when the primal residual exceeds ``rho``
+    times the dual residual tenfold (or the reverse); the scaled dual ``u``
+    is rescaled so that ``rho u`` is unchanged, and ``mu`` is recomputed.
+    Stops at ``max_iter``, or when the primal residual ``B^T x - z`` and dual
+    residual ``B (z - z_prev)`` fall below
 
         eps_pri  = sqrt(m) eps_abs + eps_rel max(||B^T x||, ||z||)
         eps_dual = sqrt(n) eps_abs + eps_rel ||B u||
@@ -172,7 +168,7 @@ def solve_lovasz_relaxation(g: Graph, k: int, cfg: SolverConfig | None = None,
     start = time.perf_counter()
     if lambda_hat is None:
         lambda_hat = incidence_norm_sq_upper(g)
-    rho, alpha = cfg.rho, cfg.alpha
+    rho = RHO_START
     params = CappedSimplexParams(g.degree, float(k), rho * lambda_hat)
     mu = 1.0 / params.tau
 
@@ -192,7 +188,7 @@ def solve_lovasz_relaxation(g: Graph, k: int, cfg: SolverConfig | None = None,
         x, _ = prox_capped_simplex(
             x - mu * rho * edge_differences_adjoint(g, btx - z + u), params)
         btx = edge_differences(g, x)
-        relaxed = alpha * btx + (1.0 - alpha) * z
+        relaxed = ALPHA * btx + (1.0 - ALPHA) * z
         z_prev = z
         z = shrinkage(relaxed + u, g.weights, rho)
         u = u + relaxed - z

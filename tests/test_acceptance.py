@@ -198,7 +198,7 @@ def test_criterion_06_solver_convergence():
     c6 = Graph.from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5)])
     k4k2 = Graph.from_edges(6, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (4, 5)])
     planted = generate_planted(120, 10, 0.05, seed=0).graph
-    defaults = SolverConfig()  # rho 0.1, alpha 1.8, eps 1e-3
+    defaults = SolverConfig()  # eps 1e-3, 3000 iterations
     details = []
     for g, k in ((c6, 3), (k4k2, 4), (planted, 10)):
         report = solve_lovasz_relaxation(g, k, defaults)

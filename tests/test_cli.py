@@ -125,9 +125,9 @@ class TestSolve:
 
     def test_bad_solver_flag_is_usage_error(self, k4k2_file, tmp_path, capsys):
         for graph in (k4k2_file, str(tmp_path / "missing.txt")):
-            rc = main(["solve", "--graph", graph, "--k", "4", "--alpha", "2.5"])
+            rc = main(["solve", "--graph", graph, "--k", "4", "--eps-rel", "-1"])
             assert rc == 2
-        assert "alpha" in capsys.readouterr().err
+        assert "eps_rel" in capsys.readouterr().err
 
     def test_k_zero_is_usage_error(self, k4k2_file, capsys):
         rc = main(["solve", "--graph", k4k2_file, "--k", "0", "--method", "greedy"])
@@ -167,7 +167,7 @@ class TestSolve:
 
     @pytest.mark.parametrize("command", ["solve", "sweep"])
     @pytest.mark.parametrize("flag", ["--bisect-eps=1e-6", "--prox-scale=literal", "--thin=2",
-                                      "--fw-step=lipschitz"])
+                                      "--fw-step=lipschitz", "--rho=0.1", "--alpha=1.8"])
     def test_removed_solver_flags_rejected(self, k4k2_file, tmp_path, command, flag):
         argv = {"solve": ["solve", "--k", "4", "--method", "greedy"],
                 "sweep": ["sweep", "--k-list", "4", "--methods", "greedy",
@@ -259,6 +259,7 @@ class TestSweep:
 
     def test_graph_quantities_computed_once(self, fixture_file, tmp_path, capsys,
                                             monkeypatch):
+        import dks.baselines as baselines_mod
         import dks.cli as cli_mod
 
         calls = {}
@@ -274,11 +275,27 @@ class TestSweep:
         counted("top_two_singular")
         counted("incidence_norm_sq_upper")
         counted("rank1_dks")
+        pairs, ranked = [], []
+        top_two, topk = cli_mod.top_two_singular, baselines_mod.topk
+
+        def kept_pair(g):
+            pairs.append(top_two(g))
+            return pairs[-1]
+
+        def recorded_topk(x, k):
+            ranked.append(np.array(x))
+            return topk(x, k)
+        monkeypatch.setattr(cli_mod, "top_two_singular", kept_pair)
+        monkeypatch.setattr(baselines_mod, "topk", recorded_topk)
         rc = main(["sweep", "--graph", fixture_file, "--k-list", "4,6,8",
                    "--methods", "ladmm-fw,rank1", "--out", str(tmp_path / "x.csv")])
         assert rc == 0
         # the bound computes the rank-1 surrogate itself: one rank1_dks per k
         assert calls == {"top_two_singular": 1, "incidence_norm_sq_upper": 1, "rank1_dks": 3}
+        # u1 and -u1 are each sorted once per graph, not once per call and k
+        (sp,) = pairs
+        assert sum(np.array_equal(x, sp.u1) for x in ranked) == 1
+        assert sum(np.array_equal(x, -sp.u1) for x in ranked) == 1
 
         for method in ("rank1", "ladmm-fw"):
             calls.clear()
@@ -421,10 +438,14 @@ class TestSweep:
                    "--out", str(tmp_path / "x.csv")])
         assert rc == 2
         assert "got 100000000000000000000" in capsys.readouterr().err
-        # solver and thread flags are checked before the graph is read
-        for flag in (["--max-iter", "0"], ["--alpha", "2.5"], ["--fw-max-iter", "0"],
-                     ["--rho", "0"], ["--eps-abs", "0"], ["--eps-rel", "-1"],
-                     ["--threads", "0"]):
+        # solver and thread flags, the methods and the grid's syntax are
+        # checked before the graph is read; only the grid against n after it
+        for flag in (["--max-iter", "0"], ["--fw-max-iter", "0"], ["--eps-abs", "0"],
+                     ["--eps-rel", "-1"], ["--threads", "0"], ["--methods", "bogus"],
+                     ["--methods", ","], ["--k-list", "4,x"], ["--k-list", ","],
+                     ["--k-list", "", "--k-min", "2"],
+                     ["--k-list", "", "--k-min", "2", "--k-max", "4", "--k-step", "0"],
+                     ["--k-list", "", "--k-min", "4", "--k-max", "2"]):
             for graph in (fixture_file, str(tmp_path / "missing.txt")):
                 rc = main(["sweep", "--graph", graph, "--k-list", "4", "--methods", "ladmm-fw",
                            "--out", str(tmp_path / "x.csv"), *flag])

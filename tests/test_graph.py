@@ -134,6 +134,14 @@ class TestLoadEdgeList:
         assert str(err.value) == f"line {filler + 3}: invalid UTF-8"
         _assert_same_load(path, False)
 
+    @pytest.mark.parametrize("line", ["\ud800 3", "# note \udfff"], ids=["id", "comment"])
+    def test_lone_surrogate_in_text_is_invalid_utf8(self, line):
+        # a text source is encoded once, so it is checked as byte input is,
+        # comment lines included
+        with pytest.raises(EdgeListParseError) as err:
+            _load(f"0 1\n1 2\n{line}\n2 3\n")
+        assert (str(err.value), err.value.lineno) == ("line 3: invalid UTF-8", 3)
+
     def test_empty_after_preprocessing(self):
         with pytest.raises(ValueError):
             _load("# only comments\n3 3\n")  # self-loop only

@@ -157,8 +157,8 @@ class TestSolveRelaxation:
                 solve_lovasz_relaxation(c6, 3, lambda_hat=bad)
 
     def test_config_validation(self):
-        for bad in (SolverConfig(rho=0.0), SolverConfig(alpha=2.0),
-                    SolverConfig(alpha=0.5), SolverConfig(max_iter=0)):
+        for bad in (SolverConfig(eps_abs=0.0), SolverConfig(eps_rel=-1.0),
+                    SolverConfig(max_iter=0)):
             with pytest.raises(ValueError):
                 bad.validate()
 
@@ -204,7 +204,7 @@ class TestDualityGap:
         assert not report.converged and len(taus) == len(rhos) == report.iters == cfg.max_iter
         # iteration t (from 1) runs the x-prox, then the shrinkage, at one rho
         assert all(tau == rho * report.lambda_hat for tau, rho in zip(taus, rhos))
-        assert rhos[0] == cfg.rho
+        assert rhos[0] == solver_mod.RHO_START
         assert report.mu == 1.0 / (rhos[-1] * report.lambda_hat)
         changes = [(t, rhos[t] / rhos[t - 1]) for t in range(1, len(rhos))
                    if rhos[t] != rhos[t - 1]]
