@@ -9,6 +9,7 @@ functions over an immutable Graph and can run concurrently.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -114,35 +115,35 @@ _DEFLATED_SEED = 0xDEF1A7E
 
 
 def top_two_singular(g: Graph, tol: float = 1e-6, max_iter: int = 20000) -> SpectralPair:
-    """``sigma1, u1`` by Lanczos on W; ``sigma2`` by deflating against u1.
+    """``sigma1, u1`` by Lanczos on W; ``sigma2`` by Lanczos on the square of W deflated.
 
-    Ritz values approach singular values from below, so both estimates are
-    inflated by ``(1 + 10*tol)`` into safe upper estimates: the density bound
-    built from them must err on the loose side, never the tight one. The
-    deflated run starts from its own seed, so a repeated top eigenvalue (two
-    identical largest components, say) gives ``sigma2 = sigma1``. If either run
-    hits its matvec cap ``max_iter``, no inflation certifies the estimate, so
-    both values fall back to the maximum weighted degree, a certified upper
-    bound on ``||W||``, and the pair is flagged ``converged = False``.
+    W >= 0, so its top eigenvalue is ``sigma1 = ||W||`` (Perron). The norm
+    ``sigma2`` of ``D = W - sigma1 u1 u1'`` may lie at either end of D's
+    spectrum, but both ends meet at the top of the PSD ``D^2``. That run gets
+    ``max_iter // 2`` products (two matvecs each) and its own seed, so a
+    repeated top eigenvalue (two identical largest components) gives
+    ``sigma2 = sigma1``. Ritz values approach the top from below, so both
+    estimates are inflated by ``(1 + 10*tol)``: the density bound must err on
+    the loose side. If either run hits its cap, both fall back to the maximum
+    weighted degree, a certified bound on ``||W||``, flagged ``converged = False``.
     """
     if g.m == 0:
         raise ValueError("graph has no edges")
     sigma1, u1, ok1 = power_iteration_norm(
         lambda x: adjacency_matvec(g, x), g.n, tol, max_iter)
-    lambda1 = float(u1 @ adjacency_matvec(g, u1))
 
     def deflated(x):
-        return adjacency_matvec(g, x) - lambda1 * (u1 @ x) * u1
+        return adjacency_matvec(g, x) - sigma1 * (u1 @ x) * u1
 
-    sigma2, _, ok2 = power_iteration_norm(deflated, g.n, tol, max_iter, seed=_DEFLATED_SEED)
+    square, _, ok2 = power_iteration_norm(lambda x: deflated(deflated(x)), g.n, tol,
+                                          max_iter // 2, seed=_DEFLATED_SEED)
     if not (ok1 and ok2):
         cap = float(g.degree.max())
         return SpectralPair(sigma1=cap, u1=u1, sigma2=cap, converged=False)
     inflate = 1.0 + 10.0 * tol
     sigma1 *= inflate
-    sigma2 *= inflate
     # deflation noise can nudge sigma2 past sigma1; the ordering is structural
-    sigma2 = min(sigma2, sigma1)
+    sigma2 = min(math.sqrt(square) * inflate, sigma1)
     return SpectralPair(sigma1=sigma1, u1=u1, sigma2=sigma2)
 
 

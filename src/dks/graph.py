@@ -456,41 +456,33 @@ def adjacency_matvec(g: Graph, x) -> np.ndarray:
     return out
 
 
-def _unweighted_matvec(g: Graph, x: np.ndarray) -> np.ndarray:
-    e0, e1 = g.edges[:, 0], g.edges[:, 1]
-    return (np.bincount(e0, weights=x[e1], minlength=g.n)
-            + np.bincount(e1, weights=x[e0], minlength=g.n))
-
-
 _KRYLOV_BASIS = 12  # Lanczos vectors per restart cycle: the basis holds 12 n floats
 
 
 def power_iteration_norm(matvec, n: int, tol: float = 1e-4, max_iter: int = 1000,
                          seed: int = 0x5EED):
-    """Spectral norm of a symmetric operator by restarted Lanczos.
+    """Top eigenvalue of a symmetric operator by restarted Lanczos.
 
-    Each cycle builds an orthonormal Krylov basis of up to ``_KRYLOV_BASIS``
-    vectors, fully reorthogonalized, takes the Ritz pair of largest ``|mu|``
-    (signed, so indefinite spectra, bipartite adjacencies and deflated
-    operators included, need no sign games) and restarts from that Ritz
-    vector. Iteration stops only when one more matvec, on the Ritz vector
-    itself, shows the explicit residual ``||A v - mu v|| <= 0.5 * tol * |mu|``
-    with ``mu = v' A v``; the recurrence's cheaper residual estimate only
-    decides when to make that check, and the matvec also starts the next
-    cycle.
+    For every operator it runs on, the top (largest signed) eigenvalue is the
+    norm: W >= 0 (Perron), and the PSD ``B B^T`` and squared deflated W. Each
+    cycle builds an orthonormal Krylov basis of up to ``_KRYLOV_BASIS``
+    vectors, fully reorthogonalized, and restarts from the top Ritz vector.
+    Iteration stops only when one more matvec, on that vector itself, shows
+    the explicit residual ``||A v - mu v|| <= 0.5 * tol * |mu|`` with
+    ``mu = v' A v``; the recurrence's cheaper residual estimate only decides
+    when to make that check, and the matvec also starts the next cycle.
 
-    A small residual places *an* eigenvalue within ``r`` of ``mu``, not
-    necessarily the dominant one. That it is the dominant one rests on the
-    random start overlapping every eigenspace, which holds with probability
-    one; then callers inflating by ``(1 + tol)`` hold a safe upper estimate.
-    A Krylov sequence holds one direction per eigenspace, so it sees a
-    repeated eigenvalue once: to find the second copy of a repeated top
-    eigenvalue, an operator deflated by the first needs a start from another
-    ``seed``.
+    ``mu`` never exceeds the top eigenvalue, and a small residual places *an*
+    eigenvalue within ``r`` of it. That it is the top one rests on the random
+    start overlapping every eigenspace, which holds with probability one;
+    then callers inflating by ``(1 + tol)`` hold a safe upper estimate. A
+    Krylov sequence holds one direction per eigenspace, so it sees a repeated
+    eigenvalue once: to find the second copy of a repeated top eigenvalue, an
+    operator deflated by the first needs a start from another ``seed``.
 
     ``max_iter`` counts matvecs. The start vector comes from ``seed`` and the
     returned vector's sign is normalized, so results are deterministic.
-    Returns ``(sigma, unit_vector, converged)`` with the vector a dominant
+    Returns ``(sigma, unit_vector, converged)`` with the vector a top
     eigenvector; running out of matvecs returns the current estimate flagged
     ``converged = False``, never silently.
     """
@@ -518,24 +510,22 @@ def power_iteration_norm(matvec, n: int, tol: float = 1e-4, max_iter: int = 1000
             alpha.append(float(coef[-1] + fix[-1]))
             b = float(np.linalg.norm(w))
             ritz, vecs = np.linalg.eigh(np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1))
-            idx = int(np.argmax(np.abs(ritz)))
-            sigma = abs(float(ritz[idx]))
+            sigma = float(ritz[-1])
             if (size == len(basis) or used + 1 >= max_iter
-                    or b * abs(vecs[-1, idx]) <= 0.5 * tol * sigma):
+                    or b * abs(vecs[-1, -1]) <= 0.5 * tol * abs(sigma)):
                 break
             beta.append(b)
             basis[size] = w / b
             image = matvec(basis[size])
             used += 1
-        vec = vecs[:, idx] @ span
+        vec = vecs[:, -1] @ span
         vec /= np.linalg.norm(vec)
         if used >= max_iter:
             break
         image = matvec(vec)
         used += 1
-        mu = float(vec @ image)
-        sigma = abs(mu)
-        if float(np.linalg.norm(image - mu * vec)) <= 0.5 * tol * sigma:
+        sigma = float(vec @ image)
+        if float(np.linalg.norm(image - sigma * vec)) <= 0.5 * tol * abs(sigma):
             converged = True
             break
     top = int(np.argmax(np.abs(vec)))
@@ -547,20 +537,20 @@ def power_iteration_norm(matvec, n: int, tol: float = 1e-4, max_iter: int = 1000
 def incidence_norm_sq_upper(g: Graph, tol: float = 1e-2, max_iter: int = 2000) -> float:
     """Safe upper estimate of the squared incidence spectral norm ``||B||^2``.
 
-    Lanczos (:func:`power_iteration_norm`) on the unweighted combinatorial
-    Laplacian ``B B^T`` (matrix-free: ``L x = deg * x - A x``), inflated by
-    ``(1 + tol)`` and capped at the certified Anderson-Morley bound
-    ``max_edge(deg_i + deg_j)``. If the matvec cap ``max_iter`` is hit, that
-    bound is returned as is; it never exceeds the Gershgorin bound
+    Lanczos (:func:`power_iteration_norm`) for ``lambda_max(B B^T)`` on the
+    solver's own edge scans ``B (B^T x)``, inflated by ``(1 + tol)`` and
+    capped at the certified Anderson-Morley bound ``max_edge(deg_i + deg_j)``
+    (unweighted degrees). If the matvec cap ``max_iter`` is hit, that bound
+    is returned as is; it never exceeds the Gershgorin bound
     ``2 * max_degree``. Overestimating is safe for consumers that need a
     feasible step size; underestimating is not.
     """
     if g.m == 0:
         raise ValueError("graph has no edges")
-    counts = np.bincount(g.edges.ravel(), minlength=g.n).astype(np.float64)
+    counts = np.bincount(g.edges.ravel(), minlength=g.n)
     edge_bound = float((counts[g.edges[:, 0]] + counts[g.edges[:, 1]]).max())
     estimate, _, converged = power_iteration_norm(
-        lambda x: counts * x - _unweighted_matvec(g, x), g.n,
+        lambda x: edge_differences_adjoint(g, edge_differences(g, x)), g.n,
         tol=0.5 * tol, max_iter=max_iter)
     return min((1.0 + tol) * estimate, edge_bound) if converged else edge_bound
 

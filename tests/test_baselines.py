@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import random_graph
+from conftest import near_bipartite, random_graph
 from dense_oracles import dense_cross_check
 import dks.baselines as baselines_mod
 from dks.baselines import (
@@ -18,6 +18,7 @@ import dks.graph as graph_mod
 from dks.cli import main as cli_main
 from dks.graph import (
     Graph,
+    adjacency_matvec,
     incidence_norm_sq_upper,
     load_edge_list,
     power_iteration_norm,
@@ -92,6 +93,10 @@ class TestTruncatedPowerMethod:
             assert vs.subgraph_weight >= first.subgraph_weight - 1e-12
 
 
+def cycle(n):
+    return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+
+
 class TestTopTwoSingular:
     def test_triangle(self, k3):
         sp = top_two_singular(k3)
@@ -133,6 +138,20 @@ class TestTopTwoSingular:
                 assert bound == min(g.weights.max(), sp.sigma1 / (k - 1))
                 best, _ = brute_force_dks(g, k)
                 assert bound >= best.density - 1e-9
+
+    @pytest.mark.parametrize("max_iter", [1, 2, 3, 7, 13, 14, 30])
+    def test_each_run_spends_at_most_max_iter_matvecs(self, max_iter, monkeypatch):
+        # a D^2 product is two adjacency matvecs, so the deflated run gets
+        # max_iter // 2 of them; on C201 neither run converges this early
+        calls = []
+
+        def counted(g, x):
+            calls.append(1)
+            return adjacency_matvec(g, x)
+
+        monkeypatch.setattr(baselines_mod, "adjacency_matvec", counted)
+        assert not top_two_singular(cycle(201), max_iter=max_iter).converged
+        assert len(calls) <= 2 * max_iter
 
 
 class TestRank1:
@@ -268,6 +287,33 @@ class TestCliqueUnions:
             for k in range(2, g.n):
                 best, _ = brute_force_dks(g, k)
                 assert density_upper_bound(g, k, sp) >= best.density - 1e-9, k
+
+
+NEARLY_EQUAL_ENDS = {
+    **{f"C{n}": (lambda n=n: cycle(n)) for n in (51, 101, 201, 401)},
+    "near_bipartite(150,12,5)": lambda: near_bipartite(150, 12, 5),
+}
+
+
+class TestNearlyEqualEnds:
+    # lambda_min is within 1% of lambda_max in magnitude: the odd cycles have
+    # 2 and -2cos(pi/n), near_bipartite 3 and -2.9868830. A Ritz pair chosen by
+    # largest |theta| once certified lambda_min as sigma1 on all five (on the
+    # near-bipartite graph the bound then fell below greedy's density at
+    # k = 299), and a deflated run on D rather than D^2 certified the wrong
+    # end for sigma2 (C201: 1.999023 against 1.999756).
+    @pytest.mark.parametrize("name", list(NEARLY_EQUAL_ENDS))
+    def test_spectral_pair_and_bound(self, name):
+        g = NEARLY_EQUAL_ENDS[name]()
+        sp = top_two_singular(g)
+        svals = np.sort(np.abs(dense_cross_check(g).adjacency_eigenvalues))[::-1]
+        assert sp.converged
+        assert svals[0] <= sp.sigma1 <= svals[0] * (1 + 1e-4)
+        assert svals[1] <= sp.sigma2 <= svals[1] * (1 + 1e-4)
+        for k in range(2, g.n):
+            bound = density_upper_bound(g, k, sp)
+            for vs in (greedy_feige(g, k), truncated_power_method(g, k), rank1_dks(g, k, sp)):
+                assert bound >= vs.density, (k, vs.members)
 
 
 class TestMatvecCounts:

@@ -8,9 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import near_bipartite
 import dks
 from dks.cli import CSV_HEADER, emit_plot_data, main
-from dks.graph import VertexSet, load_edge_list
+from dks.graph import VertexSet, load_edge_list, write_edge_list
 from dks.oracles import brute_force_dks
 
 
@@ -450,6 +451,25 @@ class TestSweep:
                 rc = main(["sweep", "--graph", graph, "--k-list", "4", "--methods", "ladmm-fw",
                            "--out", str(tmp_path / "x.csv"), *flag])
                 assert rc == 2, flag
+
+
+class TestNearlyEqualEnds:
+    def test_bound_holds_on_near_bipartite_graph(self, tmp_path, capsys):
+        # lambda_min = -2.9868830 against lambda_max = 3: a sigma1 certified on
+        # the wrong end made both commands abort with an internal error, the
+        # bound falling below greedy's density at k = 299
+        graph, out = tmp_path / "near_bipartite.txt", tmp_path / "sweep.csv"
+        write_edge_list(near_bipartite(150, 12, 5), str(graph))
+        assert main(["sweep", "--graph", str(graph), "--k-list", "280,299",
+                     "--methods", "greedy,tpm,rank1", "--out", str(out)]) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert len(rows) == 2 * 4
+        assert all(float(r[4]) >= float(r[2]) for r in rows)
+        capsys.readouterr()
+        assert main(["solve", "--graph", str(graph), "--k", "299", "--method", "greedy",
+                     "--bound", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["upper_bound"] >= payload["density"]
 
 
 class TestGen:

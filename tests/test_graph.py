@@ -639,10 +639,9 @@ SPECTRAL_CASES = _spectral_cases()
 def _operators(g):
     """The two operators the library runs Lanczos on: W and the Laplacian of λ̂."""
     dense = dense_cross_check(g)
-    counts = np.bincount(g.edges.ravel(), minlength=g.n).astype(np.float64)
     return [
         ("W", lambda x: adjacency_matvec(g, x), dense.adjacency_eigenvalues),
-        ("L", lambda x: counts * x - graph_mod._unweighted_matvec(g, x),
+        ("L", lambda x: edge_differences_adjoint(g, edge_differences(g, x)),
          dense.laplacian_eigenvalues),
     ]
 
@@ -660,7 +659,7 @@ class TestPowerIterationNorm:
             assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-12)
             image = matvec(vec)
             mu = float(vec @ image)
-            assert abs(mu) == pytest.approx(sigma, rel=1e-12, abs=1e-15)
+            assert mu == pytest.approx(sigma, rel=1e-12, abs=1e-15)
             assert np.linalg.norm(image - mu * vec) <= 0.5 * tol * sigma * (1 + 1e-9)
             ref_sigma, _, ref_converged = power_iteration_norm_reference(matvec, g.n, tol)
             ref_right = ref_converged and abs(ref_sigma - true) <= tol * true
@@ -695,6 +694,18 @@ class TestPowerIterationNorm:
         assert sigma == pytest.approx(100.0, rel=1e-6)
         mu = float(vec @ (d * vec))
         assert np.linalg.norm(d * vec - mu * vec) <= 0.5e-6 * sigma * (1 + 1e-9)
+
+    def test_returns_the_top_signed_eigenvalue(self):
+        # the top, not the eigenvalue of largest magnitude: ends nearly equal
+        # in magnitude once gave either, each with converged=True
+        rng = np.random.default_rng(0)
+        bulk = rng.uniform(-4.86, 4.86, 1998)
+        for d, top in ((np.concatenate([bulk, [5.0067, -5.0073]]), 5.0067),
+                       (-np.arange(1.0, 6.0), -1.0), (-np.ones(4), -1.0)):
+            for seed in range(5):
+                sigma, _, converged = power_iteration_norm(lambda x: d * x, d.size, 1e-6,
+                                                           max_iter=20000, seed=seed)
+                assert converged and sigma == pytest.approx(top, rel=1e-6), (top, seed)
 
     def test_reference_certifies_a_subdominant_eigenvalue(self):
         # the defect Lanczos removes: on 2 x K4 plus a disjoint edge (n = 10)
