@@ -30,7 +30,6 @@ from .baselines import (
     truncated_power_method,
 )
 from .graph import (
-    EdgeListParseError,
     Graph,
     check_k,
     incidence_norm_sq_upper,
@@ -87,14 +86,12 @@ class SweepRecord:
 
 
 def _solver_config(args) -> SolverConfig:
-    """Solver settings from the flags; checks them and ``--fw-max-iter`` before any input is read."""
+    """Solver settings from the flags; checks them before any input is read."""
     cfg = SolverConfig(eps_abs=args.eps_abs, eps_rel=args.eps_rel, max_iter=args.max_iter)
     try:
         cfg.validate()
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    if args.fw_max_iter < 1:
-        raise UsageError("--fw-max-iter must be at least 1")
     return cfg
 
 
@@ -113,16 +110,15 @@ def _bound_ratio(density: float, ub: float, where: str) -> float:
     return density / ub if ub > 0 else float("nan")
 
 
-def _run_method(g, k, method, fw_max_iter, relax_report, sp):
-    """Dispatch one method; returns (vertex_set, iters, converged, extra_seconds, details).
+def _run_method(g, k, method, relax_report, sp):
+    """Dispatch one validated method; returns (vertex_set, iters, converged, details).
 
-    `extra_seconds` charges the (possibly shared) relaxation solve to the
-    methods that consume it; `sp` is the graph's spectral pair, needed only
-    by `rank1`. `details` holds the method's own report fields for `solve`:
-    the relaxation's duality certificate and, for `ladmm-fw`, why Frank-Wolfe
-    stopped and how far its final iterate is from integral. An `ladmm-fw`
-    row is converged only when the relaxation converged and Frank-Wolfe
-    stopped before its iteration cap.
+    `sp` is the graph's spectral pair, needed only by `rank1`. `details`
+    holds the method's own report fields for `solve`: the relaxation's
+    duality certificate and, for `ladmm-fw`, why Frank-Wolfe stopped and how
+    far its final iterate is from integral. An `ladmm-fw` row is converged
+    only when the relaxation converged and Frank-Wolfe stopped before its
+    default iteration cap.
     """
     if method in RELAX_METHODS:
         if relax_report is None:
@@ -130,25 +126,21 @@ def _run_method(g, k, method, fw_max_iter, relax_report, sp):
         details = {"dual_bound": relax_report.dual_bound, "gap": relax_report.gap}
     if method == "ladmm-project":
         vset = project_topk(g, relax_report.x_avg, k)
-        return (vset, relax_report.iters, relax_report.converged,
-                relax_report.wall_time, details)
+        return vset, relax_report.iters, relax_report.converged, details
     if method == "ladmm-fw":
-        fw = frank_wolfe_refine(g, k, relax_report.x_avg, fw_max_iter)
+        fw = frank_wolfe_refine(g, k, relax_report.x_avg)
         details.update(fw_stop_reason=fw.stop_reason, integrality_gap=fw.integrality_gap)
         return (fw.selected, relax_report.iters + fw.iters,
-                relax_report.converged and fw.stop_reason != "max-iter",
-                relax_report.wall_time, details)
+                relax_report.converged and fw.stop_reason != "max-iter", details)
     if method == "greedy":
-        return greedy_feige(g, k), 0, True, 0.0, {}
+        return greedy_feige(g, k), 0, True, {}
     if method == "tpm":
         x0 = relax_report.x_avg if relax_report is not None else None
-        return truncated_power_method(g, k, x0), 0, True, 0.0, {}
+        return truncated_power_method(g, k, x0), 0, True, {}
     if method == "rank1":
-        return rank1_dks(g, k, sp), 0, sp.converged, 0.0, {}
-    if method == "brute":
-        vset, _ = brute_force_dks(g, k)
-        return vset, 0, True, 0.0, {}
-    raise UsageError(f"unknown method {method!r}")
+        return rank1_dks(g, k, sp), 0, sp.converged, {}
+    vset, _ = brute_force_dks(g, k)
+    return vset, 0, True, {}
 
 
 # ---------------------------------------------------------------------------
@@ -167,8 +159,7 @@ def run_single(args) -> int:
     relax_report = None
     if args.method in RELAX_METHODS:
         relax_report = solve_lovasz_relaxation(g, k, solver_cfg, lambda_hat)
-    vset, iters, converged, _, details = _run_method(
-        g, k, args.method, args.fw_max_iter, relax_report, sp)
+    vset, iters, converged, details = _run_method(g, k, args.method, relax_report, sp)
     runtime_ms = (time.perf_counter() - start) * 1e3
 
     payload = {
@@ -219,14 +210,17 @@ def run_single(args) -> int:
 # sweep
 
 
-def _sweep_one_k(g, k, methods, solver_cfg, fw_max_iter, sp, lambda_hat, no_timing):
+def _sweep_one_k(g, k, methods, solver_cfg, sp, lambda_hat, no_timing):
     records = []
     relax_report = None
+    relax_s = 0.0   # the shared relaxation solve, charged to each row that rounds it
     if any(m in RELAX_METHODS for m in methods):
+        start = time.perf_counter()
         try:
             relax_report = solve_lovasz_relaxation(g, k, solver_cfg, lambda_hat)
         except Exception as exc:  # consumers record the failure row by row
             print(f"warning: k={k} relaxation solve failed: {exc}", file=sys.stderr)
+        relax_s = time.perf_counter() - start
 
     start = time.perf_counter()
     ub = density_upper_bound(g, k, sp)
@@ -237,17 +231,15 @@ def _sweep_one_k(g, k, methods, solver_cfg, fw_max_iter, sp, lambda_hat, no_timi
         runtime_ms=0.0 if no_timing else bound_ms))
 
     for method in methods:
-        start = time.perf_counter()
+        start = time.perf_counter() - (relax_s if method in RELAX_METHODS else 0.0)
         try:
-            vset, iters, converged, extra, _ = _run_method(
-                g, k, method, fw_max_iter, relax_report, sp)
-            elapsed_ms = (time.perf_counter() - start + extra) * 1e3
+            vset, iters, converged, _ = _run_method(g, k, method, relax_report, sp)
             density, weight = vset.density, vset.subgraph_weight
         except Exception as exc:  # a failed cell must not abort the sweep
             print(f"warning: k={k} method={method} failed: {exc}", file=sys.stderr)
-            elapsed_ms = (time.perf_counter() - start) * 1e3
             density = weight = float("nan")
             iters, converged = 0, False
+        elapsed_ms = (time.perf_counter() - start) * 1e3
         records.append(SweepRecord(
             k=k, method=method, density=density, weight=weight, upper_bound=ub,
             bound_ratio=_bound_ratio(density, ub, f"k={k} method={method} "),
@@ -297,8 +289,7 @@ def run_sweep(args) -> int:
         lambda_hat = incidence_norm_sq_upper(g)
 
     def work(k):
-        return _sweep_one_k(g, k, methods, solver_cfg, args.fw_max_iter, sp, lambda_hat,
-                            args.no_timing)
+        return _sweep_one_k(g, k, methods, solver_cfg, sp, lambda_hat, args.no_timing)
 
     if args.threads == 1:
         blocks = [work(k) for k in ks]
@@ -405,8 +396,6 @@ def _add_solver_args(sp) -> None:
                     help="relative stopping tolerance (default 1e-3)")
     sp.add_argument("--max-iter", type=int, default=3000,
                     help="solver iteration cap (default 3000)")
-    sp.add_argument("--fw-max-iter", type=int, default=100,
-                    help="Frank-Wolfe iteration cap (default 100)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -470,10 +459,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (NumericalDivergenceError, BoundViolationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (EdgeListParseError, ValueError, OSError) as exc:
+    except (NumericalDivergenceError, BoundViolationError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -80,7 +80,7 @@ class Graph:
 
         Pairs may come in either orientation but must be free of self-loops and
         duplicates (merge duplicates before calling; :func:`load_edge_list`
-        does). Weights default to 1 and must be strictly positive and finite.
+        does). Weights default to 1 and must be positive, finite and of finite total.
         """
         if not 1 <= n <= _MAX_VERTICES:
             raise ValueError(f"vertex count must lie in [1, {_MAX_VERTICES}], got {n}")
@@ -95,6 +95,9 @@ class Graph:
             raise ValueError("self-loops are not allowed")
         if not np.isfinite(w).all() or (w <= 0).any():
             raise ValueError("edge weights must be positive and finite")
+        with np.errstate(over="ignore"):   # every degree and subgraph weight sums part of it
+            if not np.isfinite(2 * w.sum()):
+                raise ValueError("total edge weight overflows")
         key = _edge_key(e[:, 0], e[:, 1], n)
         order = np.argsort(key, kind="stable")
         key = key[order]

@@ -21,6 +21,9 @@ __all__ = [
     "generate_planted",
 ]
 
+# generate_planted draws over every vertex pair, about 12 bytes each at peak
+_MAX_PAIRS = 10**7
+
 
 def _dense_adjacency(g: Graph) -> np.ndarray:
     W = np.zeros((g.n, g.n))
@@ -75,10 +78,13 @@ def generate_planted(n: int, k: int, p: float, seed: int) -> PlantedInstance:
     """Erdős-Rényi background ``G(n, p)`` plus a clique on k uniform vertices.
 
     Deterministic for a fixed seed. The planted set always induces edge
-    density exactly 1.0 in the generated graph.
+    density exactly 1.0 in the generated graph. Refuses instances with more
+    than ``_MAX_PAIRS`` vertex pairs.
     """
     if not 2 <= k <= n:
         raise ValueError(f"k must lie in [2, {n}], got {k}")
+    if n * (n - 1) // 2 > _MAX_PAIRS:
+        raise ValueError(f"n = {n} exceeds the generator's limit of {_MAX_PAIRS} vertex pairs")
     if not 0 <= p < 1:
         raise ValueError(f"p must lie in [0, 1), got {p}")
     rng = np.random.default_rng(seed)

@@ -25,8 +25,7 @@ solves over a shared (immutable) Graph are safe.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -118,7 +117,6 @@ class SolverReport:
     gap: float
     mu: float
     lambda_hat: float
-    wall_time: float = field(default=0.0)
 
 
 def lovasz_objective(g: Graph, x) -> float:
@@ -165,7 +163,6 @@ def solve_lovasz_relaxation(g: Graph, k: int, cfg: SolverConfig | None = None,
     if lambda_hat is not None and not (np.isfinite(lambda_hat) and lambda_hat > 0):
         raise ValueError("lambda_hat must be positive and finite")
 
-    start = time.perf_counter()
     if lambda_hat is None:
         lambda_hat = incidence_norm_sq_upper(g)
     rho = RHO_START
@@ -240,5 +237,4 @@ def solve_lovasz_relaxation(g: Graph, k: int, cfg: SolverConfig | None = None,
         gap=gap,
         mu=mu,
         lambda_hat=lambda_hat,
-        wall_time=time.perf_counter() - start,
     )

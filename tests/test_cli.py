@@ -69,23 +69,29 @@ class TestSolve:
             assert f"dual_bound: {payload['dual_bound']!r}" in text
             assert f"gap: {payload['gap']!r}" in text
 
-    def test_ladmm_fw_converged_needs_frank_wolfe_to_finish(self, k4k2_file, capsys):
-        def solve(method, *extra):
-            assert main(["solve", "--graph", k4k2_file, "--k", "4", "--method", method,
-                         "--json", *extra]) == 0
+    def test_ladmm_fw_converged_needs_frank_wolfe_to_finish(self, k4k2_file, fixture_file,
+                                                            capsys):
+        def solve(graph, method):
+            assert main(["solve", "--graph", graph, "--k", "4", "--method", method,
+                         "--json"]) == 0
             return json.loads(capsys.readouterr().out)
 
-        relax_iters = solve("ladmm-project")["iters"]
-        full = solve("ladmm-fw")
+        relax_iters = solve(k4k2_file, "ladmm-project")["iters"]
+        full = solve(k4k2_file, "ladmm-fw")
         assert full["iters"] - relax_iters > 1   # Frank-Wolfe takes more than one step here
         assert full["converged"] is True
         assert full["fw_stop_reason"] in ("stationary", "objective")
         assert full["integrality_gap"] == 0.0
-        capped = solve("ladmm-fw", "--fw-max-iter", "1")
-        assert capped["iters"] == relax_iters + 1
+        # inside the fixture's planted 6-clique Frank-Wolfe creeps toward a
+        # fractional stationary point and uses up its cap of 100 steps
+        relax = solve(fixture_file, "ladmm-project")
+        capped = solve(fixture_file, "ladmm-fw")
+        assert relax["converged"] is True
+        assert capped["iters"] == relax["iters"] + 100
         assert capped["converged"] is False
         assert capped["fw_stop_reason"] == "max-iter"
-        assert capped["integrality_gap"] >= 0.0
+        assert capped["integrality_gap"] > 0.0
+        assert capped["density"] == 1.0
 
     def test_unconverged_bound_reported(self, fixture_file, capsys, monkeypatch):
         import dks.cli as cli_mod
@@ -168,7 +174,8 @@ class TestSolve:
 
     @pytest.mark.parametrize("command", ["solve", "sweep"])
     @pytest.mark.parametrize("flag", ["--bisect-eps=1e-6", "--prox-scale=literal", "--thin=2",
-                                      "--fw-step=lipschitz", "--rho=0.1", "--alpha=1.8"])
+                                      "--fw-step=lipschitz", "--rho=0.1", "--alpha=1.8",
+                                      "--fw-max-iter=100"])
     def test_removed_solver_flags_rejected(self, k4k2_file, tmp_path, command, flag):
         argv = {"solve": ["solve", "--k", "4", "--method", "greedy"],
                 "sweep": ["sweep", "--k-list", "4", "--methods", "greedy",
@@ -176,6 +183,16 @@ class TestSolve:
         with pytest.raises(SystemExit) as exc:
             main(argv + ["--graph", k4k2_file, flag])
         assert exc.value.code == 2
+
+    def test_weight_total_overflow_exits_1_without_traceback(self, tmp_path):
+        path = tmp_path / "huge.txt"
+        path.write_text("0 1 1e308\n1 2 1e308\n0 2 1e308\n2 3 1\n")
+        proc = _run_dks(["solve", "--graph", str(path), "--weighted", "--k", "3",
+                         "--method", "greedy", "--json"], text=True)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error:")
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
 
     def test_stdin_dash(self, k4k2_file):
         with open(k4k2_file, "rb") as f:
@@ -253,7 +270,7 @@ class TestSweep:
     def test_threads_flag_same_rows(self, fixture_file, tmp_path, capsys):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         base = ["sweep", "--graph", fixture_file, "--k-list", "4,6",
-                "--methods", "greedy,rank1", "--no-timing"]
+                "--methods", "ladmm-fw,ladmm-project,greedy,tpm,rank1", "--no-timing"]
         assert main(base + ["--threads", "1", "--out", str(a)]) == 0
         assert main(base + ["--threads", "3", "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
@@ -407,13 +424,14 @@ class TestSweep:
         assert rows["ladmm-fw"][7] == "false" and rows["ladmm-fw"][2] == "nan"
         assert rows["greedy"][7] == "true"
 
-    def test_ladmm_fw_row_not_converged_at_fw_cap(self, k4k2_file, tmp_path, capsys):
+    def test_ladmm_fw_row_not_converged_at_fw_cap(self, fixture_file, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
-        assert main(["sweep", "--graph", k4k2_file, "--k-list", "4", "--methods",
-                     "ladmm-fw,ladmm-project", "--fw-max-iter", "1", "--out", str(out)]) == 0
+        assert main(["sweep", "--graph", fixture_file, "--k-list", "4", "--methods",
+                     "ladmm-fw,ladmm-project", "--out", str(out)]) == 0
         rows = {r.split(",")[1]: r.split(",") for r in out.read_text().splitlines()[1:]}
         assert rows["ladmm-project"][7] == "true"
         assert rows["ladmm-fw"][7] == "false"
+        assert int(rows["ladmm-fw"][6]) == int(rows["ladmm-project"][6]) + 100
 
     def test_single_solve_other_methods(self, k4k2_file, capsys):
         for method in ("tpm", "rank1", "ladmm-project"):
@@ -441,7 +459,7 @@ class TestSweep:
         assert "got 100000000000000000000" in capsys.readouterr().err
         # solver and thread flags, the methods and the grid's syntax are
         # checked before the graph is read; only the grid against n after it
-        for flag in (["--max-iter", "0"], ["--fw-max-iter", "0"], ["--eps-abs", "0"],
+        for flag in (["--max-iter", "0"], ["--eps-abs", "0"],
                      ["--eps-rel", "-1"], ["--threads", "0"], ["--methods", "bogus"],
                      ["--methods", ","], ["--k-list", "4,x"], ["--k-list", ","],
                      ["--k-list", "", "--k-min", "2"],
@@ -494,7 +512,9 @@ class TestGen:
         assert a.read_bytes() == b.read_bytes()
 
     def test_param_validation(self, tmp_path, capsys):
-        for n, k, p in ((5, 9, 0.1), (5, 1, 0.1), (5, 3, 1.0), (2, 2, 0.1)):
+        # a million vertices would need about 12 bytes for each of 5e11 pairs
+        for n, k, p in ((5, 9, 0.1), (5, 1, 0.1), (5, 3, 1.0), (2, 2, 0.1),
+                        (1000000, 10, 0.00001)):
             rc = main(["gen", "--n", str(n), "--k", str(k), "--p", str(p), "--seed", "0",
                        "--out", str(tmp_path / "x.txt")])
             assert rc == 2, (n, k, p)

@@ -1,6 +1,7 @@
 import gzip
 import io
 import itertools
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -487,6 +488,16 @@ class TestFromEdges:
     def test_rejects_bad_weight(self):
         with pytest.raises(ValueError):
             Graph.from_edges(2, [(0, 1)], weights=[-1.0])
+
+    def test_rejects_weights_whose_total_overflows(self):
+        # degrees and subgraph weights are partial sums of twice the total
+        # weight; refused without a numpy overflow warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for n, weights in ((2, [1e308]), (3, [1e308, 1e308, 1e308])):
+                with pytest.raises(ValueError, match="total edge weight overflows"):
+                    Graph.from_edges(n, list(itertools.combinations(range(n), 2)), weights)
+            assert Graph.from_edges(2, [(0, 1)], [5e307]).degree.tolist() == [5e307, 5e307]
 
     def test_arrays_immutable(self, k3):
         with pytest.raises(ValueError):
