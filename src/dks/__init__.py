@@ -31,7 +31,6 @@ from .prox import CappedSimplexParams, cardinality_gap, prox_capped_simplex, shr
 from .rounding import FrankWolfeResult, frank_wolfe_refine, project_topk
 from .solver import (
     NumericalDivergenceError,
-    SolverConfig,
     SolverReport,
     lovasz_objective,
     solve_lovasz_relaxation,

@@ -124,16 +124,19 @@ def top_two_singular(g: Graph, tol: float = 1e-6, max_iter: int = 20000) -> Spec
     repeated top eigenvalue (two identical largest components) gives
     ``sigma2 = sigma1``. Ritz values approach the top from below, so both
     estimates are inflated by ``(1 + 10*tol)``: the density bound must err on
-    the loose side. If either run hits its cap, both fall back to the maximum
+    the loose side. Both runs work on W divided by its largest weight, so
+    that ``D^2`` neither overflows nor underflows, and the estimates are
+    multiplied back. If either run hits its cap, both fall back to the maximum
     weighted degree, a certified bound on ``||W||``, flagged ``converged = False``.
     """
     if g.m == 0:
         raise ValueError("graph has no edges")
+    scale = float(g.weights.max())
     sigma1, u1, ok1 = power_iteration_norm(
-        lambda x: adjacency_matvec(g, x), g.n, tol, max_iter)
+        lambda x: adjacency_matvec(g, x) / scale, g.n, tol, max_iter)
 
     def deflated(x):
-        return adjacency_matvec(g, x) - sigma1 * (u1 @ x) * u1
+        return adjacency_matvec(g, x) / scale - sigma1 * (u1 @ x) * u1
 
     square, _, ok2 = power_iteration_norm(lambda x: deflated(deflated(x)), g.n, tol,
                                           max_iter // 2, seed=_DEFLATED_SEED)
@@ -143,7 +146,8 @@ def top_two_singular(g: Graph, tol: float = 1e-6, max_iter: int = 20000) -> Spec
     inflate = 1.0 + 10.0 * tol
     sigma1 *= inflate
     # deflation noise can nudge sigma2 past sigma1; the ordering is structural
-    sigma2 = min(math.sqrt(square) * inflate, sigma1)
+    sigma2 = min(math.sqrt(square) * inflate, sigma1) * scale
+    sigma1 *= scale
     return SpectralPair(sigma1=sigma1, u1=u1, sigma2=sigma2)
 
 

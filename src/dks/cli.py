@@ -38,7 +38,7 @@ from .graph import (
 )
 from .oracles import brute_force_dks, generate_planted
 from .rounding import frank_wolfe_refine, project_topk
-from .solver import NumericalDivergenceError, SolverConfig, solve_lovasz_relaxation
+from .solver import NumericalDivergenceError, solve_lovasz_relaxation
 
 __all__ = ["main", "SweepRecord", "run_single", "run_sweep", "run_gen", "emit_plot_data"]
 
@@ -83,16 +83,6 @@ class SweepRecord:
             "true" if self.converged else "false",
             repr(float(self.runtime_ms)),
         ])
-
-
-def _solver_config(args) -> SolverConfig:
-    """Solver settings from the flags; checks them before any input is read."""
-    cfg = SolverConfig(eps_abs=args.eps_abs, eps_rel=args.eps_rel, max_iter=args.max_iter)
-    try:
-        cfg.validate()
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-    return cfg
 
 
 def _check_k(g: Graph, k: int) -> None:
@@ -148,7 +138,6 @@ def _run_method(g, k, method, relax_report, sp):
 
 
 def run_single(args) -> int:
-    solver_cfg = _solver_config(args)
     g = load_edge_list(args.graph, weighted=args.weighted)
     k = args.k
     _check_k(g, k)
@@ -158,7 +147,7 @@ def run_single(args) -> int:
     start = time.perf_counter()
     relax_report = None
     if args.method in RELAX_METHODS:
-        relax_report = solve_lovasz_relaxation(g, k, solver_cfg, lambda_hat)
+        relax_report = solve_lovasz_relaxation(g, k, lambda_hat)
     vset, iters, converged, details = _run_method(g, k, args.method, relax_report, sp)
     runtime_ms = (time.perf_counter() - start) * 1e3
 
@@ -210,14 +199,14 @@ def run_single(args) -> int:
 # sweep
 
 
-def _sweep_one_k(g, k, methods, solver_cfg, sp, lambda_hat, no_timing):
+def _sweep_one_k(g, k, methods, sp, lambda_hat, no_timing):
     records = []
     relax_report = None
     relax_s = 0.0   # the shared relaxation solve, charged to each row that rounds it
     if any(m in RELAX_METHODS for m in methods):
         start = time.perf_counter()
         try:
-            relax_report = solve_lovasz_relaxation(g, k, solver_cfg, lambda_hat)
+            relax_report = solve_lovasz_relaxation(g, k, lambda_hat)
         except Exception as exc:  # consumers record the failure row by row
             print(f"warning: k={k} relaxation solve failed: {exc}", file=sys.stderr)
         relax_s = time.perf_counter() - start
@@ -271,7 +260,6 @@ def _parse_k_grid(args):
 def run_sweep(args) -> int:
     if args.threads < 1:
         raise UsageError("--threads must be at least 1")
-    solver_cfg = _solver_config(args)
     ks = _parse_k_grid(args)
     methods = sorted({m.strip() for m in args.methods.split(",") if m.strip()})
     for m in methods:
@@ -289,7 +277,7 @@ def run_sweep(args) -> int:
         lambda_hat = incidence_norm_sq_upper(g)
 
     def work(k):
-        return _sweep_one_k(g, k, methods, solver_cfg, sp, lambda_hat, args.no_timing)
+        return _sweep_one_k(g, k, methods, sp, lambda_hat, args.no_timing)
 
     if args.threads == 1:
         blocks = [work(k) for k in ks]
@@ -389,15 +377,6 @@ def _add_graph_args(sp) -> None:
                     help="parse 'u v w' lines instead of 'u v'")
 
 
-def _add_solver_args(sp) -> None:
-    sp.add_argument("--eps-abs", type=float, default=1e-3,
-                    help="absolute stopping tolerance (default 1e-3; use 1e-4 for very large graphs)")
-    sp.add_argument("--eps-rel", type=float, default=1e-3,
-                    help="relative stopping tolerance (default 1e-3)")
-    sp.add_argument("--max-iter", type=int, default=3000,
-                    help="solver iteration cap (default 3000)")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dks",
@@ -413,7 +392,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="also compute the rank-1 density upper bound")
     solve.add_argument("--json", action="store_true", help="machine-readable output")
     solve.add_argument("--out", metavar="PATH", help="also write the report to a file")
-    _add_solver_args(solve)
     solve.set_defaults(handler=run_single)
 
     sweep = sub.add_parser("sweep", help="run methods over a k grid, writing CSV")
@@ -432,7 +410,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "1 guarantees bit-reproducible output)")
     sweep.add_argument("--no-timing", action="store_true",
                        help="write runtime_ms as 0.0 for byte-reproducible CSV")
-    _add_solver_args(sweep)
     sweep.set_defaults(handler=run_sweep)
 
     gen = sub.add_parser("gen", help="generate a planted-clique fixture")

@@ -17,7 +17,7 @@ The penalty ``rho`` adapts by residual balancing for the first
 convergence argument covers the tail. Since ``rho u`` always lies in the box
 ``|y_e| <= w_e``, every iteration also yields an LP dual bound on
 ``min f_L``; a solve stops only once the final iterate's objective is within
-``eps_rel`` of that bound, a certificate that a moving ``rho`` cannot fool.
+``EPS_REL`` of that bound, a certificate that a moving ``rho`` cannot fool.
 
 A solve is sequential over iterations and confined to local state; concurrent
 solves over a shared (immutable) Graph are safe.
@@ -41,7 +41,6 @@ from .graph import (
 from .prox import CappedSimplexParams, prox_capped_simplex, shrinkage
 
 __all__ = [
-    "SolverConfig",
     "SolverReport",
     "NumericalDivergenceError",
     "lovasz_objective",
@@ -56,37 +55,13 @@ BALANCE_EVERY = 10
 BALANCE_UNTIL = 200
 BALANCE_RATIO = 10.0
 BALANCE_FACTOR = 2.0
+# the stopping tolerances of solve_lovasz_relaxation, for weights divided by the largest one
+EPS_ABS = 1e-3
+EPS_REL = 1e-3
 
 
 class NumericalDivergenceError(RuntimeError):
     """A solver iterate became non-finite."""
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    """The stopping rule of the linearized ADMM solver.
-
-    Defaults: stopping tolerances ``eps_abs = eps_rel = 1e-3`` and a cap of
-    3000 iterations. ``1e-4`` tolerances are the documented setting for very
-    large graphs. The penalty is not a setting: it starts at ``RHO_START``
-    and residual balancing moves it by factors of 2 during the first
-    ``BALANCE_UNTIL`` iterations; the over-relaxation is the fixed ``ALPHA``.
-    Nor is the proximal step: it is always the certified
-    ``mu = 1/(rho * lambda_hat)`` for the current ``rho``, with
-    ``lambda_hat`` a safe upper estimate of ``||B||^2``, and the x-update is
-    the prox of ``g/mu``, so the capped-simplex prox gets ``tau = 1/mu``.
-    """
-
-    eps_abs: float = 1e-3
-    eps_rel: float = 1e-3
-    max_iter: int = 3000
-
-    def validate(self) -> None:
-        for name in ("eps_abs", "eps_rel"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
 
 
 @dataclass(eq=False)
@@ -100,9 +75,11 @@ class SolverReport:
     ``eps_pri_final`` and ``eps_dual_final``. ``dual_bound`` is the LP dual
     bound of the last iteration, a certified lower bound on ``min f_L`` (up
     to roundoff), and ``gap`` is ``lovasz_objective(g, x_last) - dual_bound``.
-    ``converged`` means both residual tests and
-    ``gap <= eps_rel * max(1, |dual_bound|)`` held. ``mu`` is the final
-    proximal step, ``1/(rho * lambda_hat)`` at the final ``rho``.
+    ``converged`` means both residual tests and ``gap <= EPS_REL *
+    max(scale, |dual_bound|)`` held, ``scale`` the largest weight: only
+    ``dual_bound`` and ``gap`` are in weight units, the rest of the run
+    works on weights over ``scale``. ``mu`` is the final proximal step,
+    ``1/(rho * lambda_hat)`` at the final ``rho``.
     """
 
     x_avg: np.ndarray
@@ -125,8 +102,8 @@ def lovasz_objective(g: Graph, x) -> float:
     return float(g.weights @ np.abs(edge_differences(g, x)) - g.degree @ x)
 
 
-def solve_lovasz_relaxation(g: Graph, k: int, cfg: SolverConfig | None = None,
-                            lambda_hat: float | None = None) -> SolverReport:
+def solve_lovasz_relaxation(g: Graph, k: int, lambda_hat: float | None = None,
+                            max_iter: int = 3000) -> SolverReport:
     """Solve the Lovász relaxation at cardinality ``k`` with linearized ADMM.
 
     Per iteration: an x-update through the capped-simplex prox at the
@@ -137,13 +114,14 @@ def solve_lovasz_relaxation(g: Graph, k: int, cfg: SolverConfig | None = None,
     ``rho`` is doubled (halved) when the primal residual exceeds ``rho``
     times the dual residual tenfold (or the reverse); the scaled dual ``u``
     is rescaled so that ``rho u`` is unchanged, and ``mu`` is recomputed.
+    All of it runs on weights and degrees divided by the largest weight.
     Stops at ``max_iter``, or when the primal residual ``B^T x - z`` and dual
     residual ``B (z - z_prev)`` fall below
 
-        eps_pri  = sqrt(m) eps_abs + eps_rel max(||B^T x||, ||z||)
-        eps_dual = sqrt(n) eps_abs + eps_rel ||B u||
+        eps_pri  = sqrt(m) EPS_ABS + EPS_REL max(||B^T x||, ||z||)
+        eps_dual = sqrt(n) EPS_ABS + EPS_REL ||B u||
 
-    and the duality gap ``f_L(x) - D`` is at most ``eps_rel max(1, |D|)``,
+    and the duality gap ``f_L(x) - D`` is at most ``EPS_REL max(1, |D|)``,
     where ``D``, the sum of the k smallest entries of ``rho B u - degree``,
     is a lower bound on ``min f_L`` by LP weak duality because
     ``|rho u_e| <= w_e``.
@@ -151,12 +129,12 @@ def solve_lovasz_relaxation(g: Graph, k: int, cfg: SolverConfig | None = None,
     ``lambda_hat``, a safe upper estimate of ``||B||^2``, depends on the
     graph alone: callers solving at several ``k`` compute it once with
     :func:`incidence_norm_sq_upper` and pass it; by default it is computed
-    here. Raises ``ValueError`` for out-of-range ``k``, an edgeless graph or
-    a ``lambda_hat`` that is not positive and finite, and
+    here. Raises ``ValueError`` for out-of-range ``k``, an edgeless graph,
+    a ``lambda_hat`` that is not positive and finite or ``max_iter < 1``, and
     :class:`NumericalDivergenceError` when an iterate goes non-finite.
     """
-    cfg = cfg if cfg is not None else SolverConfig()
-    cfg.validate()
+    if max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
     check_k(g, k)
     if g.m == 0:
         raise ValueError("graph has no edges")
@@ -165,12 +143,14 @@ def solve_lovasz_relaxation(g: Graph, k: int, cfg: SolverConfig | None = None,
 
     if lambda_hat is None:
         lambda_hat = incidence_norm_sq_upper(g)
+    scale = float(g.weights.max())
+    degree, weights = g.degree / scale, g.weights / scale
     rho = RHO_START
-    params = CappedSimplexParams(g.degree, float(k), rho * lambda_hat)
+    params = CappedSimplexParams(degree, float(k), rho * lambda_hat)
     mu = 1.0 / params.tau
 
     x = np.zeros(g.n)
-    x[topk(g.degree, k)] = 1.0
+    x[topk(degree, k)] = 1.0
     btx = edge_differences(g, x)
     z = btx.copy()
     u = np.zeros(g.m)
@@ -181,13 +161,13 @@ def solve_lovasz_relaxation(g: Graph, k: int, cfg: SolverConfig | None = None,
     r_norm = s_norm = eps_pri = eps_dual = dual_bound = gap = np.inf
     iters = 0
 
-    for t in range(cfg.max_iter):
+    for t in range(max_iter):
         x, _ = prox_capped_simplex(
             x - mu * rho * edge_differences_adjoint(g, btx - z + u), params)
         btx = edge_differences(g, x)
         relaxed = ALPHA * btx + (1.0 - ALPHA) * z
         z_prev = z
-        z = shrinkage(relaxed + u, g.weights, rho)
+        z = shrinkage(relaxed + u, weights, rho)
         u = u + relaxed - z
         if not (np.isfinite(x).all() and np.isfinite(z).all()):
             raise NumericalDivergenceError(
@@ -199,16 +179,16 @@ def solve_lovasz_relaxation(g: Graph, k: int, cfg: SolverConfig | None = None,
         r_norm = float(np.linalg.norm(btx - z))
         s_norm = float(np.linalg.norm(edge_differences_adjoint(g, z - z_prev)))
         bu = edge_differences_adjoint(g, u)
-        eps_pri = sqrt_m * cfg.eps_abs + cfg.eps_rel * max(
+        eps_pri = sqrt_m * EPS_ABS + EPS_REL * max(
             float(np.linalg.norm(btx)), float(np.linalg.norm(z)))
-        eps_dual = sqrt_n * cfg.eps_abs + cfg.eps_rel * float(np.linalg.norm(bu))
+        eps_dual = sqrt_n * EPS_ABS + EPS_REL * float(np.linalg.norm(bu))
         # u = clip(relaxed + u_prev, +-w/rho), so y = rho u has |y_e| <= w_e and
         # f_L(x) >= (B y - degree) @ x on the capped simplex: the k smallest
         # entries of B y - degree sum to a lower bound on min f_L
-        dual_bound = float(np.partition(rho * bu - g.degree, k - 1)[:k].sum())
-        gap = float(g.weights @ np.abs(btx) - g.degree @ x) - dual_bound
+        dual_bound = float(np.partition(rho * bu - degree, k - 1)[:k].sum())
+        gap = float(weights @ np.abs(btx) - degree @ x) - dual_bound
         if (r_norm <= eps_pri and s_norm <= eps_dual
-                and gap <= cfg.eps_rel * max(1.0, abs(dual_bound))):
+                and gap <= EPS_REL * max(1.0, abs(dual_bound))):
             converged = True
             break
 
@@ -221,7 +201,7 @@ def solve_lovasz_relaxation(g: Graph, k: int, cfg: SolverConfig | None = None,
             if factor != 1.0:
                 rho *= factor
                 u = u / factor   # keeps rho u, the unscaled dual, unchanged
-                params = CappedSimplexParams(g.degree, float(k), rho * lambda_hat)
+                params = CappedSimplexParams(degree, float(k), rho * lambda_hat)
                 mu = 1.0 / params.tau
 
     return SolverReport(
@@ -233,8 +213,8 @@ def solve_lovasz_relaxation(g: Graph, k: int, cfg: SolverConfig | None = None,
         s_norm_final=s_norm,
         eps_pri_final=float(eps_pri),
         eps_dual_final=float(eps_dual),
-        dual_bound=dual_bound,
-        gap=gap,
+        dual_bound=dual_bound * scale,
+        gap=gap * scale,
         mu=mu,
         lambda_hat=lambda_hat,
     )

@@ -11,6 +11,7 @@ import time
 import numpy as np
 import pytest
 
+import dks.solver as solver_mod
 from conftest import random_feasible_batch, random_graph
 from dense_oracles import check_submodular, edmonds_lovasz
 from dks.baselines import (
@@ -30,7 +31,7 @@ from dks.graph import (
 from dks.oracles import brute_force_dks, generate_planted
 from dks.prox import CappedSimplexParams, prox_capped_simplex
 from dks.rounding import frank_wolfe_refine, project_topk
-from dks.solver import SolverConfig, lovasz_objective, solve_lovasz_relaxation
+from dks.solver import lovasz_objective, solve_lovasz_relaxation
 
 
 def _report(num, name, detail):
@@ -198,14 +199,13 @@ def test_criterion_06_solver_convergence():
     c6 = Graph.from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5)])
     k4k2 = Graph.from_edges(6, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (4, 5)])
     planted = generate_planted(120, 10, 0.05, seed=0).graph
-    defaults = SolverConfig()  # eps 1e-3, 3000 iterations
     details = []
     for g, k in ((c6, 3), (k4k2, 4), (planted, 10)):
-        report = solve_lovasz_relaxation(g, k, defaults)
+        report = solve_lovasz_relaxation(g, k)  # eps 1e-3, 3000 iterations
         assert report.converged and report.iters <= 3000
         assert report.r_norm_final <= report.eps_pri_final
         assert report.s_norm_final <= report.eps_dual_final
-        assert report.gap <= defaults.eps_rel * max(1.0, abs(report.dual_bound))
+        assert report.gap <= solver_mod.EPS_REL * max(1.0, abs(report.dual_bound))
         details.append(f"{report.iters} iters")
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0

@@ -253,6 +253,19 @@ class TestDensityUpperBound:
         with pytest.raises(ValueError):
             density_upper_bound(k3, 1, sp)
 
+    @pytest.mark.parametrize("c", [2.0**300, 2.0**-700], ids=["2**300", "2**-700"])
+    def test_scale_equivariant(self, c):
+        # W over its largest weight is the same matrix for every power-of-two
+        # multiple of the weights, so the bound moves by exactly c; squaring
+        # the deflated W itself overflows at 2**300 and underflows at 2**-700
+        rng = np.random.default_rng(8)
+        g = random_graph(rng, 30, 0.3, weighted=True)
+        scaled = Graph.from_edges(g.n, g.edges, g.weights * c)
+        sp, sp_c = top_two_singular(g), top_two_singular(scaled)
+        assert sp.converged and sp_c.converged and (sp_c.u1 == sp.u1).all()
+        for k in (2, 5, 10, 20, 29):
+            assert density_upper_bound(scaled, k, sp_c) == c * density_upper_bound(g, k, sp)
+
 
 def clique_union(copies, size, extra_edge):
     """``copies`` disjoint copies of K_size, plus one disjoint edge if ``extra_edge``."""

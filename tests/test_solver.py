@@ -15,7 +15,6 @@ from dks.oracles import brute_force_dks, generate_planted
 from dks.rounding import project_topk
 from dks.solver import (
     NumericalDivergenceError,
-    SolverConfig,
     lovasz_objective,
     solve_lovasz_relaxation,
 )
@@ -105,7 +104,7 @@ class TestSolveRelaxation:
         assert report.converged
         assert report.r_norm_final <= report.eps_pri_final
         assert report.s_norm_final <= report.eps_dual_final
-        assert report.gap <= SolverConfig().eps_rel * max(1.0, abs(report.dual_bound))
+        assert report.gap <= solver_mod.EPS_REL * max(1.0, abs(report.dual_bound))
 
     def test_deterministic(self, k4k2):
         a = solve_lovasz_relaxation(k4k2, 4)
@@ -156,11 +155,21 @@ class TestSolveRelaxation:
             with pytest.raises(ValueError):
                 solve_lovasz_relaxation(c6, 3, lambda_hat=bad)
 
-    def test_config_validation(self):
-        for bad in (SolverConfig(eps_abs=0.0), SolverConfig(eps_rel=-1.0),
-                    SolverConfig(max_iter=0)):
-            with pytest.raises(ValueError):
-                bad.validate()
+    @pytest.mark.parametrize("c", [2.0**70, 2.0**-700], ids=["2**70", "2**-700"])
+    def test_scale_equivariant(self, c):
+        # the iteration sees the weights over their largest, the same for every
+        # power-of-two multiple: the same steps, and the certificate times c
+        rng = np.random.default_rng(9)
+        g = random_graph(rng, 25, 0.3, weighted=True)
+        scaled = Graph.from_edges(g.n, g.edges, g.weights * c)
+        for k in (3, 8, 15):
+            a, b = solve_lovasz_relaxation(g, k), solve_lovasz_relaxation(scaled, k)
+            assert b.iters == a.iters and (b.x_avg == a.x_avg).all()
+            assert b.dual_bound == c * a.dual_bound and b.gap == c * a.gap
+
+    def test_config_validation(self, c6):
+        with pytest.raises(ValueError, match="max_iter"):
+            solve_lovasz_relaxation(c6, 3, max_iter=0)
 
 
 class TestDualityGap:
@@ -169,13 +178,13 @@ class TestDualityGap:
         for trial in range(30):
             g = random_graph(rng, int(rng.integers(10, 40)), 0.3, weighted=True)
             k = int(rng.integers(2, g.n - 1))
-            cfg = SolverConfig(max_iter=5) if trial % 2 else SolverConfig()
-            report = solve_lovasz_relaxation(g, k, cfg)
-            if cfg.max_iter == 5:
+            report = solve_lovasz_relaxation(g, k, max_iter=5 if trial % 2 else 3000)
+            if trial % 2:
                 assert not report.converged
             else:
                 assert report.converged
-                assert report.gap <= cfg.eps_rel * max(1.0, abs(report.dual_bound))
+                assert report.gap <= solver_mod.EPS_REL * max(float(g.weights.max()),
+                                                              abs(report.dual_bound))
             assert report.gap == pytest.approx(
                 lovasz_objective(g, report.x_last) - report.dual_bound, rel=1e-9, abs=1e-9)
             points = [report.x_avg, report.x_last, *random_feasible_batch(rng, 20, g.n, k)]
@@ -199,9 +208,11 @@ class TestDualityGap:
         monkeypatch.setattr(solver_mod, "shrinkage", recording_shrinkage)
         g = generate_planted(120, 10, 0.05, seed=0).graph
         # tolerances no solve meets, so the run goes past the freeze
-        cfg = SolverConfig(eps_abs=1e-12, eps_rel=1e-12, max_iter=solver_mod.BALANCE_UNTIL + 100)
-        report = solve_lovasz_relaxation(g, 25, cfg)
-        assert not report.converged and len(taus) == len(rhos) == report.iters == cfg.max_iter
+        monkeypatch.setattr(solver_mod, "EPS_ABS", 1e-12)
+        monkeypatch.setattr(solver_mod, "EPS_REL", 1e-12)
+        max_iter = solver_mod.BALANCE_UNTIL + 100
+        report = solve_lovasz_relaxation(g, 25, max_iter=max_iter)
+        assert not report.converged and len(taus) == len(rhos) == report.iters == max_iter
         # iteration t (from 1) runs the x-prox, then the shrinkage, at one rho
         assert all(tau == rho * report.lambda_hat for tau, rho in zip(taus, rhos))
         assert rhos[0] == solver_mod.RHO_START
