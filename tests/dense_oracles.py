@@ -2,8 +2,9 @@
 
 Each is simple enough to trust and slow enough to keep out of the package:
 the sorted-prefix greedy evaluation of the Lovász extension, a
-submodularity checker, and dense linear-algebra materializations of the
-graph operators.
+submodularity checker, dense linear-algebra materializations of the graph
+operators, and the full-scan forms of the kernels that skip to the chosen
+vertices, which those must match bitwise.
 """
 
 from __future__ import annotations
@@ -106,3 +107,25 @@ def dense_cross_check(g: Graph) -> DenseForms:
         adjacency_eigenvalues=np.linalg.eigvalsh(W),
         laplacian_eigenvalues=np.linalg.eigvalsh(L),
     )
+
+
+def adjacency_matvec_full_scan(g: Graph, x) -> np.ndarray:
+    """``W @ x`` by one scan of every edge, whatever the support of ``x``."""
+    x = np.asarray(x, dtype=np.float64)
+    e0, e1 = g.edges[:, 0], g.edges[:, 1]
+    out = np.bincount(e0, weights=g.weights * x[e1], minlength=g.n)
+    out += np.bincount(e1, weights=g.weights * x[e0], minlength=g.n)
+    return out
+
+
+def subgraph_weight_by_mask(g: Graph, members) -> float:
+    """``1_S' W 1_S`` from a membership mask over every edge."""
+    mask = np.zeros(g.n, dtype=bool)
+    mask[np.asarray(list(members), dtype=np.int64)] = True
+    inside = mask[g.edges[:, 0]] & mask[g.edges[:, 1]]
+    return 2.0 * float(g.weights[inside].sum())
+
+
+def topk_full_sort(x, k: int) -> np.ndarray:
+    """The first ``k`` of one stable sort of every entry, largest first."""
+    return np.argsort(-np.asarray(x), kind="stable")[:k]

@@ -1,3 +1,4 @@
+import functools
 import gzip
 import json
 import os
@@ -11,7 +12,7 @@ import pytest
 from conftest import near_bipartite
 import dks
 from dks.cli import CSV_HEADER, emit_plot_data, main
-from dks.graph import VertexSet, load_edge_list, write_edge_list
+from dks.graph import Graph, VertexSet, load_edge_list, write_edge_list
 from dks.oracles import brute_force_dks
 
 
@@ -300,11 +301,28 @@ class TestSweep:
             return topk(x, k)
         monkeypatch.setattr(cli_mod, "top_two_singular", kept_pair)
         monkeypatch.setattr(baselines_mod, "topk", recorded_topk)
+
+        # the incidence index: counted where built, and looked for right after the load
+        builds, build = [], Graph.incidence.func
+        counted_index = functools.cached_property(lambda g: builds.append(g) or build(g))
+        counted_index.__set_name__(Graph, "incidence")
+        monkeypatch.setattr(Graph, "incidence", counted_index)
+        load = cli_mod.load_edge_list
+        loaded = []
+
+        def checked_load(*args, **kwargs):
+            g = load(*args, **kwargs)
+            loaded.append("incidence" in g.__dict__)
+            return g
+        monkeypatch.setattr(cli_mod, "load_edge_list", checked_load)
         rc = main(["sweep", "--graph", fixture_file, "--k-list", "4,6,8",
                    "--methods", "ladmm-fw,rank1", "--out", str(tmp_path / "x.csv")])
         assert rc == 0
         # the bound computes the rank-1 surrogate itself: one rank1_dks per k
         assert calls == {"top_two_singular": 1, "incidence_norm_sq_upper": 1, "rank1_dks": 3}
+        # loading does not build the index; every k and method shares one build
+        assert loaded == [False]
+        assert len(builds) == 1
         # u1 and -u1 are each sorted once per graph, not once per call and k
         (sp,) = pairs
         assert sum(np.array_equal(x, sp.u1) for x in ranked) == 1

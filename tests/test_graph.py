@@ -13,7 +13,12 @@ from conftest import (
     power_iteration_norm_reference,
     random_graph,
 )
-from dense_oracles import dense_cross_check
+from dense_oracles import (
+    adjacency_matvec_full_scan,
+    dense_cross_check,
+    subgraph_weight_by_mask,
+    topk_full_sort,
+)
 import dks.graph as graph_mod
 from dks.graph import (
     EdgeListParseError,
@@ -26,6 +31,7 @@ from dks.graph import (
     load_edge_list,
     power_iteration_norm,
     subgraph_weight,
+    topk,
     write_edge_list,
 )
 from dks.baselines import top_two_singular
@@ -569,6 +575,97 @@ class TestOperators:
             edge_differences_adjoint(k3, np.zeros(2))
         with pytest.raises(ValueError):
             adjacency_matvec(k3, np.zeros(2))
+
+
+def _log_uniform_graph(rng, n, p, unused=0):
+    """G(n, p) with weights from 1e-12 to 1e8; the last ``unused`` ids get no edges."""
+    g = random_graph(rng, n - unused, p)
+    return Graph.from_edges(n, g.edges, 10.0 ** rng.uniform(-12, 8, size=g.m))
+
+
+def _bits(a) -> bytes:
+    return np.asarray(a, dtype=np.float64).tobytes()
+
+
+class TestSparseKernelsMatchFullScans:
+    """The index-based kernels against the full-scan oracles, bit for bit."""
+
+    def test_adjacency_matvec_random_supports(self):
+        rng = np.random.default_rng(21)
+        for trial in range(300):
+            n = int(rng.integers(3, 120))
+            g = _log_uniform_graph(rng, n, rng.uniform(0.02, 0.5), unused=min(trial % 3, n - 2))
+            x = np.zeros(n)
+            support = rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False)
+            x[support] = rng.choice([1.0, -0.0, 1e-300, -1e-300, 0.5, -3.0, 1e300],
+                                    size=support.size) * rng.uniform(0.5, 2.0, support.size)
+            with np.errstate(over="ignore", invalid="ignore"):   # 1e300 * 1e8 is inf
+                got, want = adjacency_matvec(g, x), adjacency_matvec_full_scan(g, x)
+            assert _bits(got) == _bits(want)
+
+    def test_adjacency_matvec_edge_supports(self):
+        rng = np.random.default_rng(22)
+        g = _log_uniform_graph(rng, 90, 0.1, unused=5)
+        first, last = int(g.edges[:, 0].min()), int(g.edges[:, 1].max())
+        cases = {
+            "empty": [],
+            "no tail edges": [first],                 # every edge at it is headed there
+            "no head edges": [last],
+            "no edges": [g.n - 1, g.n - 2],
+            "signed zero": [first, last, 40],
+        }
+        for name, support in cases.items():
+            x = np.zeros(g.n)
+            x[support] = -0.0 if name == "signed zero" else 1e-300
+            got = adjacency_matvec(g, x)
+            assert got.dtype == np.float64, name
+            assert _bits(got) == _bits(adjacency_matvec_full_scan(g, x)), name
+
+    def test_adjacency_matvec_at_the_dispatch_size(self):
+        rng = np.random.default_rng(23)
+        n = 200
+        edge = -(-n // graph_mod._SPARSE_FRACTION)   # the smallest support scanning every edge
+        for size, indexed in ((edge - 1, True), (edge, False), (edge + 1, False)):
+            g = _log_uniform_graph(rng, n, 0.1)
+            x = np.zeros(n)
+            x[rng.choice(n, size=size, replace=False)] = rng.normal(size=size)
+            assert _bits(adjacency_matvec(g, x)) == _bits(adjacency_matvec_full_scan(g, x))
+            assert ("incidence" in g.__dict__) == indexed
+
+    def test_subgraph_weight(self):
+        rng = np.random.default_rng(24)
+        for trial in range(300):
+            n = int(rng.integers(2, 120))
+            g = _log_uniform_graph(rng, n, rng.uniform(0.02, 0.6), unused=min(trial % 3, n - 2))
+            members = rng.integers(0, n, size=int(rng.integers(0, n + 3)))   # repeats too
+            assert (_bits(subgraph_weight(g, members))
+                    == _bits(subgraph_weight_by_mask(g, members)))
+
+    def test_topk(self):
+        rng = np.random.default_rng(25)
+        specials = [np.inf, -np.inf, 0.0, -0.0, 1e-300]
+        for trial in range(400):
+            n = int(rng.integers(1, 60))
+            x = rng.integers(0, 4, size=n).astype(float)      # heavy ties
+            spots = rng.random(n) < 0.3
+            x[spots] = rng.choice(specials, size=int(spots.sum()))
+            if trial % 4 == 0:
+                x[rng.integers(0, n)] = np.nan
+            for k in {1, max(n - 1, 1), n, int(rng.integers(1, n + 1))}:
+                got = topk(x, k)
+                assert got.tobytes() == topk_full_sort(x, k).tobytes(), (x, k)
+
+    def test_index_matches_edges(self):
+        rng = np.random.default_rng(26)
+        g = _log_uniform_graph(rng, 50, 0.2, unused=3)
+        head_ptr, tail_order, tail_ptr = g.incidence
+        assert g.incidence is g.incidence
+        for v in range(g.n):
+            assert (np.arange(head_ptr[v], head_ptr[v + 1])
+                    == np.flatnonzero(g.edges[:, 0] == v)).all()
+            assert (tail_order[tail_ptr[v]:tail_ptr[v + 1]]
+                    == np.flatnonzero(g.edges[:, 1] == v)).all()
+        assert not any(a.flags.writeable for a in g.incidence)
 
 
 class TestIncidenceNormBound:
