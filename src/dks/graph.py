@@ -70,7 +70,7 @@ class Graph:
 
     n: int
     m: int
-    edges: np.ndarray        # (m, 2) int64, i < j, lexicographically sorted
+    edges: np.ndarray        # (m, 2) int64, i < j, lexicographically sorted, columns contiguous
     weights: np.ndarray      # (m,) float64, strictly positive
     degree: np.ndarray       # (n,) float64 weighted degree W @ 1
     original_ids: np.ndarray  # (n,) int64
@@ -104,7 +104,7 @@ class Graph:
         key = key[order]
         if (key[1:] == key[:-1]).any():
             raise ValueError("duplicate edges are not allowed")
-        e = np.stack(np.divmod(key, n), axis=1)
+        e = np.stack(np.divmod(key, n)).T  # Fortran order: each column is contiguous
         w = w[order]
 
         degree = np.bincount(e.T.ravel(), weights=np.concatenate([w, w]), minlength=n)
@@ -468,15 +468,6 @@ def edge_differences(g: Graph, x) -> np.ndarray:
     return x[g.edges[:, 0]] - x[g.edges[:, 1]]
 
 
-def edge_differences_adjoint(g: Graph, f) -> np.ndarray:
-    """Exact adjoint of :func:`edge_differences`: accumulate ``+f_e`` at ``i``, ``-f_e`` at ``j``."""
-    f = np.asarray(f, dtype=np.float64)
-    if f.shape != (g.m,):
-        raise ValueError(f"expected a length-{g.m} edge vector, got shape {f.shape}")
-    return (np.bincount(g.edges[:, 0], weights=f, minlength=g.n)
-            - np.bincount(g.edges[:, 1], weights=f, minlength=g.n))
-
-
 def _edges_at(ptr, vertices) -> np.ndarray:
     """``ptr[v]:ptr[v + 1]`` for each of ``vertices`` in turn, concatenated."""
     start = ptr[vertices]
@@ -489,10 +480,31 @@ def _scatter(bins, terms, n: int) -> np.ndarray:
     return np.bincount(bins, weights=terms, minlength=n).astype(np.float64, copy=False)
 
 
-# W @ x scans only the edges at x's nonzeros when they are fewer than n / 8.
-# That scan costs as much as a full one near n / 4 nonzeros (random or
-# top-degree supports, mean degree 20-30); below n / 8 it costs at most 0.6 of one.
+# W @ x scans only the edges at x's nonzeros when they are fewer than n / 8, B f
+# only f's nonzeros when fewer than m / 8. The first costs as much as a full scan
+# near n / 4 nonzeros (random or top-degree supports, mean degree 20-30); below
+# n / 8 it costs at most 0.6 of one.
 _SPARSE_FRACTION = 8
+
+
+def _sparse_support(a: np.ndarray):
+    """Indices of the nonzeros of ``a`` (NaN counts) if fewer than ``a.size / 8``, else None."""
+    nonzero = a != 0  # a bool mask: flatnonzero and count_nonzero on floats cost 5-25x more
+    count = np.count_nonzero(nonzero)
+    return np.flatnonzero(nonzero) if _SPARSE_FRACTION * count < a.size else None
+
+
+def edge_differences_adjoint(g: Graph, f) -> np.ndarray:
+    """Exact adjoint of :func:`edge_differences`: accumulate ``+f_e`` at ``i``, ``-f_e`` at ``j``,
+    over every edge or only the nonzeros of a sparse ``f``, bitwise alike as in W @ x."""
+    f = np.asarray(f, dtype=np.float64)
+    if f.shape != (g.m,):
+        raise ValueError(f"expected a length-{g.m} edge vector, got shape {f.shape}")
+    e0, e1 = g.edges[:, 0], g.edges[:, 1]
+    support = _sparse_support(f)
+    if support is not None:
+        e0, e1, f = e0[support], e1[support], f[support]
+    return _scatter(e0, f, g.n) - _scatter(e1, f, g.n)
 
 
 def adjacency_matvec(g: Graph, x) -> np.ndarray:
@@ -505,9 +517,9 @@ def adjacency_matvec(g: Graph, x) -> np.ndarray:
     """
     x = _check_vertex_vector(g, x)
     e0, e1, w = g.edges[:, 0], g.edges[:, 1], g.weights
-    support = np.flatnonzero(x)
+    support = _sparse_support(x)
     at_tail = at_head = slice(None)
-    if _SPARSE_FRACTION * support.size < g.n:
+    if support is not None:
         head_ptr, tail_order, tail_ptr = g.incidence
         # ascending tails, then ids: each head's edges still come in id order
         at_tail = tail_order[_edges_at(tail_ptr, support)]
@@ -608,7 +620,7 @@ def incidence_norm_sq_upper(g: Graph, tol: float = 1e-2, max_iter: int = 2000) -
     """
     if g.m == 0:
         raise ValueError("graph has no edges")
-    counts = np.bincount(g.edges.ravel(), minlength=g.n)
+    counts = np.bincount(g.edges.T.ravel(), minlength=g.n)
     edge_bound = float((counts[g.edges[:, 0]] + counts[g.edges[:, 1]]).max())
     estimate, _, converged = power_iteration_norm(
         lambda x: edge_differences_adjoint(g, edge_differences(g, x)), g.n,

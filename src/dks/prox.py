@@ -57,7 +57,7 @@ def cardinality_gap(nu: float, v: np.ndarray, p: CappedSimplexParams) -> float:
     return float(x.sum() - p.k)
 
 
-def prox_capped_simplex(v, p: CappedSimplexParams):
+def prox_capped_simplex(v, p: CappedSimplexParams, start: float | None = None):
     """Exact prox of the linear-plus-box-plus-sum-to-k function.
 
     Returns ``(x, nu)`` where ``x_i = clamp(v_i + (degrees_i - nu)/tau, 0, 1)``
@@ -68,7 +68,9 @@ def prox_capped_simplex(v, p: CappedSimplexParams):
     ``shifted_i``, where ``shifted = degrees + tau*v``: it equals ``n - k`` at
     the smallest and ``-k`` at the largest. A binary search over the sorted
     breakpoints finds the segment holding the root in ``ceil(log2(2n))`` gap
-    evaluations, and the root is interpolated on that segment.
+    evaluations, or in the bracket it gallops to from a guess ``start`` (the
+    solver's last ``nu``). The gap is monotone in floating point too, so every
+    search finds the same segment, and the root is interpolated on it.
     """
     v = np.asarray(v, dtype=np.float64)
     if v.shape != p.degrees.shape:
@@ -78,16 +80,20 @@ def prox_capped_simplex(v, p: CappedSimplexParams):
 
     shifted = p.degrees + p.tau * v
     breaks = np.sort(np.concatenate([shifted - p.tau, shifted]))
-    # invariant: gap(breaks[lo]) > 0 >= gap(breaks[hi])
-    lo, hi = 0, breaks.shape[0] - 1
+    # invariant: gap(breaks[lo]) > 0 >= gap(breaks[hi]); the end gaps are never evaluated
+    lo, hi, step = 0, breaks.shape[0] - 1, 1
     gap_lo, gap_hi = v.shape[0] - p.k, -p.k
+    at = None if start is None else min(max(int(np.searchsorted(breaks, start)), 1), hi - 1)
     while hi - lo > 1:
-        mid = (lo + hi) // 2
+        mid = (lo + hi) // 2 if at is None else at
         gap_mid = cardinality_gap(breaks[mid], v, p)
         if gap_mid > 0:
             lo, gap_lo = mid, gap_mid
         else:
             hi, gap_hi = mid, gap_mid
+        if at is not None:  # gallop the way the gap points, by 1, 2, 4, ... breakpoints
+            at, step = (mid + step if gap_mid > 0 else mid - step), 2 * step
+            at = at if lo < at < hi else None  # it turned back or hit an end: bisect
     nu = float(breaks[hi] - (breaks[hi] - breaks[lo]) * gap_hi / (gap_hi - gap_lo))
     x = np.clip(v + (p.degrees - nu) / p.tau, 0.0, 1.0)
     return x, nu
@@ -98,6 +104,7 @@ def shrinkage(v, w, rho: float) -> np.ndarray:
 
     This is the prox of ``z -> sum(w * |z|)`` under the scaling
     ``prox(v) = argmin f(z) + (rho/2) ||z - v||^2``:
+    ``v - clip(v, -w/rho, w/rho)``, bitwise the same as
     ``max(0, v - w/rho) - max(0, -v - w/rho)``.
     """
     if not rho > 0:
@@ -106,4 +113,5 @@ def shrinkage(v, w, rho: float) -> np.ndarray:
     t = np.asarray(w, dtype=np.float64) / rho
     if t.shape != v.shape:
         raise ValueError("v and w must have the same length")
-    return np.maximum(0.0, v - t) - np.maximum(0.0, -v - t)
+    clipped = np.clip(v, -t, t)
+    return np.subtract(v, clipped, out=clipped)

@@ -106,9 +106,11 @@ def solve_lovasz_relaxation(g: Graph, k: int, lambda_hat: float | None = None,
                             max_iter: int = 3000) -> SolverReport:
     """Solve the Lovász relaxation at cardinality ``k`` with linearized ADMM.
 
-    Per iteration: an x-update through the capped-simplex prox at the
-    linearized point, a z-update through shrinkage over-relaxed by
-    ``ALPHA`` (1.8), and the scaled dual ascent step. Starts from the
+    Per iteration, in reused edge-length buffers: an x-update through the
+    capped-simplex prox at the linearized point, warm-started from the last
+    ``nu``, a z-update through shrinkage over-relaxed by ``ALPHA`` (1.8), and
+    the scaled dual ascent step; two adjoint scans cover every edge, the
+    dual residual's ``B(z - z_prev)`` only those whose ``z`` moved. Starts from the
     indicator of the k largest-degree vertices and from ``RHO_START`` (0.1).
     Every ``BALANCE_EVERY`` (10) iterations up to ``BALANCE_UNTIL`` (200),
     ``rho`` is doubled (halved) when the primal residual exceeds ``rho``
@@ -155,6 +157,7 @@ def solve_lovasz_relaxation(g: Graph, k: int, lambda_hat: float | None = None,
     z = btx.copy()
     u = np.zeros(g.m)
     x_sum = np.zeros(g.n)
+    relaxed, work, nu = np.empty(g.m), np.empty(g.m), None  # buffers reused by every iteration
 
     sqrt_m, sqrt_n = np.sqrt(g.m), np.sqrt(g.n)
     converged = False
@@ -162,22 +165,25 @@ def solve_lovasz_relaxation(g: Graph, k: int, lambda_hat: float | None = None,
     iters = 0
 
     for t in range(max_iter):
-        x, _ = prox_capped_simplex(
-            x - mu * rho * edge_differences_adjoint(g, btx - z + u), params)
+        np.subtract(btx, z, out=work)
+        work += u
+        x, nu = prox_capped_simplex(x - mu * rho * edge_differences_adjoint(g, work), params, nu)
         btx = edge_differences(g, x)
-        relaxed = ALPHA * btx + (1.0 - ALPHA) * z
+        np.multiply(ALPHA, btx, out=relaxed)
+        relaxed += np.multiply(1.0 - ALPHA, z, out=work)
         z_prev = z
-        z = shrinkage(relaxed + u, weights, rho)
-        u = u + relaxed - z
+        z = shrinkage(np.add(relaxed, u, out=work), weights, rho)
+        u += relaxed
+        u -= z
         if not (np.isfinite(x).all() and np.isfinite(z).all()):
-            raise NumericalDivergenceError(
-                f"non-finite iterate at iteration {t + 1}")
+            raise NumericalDivergenceError(f"non-finite iterate at iteration {t + 1}")
 
         x_sum += x
         iters = t + 1
 
-        r_norm = float(np.linalg.norm(btx - z))
-        s_norm = float(np.linalg.norm(edge_differences_adjoint(g, z - z_prev)))
+        r_norm = float(np.linalg.norm(np.subtract(btx, z, out=work)))
+        s_norm = float(np.linalg.norm(
+            edge_differences_adjoint(g, np.subtract(z, z_prev, out=work))))
         bu = edge_differences_adjoint(g, u)
         eps_pri = sqrt_m * EPS_ABS + EPS_REL * max(
             float(np.linalg.norm(btx)), float(np.linalg.norm(z)))
@@ -186,7 +192,7 @@ def solve_lovasz_relaxation(g: Graph, k: int, lambda_hat: float | None = None,
         # f_L(x) >= (B y - degree) @ x on the capped simplex: the k smallest
         # entries of B y - degree sum to a lower bound on min f_L
         dual_bound = float(np.partition(rho * bu - degree, k - 1)[:k].sum())
-        gap = float(weights @ np.abs(btx) - degree @ x) - dual_bound
+        gap = float(weights @ np.abs(btx, out=work) - degree @ x) - dual_bound
         if (r_norm <= eps_pri and s_norm <= eps_dual
                 and gap <= EPS_REL * max(1.0, abs(dual_bound))):
             converged = True
@@ -200,7 +206,7 @@ def solve_lovasz_relaxation(g: Graph, k: int, lambda_hat: float | None = None,
                 factor = 1.0 / BALANCE_FACTOR
             if factor != 1.0:
                 rho *= factor
-                u = u / factor   # keeps rho u, the unscaled dual, unchanged
+                u /= factor   # keeps rho u, the unscaled dual, unchanged
                 params = CappedSimplexParams(degree, float(k), rho * lambda_hat)
                 mu = 1.0 / params.tau
 

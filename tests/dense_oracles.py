@@ -3,8 +3,9 @@
 Each is simple enough to trust and slow enough to keep out of the package:
 the sorted-prefix greedy evaluation of the Lovász extension, a
 submodularity checker, dense linear-algebra materializations of the graph
-operators, and the full-scan forms of the kernels that skip to the chosen
-vertices, which those must match bitwise.
+operators, the full-scan forms of the kernels that skip to the chosen
+vertices or edges, and the plain forms of the prox and the ADMM loop, which
+the faster code must match bitwise.
 """
 
 from __future__ import annotations
@@ -13,8 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from dks.graph import Graph, subgraph_weight
+import dks.solver as solver_mod
+from dks.graph import Graph, edge_differences, incidence_norm_sq_upper, subgraph_weight, topk
 from dks.oracles import _dense_adjacency
+from dks.prox import CappedSimplexParams, cardinality_gap
 
 
 def edmonds_lovasz(g: Graph, x) -> float:
@@ -129,3 +132,105 @@ def subgraph_weight_by_mask(g: Graph, members) -> float:
 def topk_full_sort(x, k: int) -> np.ndarray:
     """The first ``k`` of one stable sort of every entry, largest first."""
     return np.argsort(-np.asarray(x), kind="stable")[:k]
+
+
+def edge_differences_adjoint_full_scan(g: Graph, f) -> np.ndarray:
+    """``B f`` by one scan of every edge, whatever the support of ``f``."""
+    f = np.asarray(f, dtype=np.float64)
+    return (np.bincount(g.edges[:, 0], weights=f, minlength=g.n)
+            - np.bincount(g.edges[:, 1], weights=f, minlength=g.n))
+
+
+def shrinkage_max_form(v, w, rho: float) -> np.ndarray:
+    """Soft-thresholding as ``max(0, v - w/rho) - max(0, -v - w/rho)``."""
+    v = np.asarray(v, dtype=np.float64)
+    t = np.asarray(w, dtype=np.float64) / rho
+    return np.maximum(0.0, v - t) - np.maximum(0.0, -v - t)
+
+
+def prox_capped_simplex_bisection(v, p: CappedSimplexParams):
+    """The capped-simplex prox ``(x, nu)`` by bisection over all sorted breakpoints."""
+    v = np.asarray(v, dtype=np.float64)
+    shifted = p.degrees + p.tau * v
+    breaks = np.sort(np.concatenate([shifted - p.tau, shifted]))
+    # invariant: gap(breaks[lo]) > 0 >= gap(breaks[hi])
+    lo, hi = 0, breaks.shape[0] - 1
+    gap_lo, gap_hi = v.shape[0] - p.k, -p.k
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        gap_mid = cardinality_gap(breaks[mid], v, p)
+        if gap_mid > 0:
+            lo, gap_lo = mid, gap_mid
+        else:
+            hi, gap_hi = mid, gap_mid
+    nu = float(breaks[hi] - (breaks[hi] - breaks[lo]) * gap_hi / (gap_hi - gap_lo))
+    x = np.clip(v + (p.degrees - nu) / p.tau, 0.0, 1.0)
+    return x, nu
+
+
+def solve_lovasz_relaxation_unbuffered(g: Graph, k: int, lambda_hat: float | None = None,
+                                       max_iter: int = 3000) -> solver_mod.SolverReport:
+    """The ADMM loop with a fresh array per step, the oracle kernels above and a
+    cold prox; it reads ``dks.solver``'s constants at call time."""
+    s = solver_mod
+    if lambda_hat is None:
+        lambda_hat = incidence_norm_sq_upper(g)
+    scale = float(g.weights.max())
+    degree, weights = g.degree / scale, g.weights / scale
+    rho = s.RHO_START
+    params = CappedSimplexParams(degree, float(k), rho * lambda_hat)
+    mu = 1.0 / params.tau
+
+    x = np.zeros(g.n)
+    x[topk(degree, k)] = 1.0
+    btx = edge_differences(g, x)
+    z = btx.copy()
+    u = np.zeros(g.m)
+    x_sum = np.zeros(g.n)
+
+    sqrt_m, sqrt_n = np.sqrt(g.m), np.sqrt(g.n)
+    converged = False
+    r_norm = s_norm = eps_pri = eps_dual = dual_bound = gap = np.inf
+    iters = 0
+
+    for t in range(max_iter):
+        x, _ = prox_capped_simplex_bisection(
+            x - mu * rho * edge_differences_adjoint_full_scan(g, btx - z + u), params)
+        btx = edge_differences(g, x)
+        relaxed = s.ALPHA * btx + (1.0 - s.ALPHA) * z
+        z_prev = z
+        z = shrinkage_max_form(relaxed + u, weights, rho)
+        u = u + relaxed - z
+        x_sum += x
+        iters = t + 1
+
+        r_norm = float(np.linalg.norm(btx - z))
+        s_norm = float(np.linalg.norm(edge_differences_adjoint_full_scan(g, z - z_prev)))
+        bu = edge_differences_adjoint_full_scan(g, u)
+        eps_pri = sqrt_m * s.EPS_ABS + s.EPS_REL * max(
+            float(np.linalg.norm(btx)), float(np.linalg.norm(z)))
+        eps_dual = sqrt_n * s.EPS_ABS + s.EPS_REL * float(np.linalg.norm(bu))
+        dual_bound = float(np.partition(rho * bu - degree, k - 1)[:k].sum())
+        gap = float(weights @ np.abs(btx) - degree @ x) - dual_bound
+        if (r_norm <= eps_pri and s_norm <= eps_dual
+                and gap <= s.EPS_REL * max(1.0, abs(dual_bound))):
+            converged = True
+            break
+
+        if iters % s.BALANCE_EVERY == 0 and iters <= s.BALANCE_UNTIL:
+            factor = 1.0
+            if r_norm > s.BALANCE_RATIO * rho * s_norm:
+                factor = s.BALANCE_FACTOR
+            elif rho * s_norm > s.BALANCE_RATIO * r_norm:
+                factor = 1.0 / s.BALANCE_FACTOR
+            if factor != 1.0:
+                rho *= factor
+                u = u / factor
+                params = CappedSimplexParams(degree, float(k), rho * lambda_hat)
+                mu = 1.0 / params.tau
+
+    return s.SolverReport(
+        x_avg=x_sum / iters, x_last=x, iters=iters, converged=converged,
+        r_norm_final=r_norm, s_norm_final=s_norm, eps_pri_final=float(eps_pri),
+        eps_dual_final=float(eps_dual), dual_bound=dual_bound * scale, gap=gap * scale,
+        mu=mu, lambda_hat=lambda_hat)

@@ -16,6 +16,7 @@ from conftest import (
 from dense_oracles import (
     adjacency_matvec_full_scan,
     dense_cross_check,
+    edge_differences_adjoint_full_scan,
     subgraph_weight_by_mask,
     topk_full_sort,
 )
@@ -474,6 +475,16 @@ class TestFromEdges:
                 assert a.dtype == b.dtype and a.shape == b.shape, name
                 assert a.tobytes() == b.tobytes(), name
 
+    def test_edge_columns_contiguous(self):
+        # bincount and the gathers read each column without a strided copy
+        rng = np.random.default_rng(709)
+        loaded = load_edge_list(io.StringIO("5 7\n7 9\n9 5\n5 11\n"))
+        graphs = [loaded] + [Graph.from_edges(*_random_edge_set(rng)) for _ in range(50)]
+        for g in graphs:
+            assert g.edges[:, 0].flags.c_contiguous and g.edges[:, 1].flags.c_contiguous
+            ref = from_edges_reference(g.n, g.edges, g.weights, original_ids=g.original_ids)
+            assert g.edges.tobytes() == ref.edges.tobytes()
+
     def test_weights_not_aliased(self):
         w = np.array([2.0, 1.0])
         g = Graph.from_edges(3, [(1, 2), (0, 1)], w)
@@ -631,6 +642,46 @@ class TestSparseKernelsMatchFullScans:
             x[rng.choice(n, size=size, replace=False)] = rng.normal(size=size)
             assert _bits(adjacency_matvec(g, x)) == _bits(adjacency_matvec_full_scan(g, x))
             assert ("incidence" in g.__dict__) == indexed
+
+    def test_adjoint_random_supports(self):
+        rng = np.random.default_rng(27)
+        for trial in range(300):
+            n = int(rng.integers(3, 120))
+            g = _log_uniform_graph(rng, n, rng.uniform(0.02, 0.5), unused=min(trial % 3, n - 2))
+            f = np.zeros(g.m)
+            most = g.m if trial % 2 else g.m // graph_mod._SPARSE_FRACTION + 1
+            support = rng.choice(g.m, size=int(rng.integers(0, most + 1)), replace=False)
+            f[support] = rng.choice([1.0, 0.0, -0.0, 1e-300, -1e-300, 0.5, -3.0, 1e300],
+                                    size=support.size) * rng.uniform(0.5, 2.0, support.size)
+            with np.errstate(over="ignore", invalid="ignore"):   # 1e300 sums overflow
+                got = edge_differences_adjoint(g, f)
+                want = edge_differences_adjoint_full_scan(g, f)
+            assert _bits(got) == _bits(want)
+
+    def test_adjoint_edge_supports(self):
+        rng = np.random.default_rng(28)
+        g = _log_uniform_graph(rng, 90, 0.1, unused=5)
+        cases = {
+            "empty": np.zeros(g.m),
+            "negative zeros": np.full(g.m, -0.0),
+            "one tiny entry": np.where(np.arange(g.m) == g.m - 1, -1e-300, 0.0),
+            "all nonzero": rng.normal(size=g.m),
+        }
+        for name, f in cases.items():
+            got = edge_differences_adjoint(g, f)
+            assert got.dtype == np.float64, name
+            assert _bits(got) == _bits(edge_differences_adjoint_full_scan(g, f)), name
+
+    def test_adjoint_at_the_dispatch_size(self):
+        rng = np.random.default_rng(29)
+        g = _log_uniform_graph(rng, 60, 0.3)
+        edge = -(-g.m // graph_mod._SPARSE_FRACTION)   # the fewest nonzeros scanning every edge
+        for size, sparse in ((edge - 1, True), (edge, False)):
+            f = np.zeros(g.m)
+            f[rng.choice(g.m, size=size, replace=False)] = rng.normal(size=size)
+            assert (graph_mod._sparse_support(f) is not None) == sparse
+            assert _bits(edge_differences_adjoint(g, f)) == _bits(
+                edge_differences_adjoint_full_scan(g, f))
 
     def test_subgraph_weight(self):
         rng = np.random.default_rng(24)

@@ -3,6 +3,7 @@ import pytest
 
 import dks.prox as prox_mod
 from conftest import capped_simplex_exact, random_feasible_point
+from dense_oracles import prox_capped_simplex_bisection, shrinkage_max_form
 from dks.prox import CappedSimplexParams, cardinality_gap, prox_capped_simplex, shrinkage
 
 
@@ -127,6 +128,43 @@ class TestProxCappedSimplex:
             prox_capped_simplex(v, p)
             assert calls["n"] <= int(np.ceil(np.log2(2 * p.degrees.shape[0])))
 
+    def test_warm_start_matches_cold_bisection(self):
+        # the result is the cold search's to the bit, wherever the gallop starts
+        rng = np.random.default_rng(11)
+        for trial in range(300):
+            n = int(rng.integers(3, 40))
+            k = (2, n - 1, int(rng.integers(2, n)))[trial % 3]
+            tied = trial % 2 == 0   # integer degrees, v and tau: many equal breakpoints
+            p, v = _random_params(rng, n=n, k=k, integer=tied,
+                                  tau=float(rng.integers(1, 4)) if tied else None)
+            want_x, want_nu = prox_capped_simplex_bisection(v, p)
+            shifted = p.degrees + p.tau * v
+            breaks = np.sort(np.concatenate([shifted - p.tau, shifted]))
+            starts = (breaks[0] - 1.0, breaks[0], breaks[1], breaks[-2], breaks[-1],
+                      breaks[-1] + 1.0, want_nu, float(rng.uniform(breaks[0], breaks[-1])),
+                      -np.inf, np.inf, None)
+            for start in starts:
+                x, nu = prox_capped_simplex(v, p, start)
+                assert x.tobytes() == want_x.tobytes(), (trial, start)
+                assert np.float64(nu).tobytes() == np.float64(want_nu).tobytes(), (trial, start)
+
+    def test_warm_start_at_the_root_takes_two_gap_evaluations(self, monkeypatch):
+        calls = {"n": 0}
+        original = prox_mod.cardinality_gap
+
+        def counting(nu, v, p):
+            calls["n"] += 1
+            return original(nu, v, p)
+
+        monkeypatch.setattr(prox_mod, "cardinality_gap", counting)
+        rng = np.random.default_rng(12)
+        for _ in range(100):
+            p, v = _random_params(rng, n=int(rng.integers(3, 400)))
+            _, nu = prox_capped_simplex(v, p)
+            calls["n"] = 0
+            prox_capped_simplex(v, p, nu)
+            assert calls["n"] <= 2
+
     def test_non_finite_input_rejected(self):
         p = CappedSimplexParams(np.zeros(4), 2.0, 1.0)
         with pytest.raises(ValueError):
@@ -150,6 +188,23 @@ class TestShrinkage:
 
     def test_sign_symmetry(self):
         assert shrinkage(np.array([-3.0]), np.array([2.0]), 2.0)[0] == -2.0
+
+    def test_matches_max_form(self):
+        # signed zeros, the kink itself, tiny and huge entries, and levels that underflow
+        rng = np.random.default_rng(13)
+        specials = [0.0, -0.0, 1e-300, -1e-300, 1e300, -1e300, 5e-324, -5e-324]
+        for trial in range(300):
+            m = int(rng.integers(1, 60))
+            w = 10.0 ** rng.uniform(-12, 8, size=m)
+            w[rng.random(m) < 0.1] = 1e-305
+            rho = float(10.0 ** rng.uniform(-3, 3)) if trial % 3 else 1e300
+            t = w / rho
+            v = rng.normal(size=m) * 10.0 ** rng.uniform(-14, 10, size=m)
+            spots = rng.random(m)
+            v[spots < 0.3] = rng.choice(specials, size=int((spots < 0.3).sum()))
+            v[spots > 0.8] = (np.sign(rng.normal(size=m)) * t)[spots > 0.8]
+            got = shrinkage(v, w, rho)
+            assert got.tobytes() == shrinkage_max_form(v, w, rho).tobytes(), trial
 
     def test_rejects_nonpositive_rho(self):
         with pytest.raises(ValueError):

@@ -3,7 +3,8 @@ import pytest
 
 import dks.solver as solver_mod
 from conftest import random_feasible_batch, random_graph
-from dense_oracles import edmonds_lovasz
+import dks.graph as graph_mod
+from dense_oracles import edmonds_lovasz, solve_lovasz_relaxation_unbuffered
 from dks.graph import (
     Graph,
     edge_differences,
@@ -196,9 +197,9 @@ class TestDualityGap:
         taus, rhos = [], []
         prox, shrink = solver_mod.prox_capped_simplex, solver_mod.shrinkage
 
-        def recording_prox(v, params):
+        def recording_prox(v, params, start=None):
             taus.append(params.tau)
-            return prox(v, params)
+            return prox(v, params, start)
 
         def recording_shrinkage(v, w, rho):
             rhos.append(rho)
@@ -225,3 +226,54 @@ class TestDualityGap:
             # BALANCE_EVERY and no later than BALANCE_UNTIL
             assert factor in (2.0, 0.5)
             assert t % solver_mod.BALANCE_EVERY == 0 and t <= solver_mod.BALANCE_UNTIL
+
+
+class TestMatchesUnbufferedLoop:
+    """The buffered loop, its sparse scans and warm prox against the plain loop, bit for bit."""
+
+    FIELDS = ("x_avg", "x_last", "iters", "converged", "r_norm_final", "s_norm_final",
+              "eps_pri_final", "eps_dual_final", "dual_bound", "gap", "mu", "lambda_hat")
+
+    @staticmethod
+    def graphs():
+        rng = np.random.default_rng(41)
+        for seed in range(3):
+            g = generate_planted(120, 10, 0.05, seed=seed).graph
+            yield g
+            yield Graph.from_edges(g.n, g.edges, 10.0 ** rng.uniform(-3, 3, size=g.m))
+
+    def assert_same(self, got, want):
+        for name in self.FIELDS:
+            assert (np.asarray(getattr(got, name)).tobytes()
+                    == np.asarray(getattr(want, name)).tobytes()), name
+
+    def test_solves(self, monkeypatch):
+        sparse = []
+        support = graph_mod._sparse_support
+
+        def recording_support(a):
+            found = support(a)
+            sparse.append(found is not None)
+            return found
+
+        monkeypatch.setattr(graph_mod, "_sparse_support", recording_support)
+        rho_moved = False
+        for g in self.graphs():
+            lambda_hat = incidence_norm_sq_upper(g)
+            for k in (2, 10, 25, g.n - 1):
+                got = solve_lovasz_relaxation(g, k, lambda_hat)
+                self.assert_same(got, solve_lovasz_relaxation_unbuffered(g, k, lambda_hat))
+                rho_moved |= got.mu != 1.0 / (solver_mod.RHO_START * lambda_hat)
+        assert rho_moved and any(sparse) and not all(sparse)
+
+    def test_capped_past_the_freeze(self, monkeypatch):
+        # tolerances no solve meets: every rho change, then the fixed-rho tail
+        monkeypatch.setattr(solver_mod, "EPS_ABS", 1e-12)
+        monkeypatch.setattr(solver_mod, "EPS_REL", 1e-12)
+        past_the_freeze = 0
+        for g in self.graphs():
+            for max_iter in (1, 7, solver_mod.BALANCE_UNTIL + 30):
+                got = solve_lovasz_relaxation(g, 25, max_iter=max_iter)
+                self.assert_same(got, solve_lovasz_relaxation_unbuffered(g, 25, max_iter=max_iter))
+                past_the_freeze += got.iters > solver_mod.BALANCE_UNTIL
+        assert past_the_freeze >= 3   # the unweighted graphs run into the fixed-rho tail
