@@ -34,6 +34,11 @@ __all__ = [
     "density_upper_bound",
 ]
 
+TPM_MAX_ITER = 100            # step cap of truncated_power_method
+SPECTRAL_TOL = 1e-6           # Lanczos residual tolerance of both top_two_singular runs
+SPECTRAL_MAX_MATVECS = 20000  # matvec cap of its first run; the deflated run gets half
+_DEFLATED_SEED = 0xDEF1A7E    # start vector seed of the deflated run
+
 
 def greedy_feige(g: Graph, k: int) -> VertexSet:
     """Two-phase greedy: top ``ceil(k/2)`` by weighted degree, then best attached.
@@ -54,19 +59,17 @@ def greedy_feige(g: Graph, k: int) -> VertexSet:
     return VertexSet.from_members(g, np.concatenate([heads, tail]))
 
 
-def truncated_power_method(g: Graph, k: int, x0=None, max_iter: int = 100) -> VertexSet:
+def truncated_power_method(g: Graph, k: int, x0=None) -> VertexSet:
     """Power iterations snapped to k-sparse indicators; returns the best support seen.
 
     Each step replaces ``x`` by the indicator of the top-k entries of ``W x``
     (ties to the smallest id). Stops when the subgraph weight stops
-    increasing (a repeated support included) or at ``max_iter``. Weights rise
-    strictly until then, so the last support that gained is the best one
-    visited, and that is returned: the result never degrades with extra
-    iterations. ``x0`` defaults to the top-k degree indicator.
+    increasing (a repeated support included) or after ``TPM_MAX_ITER``
+    (100) steps. Weights rise strictly until then, so the last support that
+    gained is the best one visited, and that is returned: the result never
+    degrades with extra iterations. ``x0`` defaults to the top-k degree indicator.
     """
     check_k(g, k)
-    if max_iter < 1:
-        raise ValueError("max_iter must be at least 1")
     if x0 is None:
         x = np.zeros(g.n)
         x[topk(g.degree, k)] = 1.0
@@ -78,7 +81,7 @@ def truncated_power_method(g: Graph, k: int, x0=None, max_iter: int = 100) -> Ve
             raise ValueError("x0 must be nonzero")
 
     best_support, best_weight = None, -np.inf
-    for _ in range(max_iter):
+    for _ in range(TPM_MAX_ITER):
         support = topk(adjacency_matvec(g, x), k)
         weight = subgraph_weight(g, support)
         if weight <= best_weight:
@@ -111,39 +114,37 @@ class SpectralPair:
             object.__setattr__(self, name, order)
 
 
-_DEFLATED_SEED = 0xDEF1A7E
-
-
-def top_two_singular(g: Graph, tol: float = 1e-6, max_iter: int = 20000) -> SpectralPair:
+def top_two_singular(g: Graph) -> SpectralPair:
     """``sigma1, u1`` by Lanczos on W; ``sigma2`` by Lanczos on the square of W deflated.
 
     W >= 0, so its top eigenvalue is ``sigma1 = ||W||`` (Perron). The norm
     ``sigma2`` of ``D = W - sigma1 u1 u1'`` may lie at either end of D's
     spectrum, but both ends meet at the top of the PSD ``D^2``. That run gets
-    ``max_iter // 2`` products (two matvecs each) and its own seed, so a
-    repeated top eigenvalue (two identical largest components) gives
-    ``sigma2 = sigma1``. Ritz values approach the top from below, so both
-    estimates are inflated by ``(1 + 10*tol)``: the density bound must err on
-    the loose side. Both runs work on W divided by its largest weight, so
-    that ``D^2`` neither overflows nor underflows, and the estimates are
-    multiplied back. If either run hits its cap, both fall back to the maximum
-    weighted degree, a certified bound on ``||W||``, flagged ``converged = False``.
+    ``SPECTRAL_MAX_MATVECS // 2`` products (two matvecs each) and its own
+    seed, so a repeated top eigenvalue (two identical largest components)
+    gives ``sigma2 = sigma1``. Ritz values approach the top from below, so
+    both estimates are inflated by ``(1 + 10 * SPECTRAL_TOL)``: the density
+    bound must err on the loose side. Both runs work on W divided by its
+    largest weight, so that ``D^2`` neither overflows nor underflows, and the
+    estimates are multiplied back. If either run hits its cap, both fall back
+    to the maximum weighted degree, a certified bound on ``||W||``, flagged
+    ``converged = False``.
     """
     if g.m == 0:
         raise ValueError("graph has no edges")
     scale = float(g.weights.max())
     sigma1, u1, ok1 = power_iteration_norm(
-        lambda x: adjacency_matvec(g, x) / scale, g.n, tol, max_iter)
+        lambda x: adjacency_matvec(g, x) / scale, g.n, SPECTRAL_TOL, SPECTRAL_MAX_MATVECS)
 
     def deflated(x):
         return adjacency_matvec(g, x) / scale - sigma1 * (u1 @ x) * u1
 
-    square, _, ok2 = power_iteration_norm(lambda x: deflated(deflated(x)), g.n, tol,
-                                          max_iter // 2, seed=_DEFLATED_SEED)
+    square, _, ok2 = power_iteration_norm(lambda x: deflated(deflated(x)), g.n, SPECTRAL_TOL,
+                                          SPECTRAL_MAX_MATVECS // 2, seed=_DEFLATED_SEED)
     if not (ok1 and ok2):
         cap = float(g.degree.max())
         return SpectralPair(sigma1=cap, u1=u1, sigma2=cap, converged=False)
-    inflate = 1.0 + 10.0 * tol
+    inflate = 1.0 + 10.0 * SPECTRAL_TOL
     sigma1 *= inflate
     # deflation noise can nudge sigma2 past sigma1; the ordering is structural
     sigma2 = min(math.sqrt(square) * inflate, sigma1) * scale

@@ -108,7 +108,7 @@ def _run_method(g, k, method, relax_report, sp):
     duality certificate and, for `ladmm-fw`, why Frank-Wolfe stopped and how
     far its final iterate is from integral. An `ladmm-fw` row is converged
     only when the relaxation converged and Frank-Wolfe stopped before its
-    default iteration cap.
+    iteration cap.
     """
     if method in RELAX_METHODS:
         if relax_report is None:
@@ -145,9 +145,8 @@ def run_single(args) -> int:
     lambda_hat = incidence_norm_sq_upper(g) if args.method in RELAX_METHODS else None
 
     start = time.perf_counter()
-    relax_report = None
-    if args.method in RELAX_METHODS:
-        relax_report = solve_lovasz_relaxation(g, k, lambda_hat)
+    relax_report = (solve_lovasz_relaxation(g, k, lambda_hat)
+                    if args.method in RELAX_METHODS else None)
     vset, iters, converged, details = _run_method(g, k, args.method, relax_report, sp)
     runtime_ms = (time.perf_counter() - start) * 1e3
 
@@ -322,9 +321,10 @@ def emit_plot_data(csv_path, out_dir) -> list:
     """Split a sweep CSV into per-method density and runtime series files.
 
     Series files carry the CSV's string fields verbatim, so values round-trip
-    bit-exactly. Returns the list of written paths; raises ``ValueError`` for
-    a malformed or empty CSV, or one naming a method the CLI does not have,
-    before writing anything.
+    bit-exactly. Returns the list of written paths; raises ``ValueError``
+    before writing anything for an empty CSV or a malformed one: a wrong
+    field count, a k, density or runtime that is not a number, or a method
+    the CLI does not have.
     """
     with open(csv_path) as f:
         lines = [line.rstrip("\n") for line in f]
@@ -337,19 +337,22 @@ def emit_plot_data(csv_path, out_dir) -> list:
         fields = line.split(",")
         if len(fields) != 9:
             raise ValueError(f"malformed sweep CSV: line {lineno} has {len(fields)} fields")
-        k_raw, method = fields[0], fields[1]
+        k_raw, method, density, runtime = fields[0], fields[1], fields[2], fields[8]
         if method not in SOLVE_METHODS + (BOUND_METHOD,):
             # the method names output files, so only known names pass
             raise ValueError(
                 f"malformed sweep CSV: line {lineno} has unknown method {method!r}")
-        series.setdefault(method, []).append((k_raw, fields[2], fields[8]))
+        try:
+            int(k_raw), float(density), float(runtime)   # failed rows write nan, which passes
+        except ValueError:
+            raise ValueError(f"malformed sweep CSV: line {lineno} has a bad number") from None
+        series.setdefault(method, []).append((k_raw, density, runtime))
     if not series:
         raise ValueError(f"sweep CSV {csv_path} has no data rows")
 
     os.makedirs(out_dir, exist_ok=True)
     written = []
-    for method in sorted(series):
-        rows = series[method]
+    for method, rows in sorted(series.items()):
         for kind, column in (("density", 1), ("runtime", 2)):
             path = os.path.join(out_dir, f"{kind}_{method}.dat")
             with open(path, "w") as f:
@@ -360,8 +363,7 @@ def emit_plot_data(csv_path, out_dir) -> list:
 
 
 def run_plotdata(args) -> int:
-    written = emit_plot_data(args.csv, args.out_dir)
-    for path in written:
+    for path in emit_plot_data(args.csv, args.out_dir):
         print(path)
     return 0
 
@@ -406,8 +408,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma-separated subset of: " + ", ".join(SOLVE_METHODS))
     sweep.add_argument("--out", required=True, metavar="CSV", help="output CSV path")
     sweep.add_argument("--threads", type=int, default=1,
-                       help="worker threads across k values (default 1; "
-                            "1 guarantees bit-reproducible output)")
+                       help="worker threads across k values (default 1); rows do not "
+                            "depend on it, though the BLAS thread count can move last bits")
     sweep.add_argument("--no-timing", action="store_true",
                        help="write runtime_ms as 0.0 for byte-reproducible CSV")
     sweep.set_defaults(handler=run_sweep)

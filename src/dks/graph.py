@@ -276,8 +276,7 @@ def _parse_lines(stream, weighted: bool):
             raise EdgeListParseError(
                 f"line {lineno}: non-numeric vertex id", lineno) from None
         try:
-            ends.append(u)
-            ends.append(v)
+            ends.extend((u, v))
         except OverflowError:
             raise EdgeListParseError(
                 f"line {lineno}: vertex id out of range", lineno) from None
@@ -530,6 +529,8 @@ def adjacency_matvec(g: Graph, x) -> np.ndarray:
 
 
 _KRYLOV_BASIS = 12  # Lanczos vectors per restart cycle: the basis holds 12 n floats
+LAMBDA_TOL = 1e-2          # relative slack of incidence_norm_sq_upper's estimate
+LAMBDA_MAX_MATVECS = 2000  # its matvec cap
 
 
 def power_iteration_norm(matvec, n: int, tol: float = 1e-4, max_iter: int = 1000,
@@ -607,16 +608,16 @@ def power_iteration_norm(matvec, n: int, tol: float = 1e-4, max_iter: int = 1000
     return sigma, vec, converged
 
 
-def incidence_norm_sq_upper(g: Graph, tol: float = 1e-2, max_iter: int = 2000) -> float:
+def incidence_norm_sq_upper(g: Graph) -> float:
     """Safe upper estimate of the squared incidence spectral norm ``||B||^2``.
 
     Lanczos (:func:`power_iteration_norm`) for ``lambda_max(B B^T)`` on the
-    solver's own edge scans ``B (B^T x)``, inflated by ``(1 + tol)`` and
-    capped at the certified Anderson-Morley bound ``max_edge(deg_i + deg_j)``
-    (unweighted degrees). If the matvec cap ``max_iter`` is hit, that bound
-    is returned as is; it never exceeds the Gershgorin bound
-    ``2 * max_degree``. Overestimating is safe for consumers that need a
-    feasible step size; underestimating is not.
+    solver's own edge scans ``B (B^T x)``, inflated by ``(1 + LAMBDA_TOL)``
+    and capped at the certified Anderson-Morley bound
+    ``max_edge(deg_i + deg_j)`` (unweighted degrees). If the matvec cap
+    ``LAMBDA_MAX_MATVECS`` is hit, that bound is returned as is; it never
+    exceeds the Gershgorin bound ``2 * max_degree``. Overestimating is safe
+    for consumers that need a feasible step size; underestimating is not.
     """
     if g.m == 0:
         raise ValueError("graph has no edges")
@@ -624,8 +625,8 @@ def incidence_norm_sq_upper(g: Graph, tol: float = 1e-2, max_iter: int = 2000) -
     edge_bound = float((counts[g.edges[:, 0]] + counts[g.edges[:, 1]]).max())
     estimate, _, converged = power_iteration_norm(
         lambda x: edge_differences_adjoint(g, edge_differences(g, x)), g.n,
-        tol=0.5 * tol, max_iter=max_iter)
-    return min((1.0 + tol) * estimate, edge_bound) if converged else edge_bound
+        tol=0.5 * LAMBDA_TOL, max_iter=LAMBDA_MAX_MATVECS)
+    return min((1.0 + LAMBDA_TOL) * estimate, edge_bound) if converged else edge_bound
 
 
 def subgraph_weight(g: Graph, members) -> float:

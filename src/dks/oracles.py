@@ -23,6 +23,7 @@ __all__ = [
 
 # generate_planted draws over every vertex pair, about 12 bytes each at peak
 _MAX_PAIRS = 10**7
+_MAX_SUBSETS = 10**7   # brute_force_dks refuses to enumerate more k-subsets
 
 
 def _dense_adjacency(g: Graph) -> np.ndarray:
@@ -32,19 +33,19 @@ def _dense_adjacency(g: Graph) -> np.ndarray:
     return W
 
 
-def brute_force_dks(g: Graph, k: int, limit: int = 10**7):
+def brute_force_dks(g: Graph, k: int):
     """Exact densest-k by exhaustive enumeration; ``(vertex_set, weight)``.
 
     Subsets are enumerated in lexicographic order and ties keep the first
     maximum, so the winner is the lexicographically smallest optimal subset.
-    Refuses instances with more than ``limit`` subsets.
+    Refuses instances with more than ``_MAX_SUBSETS`` subsets.
     """
     if not 2 <= k <= g.n:
         raise ValueError(f"k must lie in [2, {g.n}], got {k}")
     total = math.comb(g.n, k)
-    if total > limit:
+    if total > _MAX_SUBSETS:
         raise ValueError(
-            f"C({g.n}, {k}) = {total} subsets exceeds the enumeration limit {limit}")
+            f"C({g.n}, {k}) = {total} subsets exceeds the enumeration limit {_MAX_SUBSETS}")
     W = _dense_adjacency(g)
     chunk_rows = max(1, 5_000_000 // max(g.n, 1))
     combos = itertools.combinations(range(g.n), k)

@@ -36,15 +36,14 @@ class CappedSimplexParams:
     def __post_init__(self):
         d = np.asarray(self.degrees, dtype=np.float64)
         object.__setattr__(self, "degrees", d)
-        n = d.shape[0]
-        if d.ndim != 1 or n < 3:
+        if d.ndim != 1 or d.size < 3:
             raise ValueError("degrees must be a vector of length >= 3")
         if not np.isfinite(d).all():
             raise ValueError("degrees must be finite")
         if not (self.tau > 0 and np.isfinite(self.tau)):
             raise ValueError("tau must be positive")
-        if not 2 <= self.k <= n - 1:
-            raise ValueError(f"k must lie in [2, {n - 1}], got {self.k}")
+        if not 2 <= self.k <= d.size - 1:
+            raise ValueError(f"k must lie in [2, {d.size - 1}], got {self.k}")
 
 
 def cardinality_gap(nu: float, v: np.ndarray, p: CappedSimplexParams) -> float:

@@ -31,6 +31,7 @@ __all__ = [
 ]
 
 OBJECTIVE_TOL = 1e-9   # relative objective change that stops Frank-Wolfe
+MAX_ITER = 100         # step cap of frank_wolfe_refine
 
 
 def project_topk(g: Graph, x, k: int) -> VertexSet:
@@ -49,7 +50,7 @@ class FrankWolfeResult:
     integrality_gap: float          # ||x - round(x)||_inf of the final iterate
 
 
-def frank_wolfe_refine(g: Graph, k: int, x0, max_iter: int = 100) -> FrankWolfeResult:
+def frank_wolfe_refine(g: Graph, k: int, x0) -> FrankWolfeResult:
     """Refine a fractional point on the indefinite surrogate ``min -x' W x``.
 
     Each step takes the gradient direction's linear minimizer over the capped
@@ -57,15 +58,13 @@ def frank_wolfe_refine(g: Graph, k: int, x0, max_iter: int = 100) -> FrankWolfeR
     moves along ``x_bar - x`` by exact line search. Stops at a
     linear-minimization fixed point (zero step, which is exactly Frank-Wolfe
     stationarity on a polytope), on relative objective change below
-    ``OBJECTIVE_TOL``, or after ``max_iter`` steps.
+    ``OBJECTIVE_TOL``, or after ``MAX_ITER`` (100) steps.
 
     The final iterate is usually integral in practice, but this is measured
     (``integrality_gap``) rather than assumed; ``selected`` is its top-k
     projection either way.
     """
     check_k(g, k)
-    if max_iter < 1:
-        raise ValueError("max_iter must be at least 1")
     x = _check_vertex_vector(g, x0)
     if not np.isfinite(x).all():
         raise ValueError("x0 must be finite")
@@ -77,7 +76,7 @@ def frank_wolfe_refine(g: Graph, k: int, x0, max_iter: int = 100) -> FrankWolfeR
     objective = -float(x @ wx)
     history = [objective]
     stop_reason = "max-iter"
-    for iters in range(1, max_iter + 1):   # a zero step at a stationary stop counts
+    for iters in range(1, MAX_ITER + 1):   # a zero step at a stationary stop counts
         x_bar = np.zeros(g.n)
         x_bar[topk(wx, k)] = 1.0
         d = x_bar - x

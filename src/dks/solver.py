@@ -58,6 +58,7 @@ BALANCE_FACTOR = 2.0
 # the stopping tolerances of solve_lovasz_relaxation, for weights divided by the largest one
 EPS_ABS = 1e-3
 EPS_REL = 1e-3
+MAX_ITER = 3000   # iteration cap of solve_lovasz_relaxation
 
 
 class NumericalDivergenceError(RuntimeError):
@@ -68,10 +69,10 @@ class NumericalDivergenceError(RuntimeError):
 class SolverReport:
     """Outcome of one relaxation solve.
 
-    ``x_avg`` is the running average of the post-update iterates (what the
-    rounding stage consumes by default); ``x_last`` is the final iterate,
-    often sharper in practice. ``r_norm_final`` and ``s_norm_final`` are the
-    primal and dual residual norms of the last iteration, checked against
+    ``x_avg`` is the running average of the post-update iterates, the point
+    the CLI rounds; ``x_last`` is the final iterate, the point where ``gap``
+    is measured. ``r_norm_final`` and ``s_norm_final`` are the primal and
+    dual residual norms of the last iteration, checked against
     ``eps_pri_final`` and ``eps_dual_final``. ``dual_bound`` is the LP dual
     bound of the last iteration, a certified lower bound on ``min f_L`` (up
     to roundoff), and ``gap`` is ``lovasz_objective(g, x_last) - dual_bound``.
@@ -102,8 +103,7 @@ def lovasz_objective(g: Graph, x) -> float:
     return float(g.weights @ np.abs(edge_differences(g, x)) - g.degree @ x)
 
 
-def solve_lovasz_relaxation(g: Graph, k: int, lambda_hat: float | None = None,
-                            max_iter: int = 3000) -> SolverReport:
+def solve_lovasz_relaxation(g: Graph, k: int, lambda_hat: float | None = None) -> SolverReport:
     """Solve the Lovász relaxation at cardinality ``k`` with linearized ADMM.
 
     Per iteration, in reused edge-length buffers: an x-update through the
@@ -117,8 +117,8 @@ def solve_lovasz_relaxation(g: Graph, k: int, lambda_hat: float | None = None,
     times the dual residual tenfold (or the reverse); the scaled dual ``u``
     is rescaled so that ``rho u`` is unchanged, and ``mu`` is recomputed.
     All of it runs on weights and degrees divided by the largest weight.
-    Stops at ``max_iter``, or when the primal residual ``B^T x - z`` and dual
-    residual ``B (z - z_prev)`` fall below
+    Stops after ``MAX_ITER`` (3000) iterations, or when the primal residual
+    ``B^T x - z`` and dual residual ``B (z - z_prev)`` fall below
 
         eps_pri  = sqrt(m) EPS_ABS + EPS_REL max(||B^T x||, ||z||)
         eps_dual = sqrt(n) EPS_ABS + EPS_REL ||B u||
@@ -132,19 +132,16 @@ def solve_lovasz_relaxation(g: Graph, k: int, lambda_hat: float | None = None,
     graph alone: callers solving at several ``k`` compute it once with
     :func:`incidence_norm_sq_upper` and pass it; by default it is computed
     here. Raises ``ValueError`` for out-of-range ``k``, an edgeless graph,
-    a ``lambda_hat`` that is not positive and finite or ``max_iter < 1``, and
+    or a ``lambda_hat`` that is not positive and finite, and
     :class:`NumericalDivergenceError` when an iterate goes non-finite.
     """
-    if max_iter < 1:
-        raise ValueError("max_iter must be at least 1")
     check_k(g, k)
     if g.m == 0:
         raise ValueError("graph has no edges")
-    if lambda_hat is not None and not (np.isfinite(lambda_hat) and lambda_hat > 0):
-        raise ValueError("lambda_hat must be positive and finite")
-
     if lambda_hat is None:
         lambda_hat = incidence_norm_sq_upper(g)
+    elif not (np.isfinite(lambda_hat) and lambda_hat > 0):
+        raise ValueError("lambda_hat must be positive and finite")
     scale = float(g.weights.max())
     degree, weights = g.degree / scale, g.weights / scale
     rho = RHO_START
@@ -164,7 +161,7 @@ def solve_lovasz_relaxation(g: Graph, k: int, lambda_hat: float | None = None,
     r_norm = s_norm = eps_pri = eps_dual = dual_bound = gap = np.inf
     iters = 0
 
-    for t in range(max_iter):
+    for t in range(MAX_ITER):
         np.subtract(btx, z, out=work)
         work += u
         x, nu = prox_capped_simplex(x - mu * rho * edge_differences_adjoint(g, work), params, nu)

@@ -168,8 +168,8 @@ def prox_capped_simplex_bisection(v, p: CappedSimplexParams):
     return x, nu
 
 
-def solve_lovasz_relaxation_unbuffered(g: Graph, k: int, lambda_hat: float | None = None,
-                                       max_iter: int = 3000) -> solver_mod.SolverReport:
+def solve_lovasz_relaxation_unbuffered(g: Graph, k: int,
+                                       lambda_hat: float | None = None) -> solver_mod.SolverReport:
     """The ADMM loop with a fresh array per step, the oracle kernels above and a
     cold prox; it reads ``dks.solver``'s constants at call time."""
     s = solver_mod
@@ -193,7 +193,7 @@ def solve_lovasz_relaxation_unbuffered(g: Graph, k: int, lambda_hat: float | Non
     r_norm = s_norm = eps_pri = eps_dual = dual_bound = gap = np.inf
     iters = 0
 
-    for t in range(max_iter):
+    for t in range(s.MAX_ITER):
         x, _ = prox_capped_simplex_bisection(
             x - mu * rho * edge_differences_adjoint_full_scan(g, btx - z + u), params)
         btx = edge_differences(g, x)

@@ -81,7 +81,7 @@ class TestTruncatedPowerMethod:
         with pytest.raises(ValueError):
             truncated_power_method(c6, 3, np.zeros(6))
 
-    def test_default_start_and_best_visited(self):
+    def test_default_start_and_best_visited(self, monkeypatch):
         rng = np.random.default_rng(1)
         for _ in range(25):
             g = random_graph(rng, int(rng.integers(4, 25)), 0.3, weighted=True)
@@ -89,7 +89,9 @@ class TestTruncatedPowerMethod:
             vs = truncated_power_method(g, k)
             assert vs.k == k
             # best-visited dominates the first (degree top-k) candidate step
-            first = truncated_power_method(g, k, max_iter=1)
+            with monkeypatch.context() as m:
+                m.setattr(baselines_mod, "TPM_MAX_ITER", 1)
+                first = truncated_power_method(g, k)
             assert vs.subgraph_weight >= first.subgraph_weight - 1e-12
 
 
@@ -126,11 +128,12 @@ class TestTopTwoSingular:
             assert sp.sigma1 >= sp.sigma2 >= 0.0
             assert np.linalg.norm(sp.u1) == pytest.approx(1.0)
 
-    def test_iteration_cap_falls_back_to_certified_bound(self):
+    def test_iteration_cap_falls_back_to_certified_bound(self, monkeypatch):
+        monkeypatch.setattr(baselines_mod, "SPECTRAL_MAX_MATVECS", 1)
         rng = np.random.default_rng(6)
         for weighted in (False, True):
             g = random_graph(rng, 12, 0.4, weighted=weighted)
-            sp = top_two_singular(g, max_iter=1)
+            sp = top_two_singular(g)
             assert not sp.converged
             assert sp.sigma1 == sp.sigma2 == g.degree.max()
             for k in range(2, g.n):
@@ -150,7 +153,8 @@ class TestTopTwoSingular:
             return adjacency_matvec(g, x)
 
         monkeypatch.setattr(baselines_mod, "adjacency_matvec", counted)
-        assert not top_two_singular(cycle(201), max_iter=max_iter).converged
+        monkeypatch.setattr(baselines_mod, "SPECTRAL_MAX_MATVECS", max_iter)
+        assert not top_two_singular(cycle(201)).converged
         assert len(calls) <= 2 * max_iter
 
 
@@ -231,13 +235,15 @@ class TestDensityUpperBound:
                 best, _ = brute_force_dks(g, k)
                 assert bound >= best.density - 1e-9
 
-    def test_matches_two_step_formula(self):
+    def test_matches_two_step_formula(self, monkeypatch):
         # the bound once took q from rank1_dks; computing q itself must not move a bit
         rng = np.random.default_rng(7)
         for weighted in (False, True):
-            for max_iter in (20000, 1):
+            for max_iter in (baselines_mod.SPECTRAL_MAX_MATVECS, 1):
                 g = random_graph(rng, 14, 0.4, weighted=weighted)
-                sp = top_two_singular(g, max_iter=max_iter)
+                with monkeypatch.context() as m:
+                    m.setattr(baselines_mod, "SPECTRAL_MAX_MATVECS", max_iter)
+                    sp = top_two_singular(g)
                 u = np.asarray(sp.u1, dtype=np.float64)
                 for k in range(2, g.n):
                     plus = np.argsort(-u, kind="stable")[:k]

@@ -11,6 +11,7 @@ import pytest
 
 from conftest import near_bipartite
 import dks
+import dks.baselines as baselines_mod
 from dks.cli import CSV_HEADER, emit_plot_data, main
 from dks.graph import Graph, VertexSet, load_edge_list, write_edge_list
 from dks.oracles import brute_force_dks
@@ -95,10 +96,7 @@ class TestSolve:
         assert capped["density"] == 1.0
 
     def test_unconverged_bound_reported(self, fixture_file, capsys, monkeypatch):
-        import dks.cli as cli_mod
-
-        capped = cli_mod.top_two_singular
-        monkeypatch.setattr(cli_mod, "top_two_singular", lambda g: capped(g, max_iter=1))
+        monkeypatch.setattr(baselines_mod, "SPECTRAL_MAX_MATVECS", 1)
         argv = ["solve", "--graph", fixture_file, "--k", "4", "--method", "greedy", "--bound"]
         assert main(argv + ["--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
@@ -273,7 +271,6 @@ class TestSweep:
 
     def test_graph_quantities_computed_once(self, fixture_file, tmp_path, capsys,
                                             monkeypatch):
-        import dks.baselines as baselines_mod
         import dks.cli as cli_mod
 
         calls = {}
@@ -340,10 +337,7 @@ class TestSweep:
 
     def test_unconverged_spectral_pair_reported(self, fixture_file, tmp_path, capsys,
                                                 monkeypatch):
-        import dks.cli as cli_mod
-
-        capped = cli_mod.top_two_singular
-        monkeypatch.setattr(cli_mod, "top_two_singular", lambda g: capped(g, max_iter=1))
+        monkeypatch.setattr(baselines_mod, "SPECTRAL_MAX_MATVECS", 1)
         out = tmp_path / "sweep.csv"
         rc = main(["sweep", "--graph", fixture_file, "--k-list", "4,6",
                    "--methods", "greedy,rank1", "--out", str(out)])
@@ -584,6 +578,30 @@ class TestPlotData:
         assert rc == 1
         assert "malformed sweep CSV: line 3" in capsys.readouterr().err
         assert list(out_dir.iterdir()) == []
+
+    @pytest.mark.parametrize("row, message", [
+        ("abc,greedy,xyz,1,1,1,0,true,0.0", "has a bad number"),
+        ("2.5,greedy,0.5,4.0,1.0,0.5,7,true,12.25", "has a bad number"),
+        ("3,greedy,dense,4.0,1.0,0.5,7,true,12.25", "has a bad number"),
+        ("3,greedy,0.5,4.0,1.0,0.5,7,true,", "has a bad number"),
+        ("3,greedy,0.5", "has 3 fields"),
+        ("3,greedy,0.5,4.0,1.0,0.5,7,true,12.25,1", "has 10 fields"),
+    ], ids=["letters", "fractional-k", "density", "empty-runtime", "short", "long"])
+    def test_bad_row_rejected_before_writing(self, tmp_path, capsys, row, message):
+        csv = tmp_path / "s.csv"
+        self._write_csv(csv, methods=("greedy",), ks=(2,))
+        csv.write_text(csv.read_text() + row + "\n")
+        out_dir = tmp_path / "out"
+        rc = main(["plotdata", "--csv", str(csv), "--out-dir", str(out_dir)])
+        assert rc == 1
+        assert f"malformed sweep CSV: line 3 {message}" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_failed_row_nan_copied_verbatim(self, tmp_path):
+        csv = tmp_path / "s.csv"
+        csv.write_text(CSV_HEADER + "\n4,tpm,nan,nan,1.0,nan,0,false,0.0\n")
+        emit_plot_data(str(csv), str(tmp_path / "out"))
+        assert (tmp_path / "out" / "density_tpm.dat").read_text() == "4 nan\n"
 
     def test_malformed_csv(self, tmp_path, capsys):
         csv = tmp_path / "bad.csv"

@@ -35,6 +35,7 @@ from dks.graph import (
     topk,
     write_edge_list,
 )
+import dks.baselines as baselines_mod
 from dks.baselines import top_two_singular
 
 
@@ -722,26 +723,27 @@ class TestSparseKernelsMatchFullScans:
 class TestIncidenceNormBound:
     def test_single_edge(self):
         g = Graph.from_edges(2, [(0, 1)])
-        lam = incidence_norm_sq_upper(g, 0.01)
+        lam = incidence_norm_sq_upper(g)
         assert 2.0 <= lam <= 2.02
 
     @pytest.mark.parametrize("n", [4, 8, 17])
     def test_star(self, n):
         g = Graph.from_edges(n, [(0, i) for i in range(1, n)])
-        lam = incidence_norm_sq_upper(g, 0.01)
+        lam = incidence_norm_sq_upper(g)
         true = dense_cross_check(g).laplacian_eigenvalues[-1]
         assert true == pytest.approx(n, abs=1e-9)
         assert n - 1e-9 <= lam <= 1.01 * n + 1e-9
 
     def test_triangle(self, k3):
-        lam = incidence_norm_sq_upper(k3, 0.01)
+        lam = incidence_norm_sq_upper(k3)
         assert 3.0 - 1e-9 <= lam <= 1.01 * 3 + 1e-9
 
-    def test_random_graphs_bracket(self):
+    def test_random_graphs_bracket(self, monkeypatch):
+        monkeypatch.setattr(graph_mod, "LAMBDA_TOL", 0.02)
         rng = np.random.default_rng(8)
         for _ in range(20):
             g = random_graph(rng, int(rng.integers(3, 60)), 0.2, weighted=True)
-            lam = incidence_norm_sq_upper(g, 0.02)
+            lam = incidence_norm_sq_upper(g)
             true = dense_cross_check(g).laplacian_eigenvalues[-1]
             assert lam >= true - 1e-9
             counts = np.bincount(g.edges.ravel(), minlength=g.n)
@@ -754,9 +756,10 @@ class TestIncidenceNormBound:
         (5, [(0, i) for i in range(1, 5)], 5.0),
         (17, [(0, i) for i in range(1, 17)], 17.0),
     ], ids=["c6", "star5", "star17"])
-    def test_iteration_cap_falls_back_to_anderson_morley(self, n, edges, bound):
+    def test_iteration_cap_falls_back_to_anderson_morley(self, n, edges, bound, monkeypatch):
         g = Graph.from_edges(n, edges)
-        lam = incidence_norm_sq_upper(g, 0.01, max_iter=0)
+        monkeypatch.setattr(graph_mod, "LAMBDA_MAX_MATVECS", 0)
+        lam = incidence_norm_sq_upper(g)
         assert lam == bound
         assert lam >= dense_cross_check(g).laplacian_eigenvalues[-1] - 1e-9
 
@@ -903,14 +906,16 @@ class TestPowerIterationNorm:
                 assert not converged, name
 
     @pytest.mark.parametrize("max_iter", [0, 1, 2])
-    def test_cap_keeps_the_fallbacks(self, max_iter):
+    def test_cap_keeps_the_fallbacks(self, max_iter, monkeypatch):
+        monkeypatch.setattr(baselines_mod, "SPECTRAL_MAX_MATVECS", max_iter)
+        monkeypatch.setattr(graph_mod, "LAMBDA_MAX_MATVECS", max_iter)
         for name, g in SPECTRAL_CASES:
-            sp = top_two_singular(g, max_iter=max_iter)
+            sp = top_two_singular(g)
             assert not sp.converged, name
             assert sp.sigma1 == sp.sigma2 == g.degree.max()
             counts = np.bincount(g.edges.ravel(), minlength=g.n)
             edge_bound = float((counts[g.edges[:, 0]] + counts[g.edges[:, 1]]).max())
-            assert incidence_norm_sq_upper(g, 0.01, max_iter=max_iter) == edge_bound
+            assert incidence_norm_sq_upper(g) == edge_bound
 
 
 class TestSubgraphQuantities:

@@ -155,7 +155,3 @@ class TestFrankWolfe:
             frank_wolfe_refine(k4k2, 4, np.full(6, 0.9))  # sum far from k
         with pytest.raises(ValueError):
             frank_wolfe_refine(k4k2, 4, np.array([2.0, 1, 1, 0, 0, 0]))
-
-    def test_config_validation(self, k4k2):
-        with pytest.raises(ValueError):
-            frank_wolfe_refine(k4k2, 4, np.full(6, 4.0 / 6.0), max_iter=0)

@@ -168,18 +168,16 @@ class TestSolveRelaxation:
             assert b.iters == a.iters and (b.x_avg == a.x_avg).all()
             assert b.dual_bound == c * a.dual_bound and b.gap == c * a.gap
 
-    def test_config_validation(self, c6):
-        with pytest.raises(ValueError, match="max_iter"):
-            solve_lovasz_relaxation(c6, 3, max_iter=0)
-
 
 class TestDualityGap:
-    def test_dual_bound_below_every_feasible_objective(self):
+    def test_dual_bound_below_every_feasible_objective(self, monkeypatch):
         rng = np.random.default_rng(6)
+        cap = solver_mod.MAX_ITER
         for trial in range(30):
             g = random_graph(rng, int(rng.integers(10, 40)), 0.3, weighted=True)
             k = int(rng.integers(2, g.n - 1))
-            report = solve_lovasz_relaxation(g, k, max_iter=5 if trial % 2 else 3000)
+            monkeypatch.setattr(solver_mod, "MAX_ITER", 5 if trial % 2 else cap)
+            report = solve_lovasz_relaxation(g, k)
             if trial % 2:
                 assert not report.converged
             else:
@@ -212,7 +210,8 @@ class TestDualityGap:
         monkeypatch.setattr(solver_mod, "EPS_ABS", 1e-12)
         monkeypatch.setattr(solver_mod, "EPS_REL", 1e-12)
         max_iter = solver_mod.BALANCE_UNTIL + 100
-        report = solve_lovasz_relaxation(g, 25, max_iter=max_iter)
+        monkeypatch.setattr(solver_mod, "MAX_ITER", max_iter)
+        report = solve_lovasz_relaxation(g, 25)
         assert not report.converged and len(taus) == len(rhos) == report.iters == max_iter
         # iteration t (from 1) runs the x-prox, then the shrinkage, at one rho
         assert all(tau == rho * report.lambda_hat for tau, rho in zip(taus, rhos))
@@ -273,7 +272,8 @@ class TestMatchesUnbufferedLoop:
         past_the_freeze = 0
         for g in self.graphs():
             for max_iter in (1, 7, solver_mod.BALANCE_UNTIL + 30):
-                got = solve_lovasz_relaxation(g, 25, max_iter=max_iter)
-                self.assert_same(got, solve_lovasz_relaxation_unbuffered(g, 25, max_iter=max_iter))
+                monkeypatch.setattr(solver_mod, "MAX_ITER", max_iter)
+                got = solve_lovasz_relaxation(g, 25)
+                self.assert_same(got, solve_lovasz_relaxation_unbuffered(g, 25))
                 past_the_freeze += got.iters > solver_mod.BALANCE_UNTIL
         assert past_the_freeze >= 3   # the unweighted graphs run into the fixed-rho tail
