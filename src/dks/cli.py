@@ -18,7 +18,7 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -42,7 +42,6 @@ from .solver import NumericalDivergenceError, solve_lovasz_relaxation
 
 __all__ = ["main", "SweepRecord", "run_single", "run_sweep", "run_gen", "emit_plot_data"]
 
-CSV_HEADER = "k,method,density,weight,upper_bound,bound_ratio,iters,converged,runtime_ms"
 SOLVE_METHODS = ("ladmm-project", "ladmm-fw", "greedy", "tpm", "rank1", "brute")
 RELAX_METHODS = ("ladmm-project", "ladmm-fw")
 BOUND_METHOD = "bound"
@@ -55,6 +54,17 @@ class UsageError(Exception):
 
 class BoundViolationError(RuntimeError):
     """A method's density exceeded the a-posteriori upper bound."""
+
+
+def _field(value) -> str:
+    """One report field as text, alike in sweep CSV rows and `solve`'s text report."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return repr(float(value))
+    if isinstance(value, list):
+        return " ".join(map(str, value))
+    return str(value)
 
 
 @dataclass
@@ -72,17 +82,11 @@ class SweepRecord:
     runtime_ms: float
 
     def csv_row(self) -> str:
-        return ",".join([
-            str(self.k),
-            self.method,
-            repr(float(self.density)),
-            repr(float(self.weight)),
-            repr(float(self.upper_bound)),
-            repr(float(self.bound_ratio)),
-            str(self.iters),
-            "true" if self.converged else "false",
-            repr(float(self.runtime_ms)),
-        ])
+        return ",".join(_field(getattr(self, name)) for name in _COLUMNS)
+
+
+_COLUMNS = tuple(f.name for f in fields(SweepRecord))
+CSV_HEADER = ",".join(_COLUMNS)
 
 
 def _check_k(g: Graph, k: int) -> None:
@@ -172,21 +176,7 @@ def run_single(args) -> int:
     if args.json:
         text = json.dumps(payload, indent=2)
     else:
-        lines = [f"graph: n={g.n} m={g.m}",
-                 f"method: {args.method}  k: {k}",
-                 "members (original ids): " + " ".join(str(v) for v in payload["members"]),
-                 f"weight: {payload['weight']!r}",
-                 f"density: {payload['density']!r}"]
-        if args.bound:
-            lines.append(f"upper_bound: {payload['upper_bound']!r}")
-            lines.append(f"bound_ratio: {payload['bound_ratio']!r}")
-            lines.append(f"bound_converged: {str(sp.converged).lower()}")
-        lines.append(f"iters: {iters}")
-        lines.append(f"converged: {str(converged).lower()}")
-        lines.extend(f"{key}: {value if isinstance(value, str) else repr(value)}"
-                     for key, value in details.items())
-        lines.append(f"runtime_ms: {runtime_ms:.3f}")
-        text = "\n".join(lines)
+        text = "\n".join(f"{key}: {_field(value)}" for key, value in payload.items())
     print(text)
     if args.out:
         with open(args.out, "w") as f:
@@ -198,7 +188,7 @@ def run_single(args) -> int:
 # sweep
 
 
-def _sweep_one_k(g, k, methods, sp, lambda_hat, no_timing):
+def _sweep_one_k(g, k, methods, sp, lambda_hat):
     records = []
     relax_report = None
     relax_s = 0.0   # the shared relaxation solve, charged to each row that rounds it
@@ -216,7 +206,7 @@ def _sweep_one_k(g, k, methods, sp, lambda_hat, no_timing):
     records.append(SweepRecord(
         k=k, method=BOUND_METHOD, density=ub, weight=ub * k * (k - 1),
         upper_bound=ub, bound_ratio=1.0, iters=0, converged=sp.converged,
-        runtime_ms=0.0 if no_timing else bound_ms))
+        runtime_ms=bound_ms))
 
     for method in methods:
         start = time.perf_counter() - (relax_s if method in RELAX_METHODS else 0.0)
@@ -231,8 +221,7 @@ def _sweep_one_k(g, k, methods, sp, lambda_hat, no_timing):
         records.append(SweepRecord(
             k=k, method=method, density=density, weight=weight, upper_bound=ub,
             bound_ratio=_bound_ratio(density, ub, f"k={k} method={method} "),
-            iters=iters, converged=converged,
-            runtime_ms=0.0 if no_timing else elapsed_ms))
+            iters=iters, converged=converged, runtime_ms=elapsed_ms))
     return records
 
 
@@ -276,7 +265,7 @@ def run_sweep(args) -> int:
         lambda_hat = incidence_norm_sq_upper(g)
 
     def work(k):
-        return _sweep_one_k(g, k, methods, sp, lambda_hat, args.no_timing)
+        return _sweep_one_k(g, k, methods, sp, lambda_hat)
 
     if args.threads == 1:
         blocks = [work(k) for k in ks]
@@ -289,6 +278,8 @@ def run_sweep(args) -> int:
     with open(args.out, "w") as f:
         f.write(CSV_HEADER + "\n")
         for rec in records:
+            if args.no_timing:
+                rec.runtime_ms = 0.0
             f.write(rec.csv_row() + "\n")
     print(f"wrote {len(records)} rows to {args.out}")
     return 0
@@ -334,30 +325,30 @@ def emit_plot_data(csv_path, out_dir) -> list:
     for lineno, line in enumerate(lines[1:], 2):
         if not line:
             continue
-        fields = line.split(",")
-        if len(fields) != 9:
-            raise ValueError(f"malformed sweep CSV: line {lineno} has {len(fields)} fields")
-        k_raw, method, density, runtime = fields[0], fields[1], fields[2], fields[8]
-        if method not in SOLVE_METHODS + (BOUND_METHOD,):
+        values = line.split(",")
+        if len(values) != len(_COLUMNS):
+            raise ValueError(f"malformed sweep CSV: line {lineno} has {len(values)} fields")
+        row = dict(zip(_COLUMNS, values))
+        if row["method"] not in SOLVE_METHODS + (BOUND_METHOD,):
             # the method names output files, so only known names pass
             raise ValueError(
-                f"malformed sweep CSV: line {lineno} has unknown method {method!r}")
-        try:
-            int(k_raw), float(density), float(runtime)   # failed rows write nan, which passes
+                f"malformed sweep CSV: line {lineno} has unknown method {row['method']!r}")
+        try:   # failed rows write nan, which passes
+            int(row["k"]), float(row["density"]), float(row["runtime_ms"])
         except ValueError:
             raise ValueError(f"malformed sweep CSV: line {lineno} has a bad number") from None
-        series.setdefault(method, []).append((k_raw, density, runtime))
+        series.setdefault(row["method"], []).append(row)
     if not series:
         raise ValueError(f"sweep CSV {csv_path} has no data rows")
 
     os.makedirs(out_dir, exist_ok=True)
     written = []
     for method, rows in sorted(series.items()):
-        for kind, column in (("density", 1), ("runtime", 2)):
+        for kind, column in (("density", "density"), ("runtime", "runtime_ms")):
             path = os.path.join(out_dir, f"{kind}_{method}.dat")
             with open(path, "w") as f:
                 for row in rows:
-                    f.write(f"{row[0]} {row[column]}\n")
+                    f.write(f"{row['k']} {row[column]}\n")
             written.append(path)
     return written
 

@@ -2,8 +2,9 @@
 
 Everything here is pure and deterministic: a :class:`Graph` is immutable after
 construction (its arrays are marked read-only) and safe to share across
-concurrent solver runs, and the operators reduce with numpy's sequential
-``bincount``, so results are bit-stable regardless of thread count.
+concurrent solver runs. The bincount operators reduce in one fixed order, bit-stable
+whatever the thread count; ``power_iteration_norm``'s BLAS dot products and norms
+can move in their last bits with ``OPENBLAS_NUM_THREADS``.
 """
 
 from __future__ import annotations
@@ -200,7 +201,7 @@ def topk(x, k: int) -> np.ndarray:
 
 
 def _read_source(source):
-    """All of `source` (path, '-', or file-like), gunzipped if needed.
+    """All of `source` (path, '-', or file-like), gunzipped if needed, less a leading BOM.
 
     Bytes come back checked to be UTF-8 (a bad byte raises the per-line
     parser's ``line N: invalid UTF-8`` wherever it lies in the file); the
@@ -224,6 +225,7 @@ def _read_source(source):
             data = gzip.decompress(data)
         except (EOFError, zlib.error) as exc:
             raise ValueError(f"corrupt gzip input: {exc}") from None
+    data = data.removeprefix(b"\xef\xbb\xbf")
     if not data.isascii():
         try:
             data.decode("utf-8")
@@ -326,7 +328,7 @@ def _fast_parse(data, weighted: bool):
     """:func:`_parse_lines`' ids and weights as arrays, from one C-level
     ``np.loadtxt`` call, or None where the input is outside what it reads.
 
-    It reads ASCII bytes whose ``#``/``%`` all lie in comment lines, whose other
+    It reads bytes whose ``#``/``%`` all lie in comment lines, whose other
     bytes are in ``_ID_BYTES`` (``_WEIGHT_BYTES`` when weighted) and whose every
     carriage return ends a line as CR LF. On those bytes ``loadtxt`` accepts
     only fields that ``int()`` and ``float()`` read to the same values; anything
@@ -334,8 +336,6 @@ def _fast_parse(data, weighted: bool):
     positive and finite also gives None, so the per-line parser's errors are
     the only ones a caller ever sees.
     """
-    if not data.isascii():
-        return None
     data = _drop_comment_lines(data)
     if (data is None or data.translate(None, _WEIGHT_BYTES if weighted else _ID_BYTES)
             or data.count(b"\r") != data.count(b"\r\n")):
@@ -396,12 +396,12 @@ def load_edge_list(source, weighted: bool = False) -> Graph:
     detected transparently; ``source`` may be a path, ``"-"`` for stdin, or a
     file-like object.
 
-    Plain input is parsed at C speed by one ``np.loadtxt`` call: ASCII with LF
-    or CR LF line ends, spaces or tabs between fields, ``#``/``%`` only in
-    comment lines, and decimal numbers without ``_``, ``inf`` or ``nan``, the
-    weights positive. Any other input, and every input with an error, is
-    read by the per-line parser instead, so errors and their line numbers are
-    always the per-line parser's.
+    A leading UTF-8 byte-order mark is dropped. Plain input is parsed at C
+    speed by one ``np.loadtxt`` call: ASCII outside comment lines, LF or CR LF
+    line ends, spaces or tabs between fields, ``#``/``%`` only in comment lines,
+    and decimal numbers without ``_``, ``inf`` or ``nan``, the weights positive.
+    Any other input, and every input with an error, is read by the per-line
+    parser instead, so errors and their line numbers are always its own.
 
     Raises :class:`EdgeListParseError` on malformed lines or invalid UTF-8,
     and ``ValueError`` on corrupt gzip input or if no edges survive preprocessing.

@@ -12,7 +12,7 @@ import pytest
 from conftest import near_bipartite
 import dks
 import dks.baselines as baselines_mod
-from dks.cli import CSV_HEADER, emit_plot_data, main
+from dks.cli import CSV_HEADER, SOLVE_METHODS, emit_plot_data, main
 from dks.graph import Graph, VertexSet, load_edge_list, write_edge_list
 from dks.oracles import brute_force_dks
 
@@ -21,12 +21,24 @@ _GOLDEN_SWEEP = Path(__file__).parent / "data" / "golden_sweep_planted.csv"
 _GZIPPED = gzip.compress("".join(f"{i} {i + 1}\n" for i in range(500)).encode())
 
 
-def _run_dks(args, **kwargs):
-    """Run ``python -m dks`` in a subprocess that imports the same dks as this process."""
+def _run_dks(args, entry=("-m", "dks"), **kwargs):
+    """Run ``python -m dks`` (or ``python *entry``) in a subprocess that imports
+    the same dks as this process."""
     src = os.path.dirname(os.path.dirname(dks.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", "dks", *args], capture_output=True,
+    return subprocess.run([sys.executable, *entry, *args], capture_output=True,
                           env=dict(os.environ, PYTHONPATH=path), **kwargs)
+
+
+def _shown(value):
+    """A report value as `solve`'s text report shows it."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return repr(value)
+    if isinstance(value, list):
+        return " ".join(str(v) for v in value)
+    return str(value)
 
 
 @pytest.fixture
@@ -116,8 +128,18 @@ class TestSolve:
         path.write_text("10 11\n10 12\n11 12\n")
         rc = main(["solve", "--graph", str(path), "--k", "2", "--method", "greedy"])
         assert rc == 0
-        out = capsys.readouterr().out
-        assert "members (original ids): 10 11" in out
+        assert "members: 10 11" in capsys.readouterr().out.splitlines()
+
+    @pytest.mark.parametrize("method", SOLVE_METHODS)
+    def test_text_report_is_the_payload(self, k4k2_file, capsys, method):
+        argv = ["solve", "--graph", k4k2_file, "--k", "4", "--method", method, "--bound"]
+        assert main(argv + ["--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(": ", 1)[0] for line in lines] == list(payload)
+        assert [line for line in lines if not line.startswith("runtime_ms: ")] == [
+            f"{key}: {_shown(value)}" for key, value in payload.items() if key != "runtime_ms"]
 
     def test_bound_violation_aborts(self, k4k2_file, capsys, monkeypatch):
         import dks.cli as cli_mod
@@ -187,6 +209,15 @@ class TestSolve:
         assert proc.stderr.startswith("error:")
         assert "Traceback" not in proc.stderr
         assert proc.stdout == ""
+
+    def test_numpy_is_the_only_runtime_dependency(self, k4k2_file, tmp_path):
+        entry = ("-c", "import sys; sys.modules['scipy'] = None\n"
+                       "from dks.cli import main; sys.exit(main())")
+        for argv in (["sweep", "--graph", k4k2_file, "--k-list", "2,3,4",
+                      "--methods", ",".join(SOLVE_METHODS), "--out", str(tmp_path / "s.csv")],
+                     ["solve", "--graph", k4k2_file, "--k", "4", "--bound", "--json"]):
+            proc = _run_dks(argv, entry=entry, text=True)
+            assert proc.returncode == 0, proc.stderr
 
     def test_stdin_dash(self, k4k2_file):
         with open(k4k2_file, "rb") as f:

@@ -257,6 +257,7 @@ class TestFastPath:
             (f"# perfbench spectral-sweep seed=1 n=300 pairs={len(lines)}\n" + body, False),
             (body.replace("\n", "\r\n"), False),
             ("% sym unweighted\n% 2000 300 300\n" + body, False),
+            ("# source: Zürich café network\n% Größe ≥ 300\n" + body, False),
             ("".join(f"{ln} {w}\n" for ln, w in zip(lines, weights)), True),
         ]
         calls = _spy_parse_lines(monkeypatch)
@@ -268,6 +269,32 @@ class TestFastPath:
             path.write_bytes(gzip.compress(text.encode()))
             _assert_same_load(path, weighted)
         assert calls == []
+
+    @pytest.mark.parametrize("text,weighted", [
+        ("0 1\n1 2\n2 0\n2 3\n", False),
+        ("# header\n0 1 0.5\n1 2 2.0\n2 0 1e-3\n", True),
+    ])
+    def test_leading_bom_dropped(self, tmp_path, monkeypatch, text, weighted):
+        want = _outcome(io.StringIO(text), weighted)
+        calls = _spy_parse_lines(monkeypatch)
+        raw = b"\xef\xbb\xbf" + text.encode()
+        path = tmp_path / "bom.txt"
+        for data in (raw, gzip.compress(raw)):
+            path.write_bytes(data)
+            assert _outcome(path, weighted) == want
+            assert _outcome(io.BytesIO(data), weighted) == want
+        assert _outcome(io.StringIO("\ufeff" + text), weighted) == want
+        assert calls == []
+
+    @pytest.mark.parametrize("text,lineno", [
+        ("\ufeff\ufeff0 1\n", 1), ("0 1\n\ufeff1 2\n", 2), ("0 1\n1 2\ufeff\n", 2),
+    ])
+    def test_bom_elsewhere_names_its_line(self, text, lineno):
+        for source in (io.StringIO(text), io.BytesIO(text.encode())):
+            with pytest.raises(EdgeListParseError) as err:
+                load_edge_list(source)
+            assert (str(err.value), err.value.lineno) == (
+                f"line {lineno}: non-numeric vertex id", lineno)
 
     def test_reference_cases_take_fast_path(self, tmp_path, monkeypatch):
         # replays the inputs of the two differential tests above: each one
