@@ -59,15 +59,15 @@ def greedy_feige(g: Graph, k: int) -> VertexSet:
     return VertexSet.from_members(g, np.concatenate([heads, tail]))
 
 
-def truncated_power_method(g: Graph, k: int, x0=None) -> VertexSet:
-    """Power iterations snapped to k-sparse indicators; returns the best support seen.
+def truncated_power_method(g: Graph, k: int, x0=None) -> tuple[VertexSet, bool]:
+    """Power iterations snapped to k-sparse indicators; returns ``(best support, converged)``.
 
     Each step replaces ``x`` by the indicator of the top-k entries of ``W x``
     (ties to the smallest id). Stops when the subgraph weight stops
-    increasing (a repeated support included) or after ``TPM_MAX_ITER``
-    (100) steps. Weights rise strictly until then, so the last support that
-    gained is the best one visited, and that is returned: the result never
-    degrades with extra iterations. ``x0`` defaults to the top-k degree indicator.
+    increasing (a repeated support included), or unconverged after
+    ``TPM_MAX_ITER`` (100) steps. Weights rise strictly until then, so the last
+    support that gained is the best one visited, and that is returned: the
+    result never degrades with extra iterations. ``x0`` defaults to the top-k degree indicator.
     """
     check_k(g, k)
     if x0 is None:
@@ -84,12 +84,13 @@ def truncated_power_method(g: Graph, k: int, x0=None) -> VertexSet:
     for _ in range(TPM_MAX_ITER):
         support = topk(adjacency_matvec(g, x), k)
         weight = subgraph_weight(g, support)
-        if weight <= best_weight:
+        converged = weight <= best_weight   # false after the first step, which always gains
+        if converged:
             break
         best_support, best_weight = support, weight
         x = np.zeros(g.n)
         x[support] = 1.0
-    return VertexSet.from_members(g, best_support)
+    return VertexSet.from_members(g, best_support), converged
 
 
 @dataclass(frozen=True, eq=False)

@@ -57,13 +57,11 @@ class BoundViolationError(RuntimeError):
 
 
 def _field(value) -> str:
-    """One report field as text, alike in sweep CSV rows and `solve`'s text report."""
+    """One sweep CSV cell: floats by `repr`, booleans as `true`/`false`."""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
         return repr(float(value))
-    if isinstance(value, list):
-        return " ".join(map(str, value))
     return str(value)
 
 
@@ -130,7 +128,8 @@ def _run_method(g, k, method, relax_report, sp):
         return greedy_feige(g, k), 0, True, {}
     if method == "tpm":
         x0 = relax_report.x_avg if relax_report is not None else None
-        return truncated_power_method(g, k, x0), 0, True, {}
+        vset, converged = truncated_power_method(g, k, x0)
+        return vset, 0, converged, {}
     if method == "rank1":
         return rank1_dks(g, k, sp), 0, sp.converged, {}
     vset, _ = brute_force_dks(g, k)
@@ -173,14 +172,7 @@ def run_single(args) -> int:
         payload["bound_ratio"] = _bound_ratio(vset.density, ub, "")
         payload["bound_converged"] = sp.converged
 
-    if args.json:
-        text = json.dumps(payload, indent=2)
-    else:
-        text = "\n".join(f"{key}: {_field(value)}" for key, value in payload.items())
-    print(text)
-    if args.out:
-        with open(args.out, "w") as f:
-            f.write(text + "\n")
+    print(json.dumps(payload, indent=2, allow_nan=False))
     return 0
 
 
@@ -267,10 +259,12 @@ def run_sweep(args) -> int:
     def work(k):
         return _sweep_one_k(g, k, methods, sp, lambda_hat)
 
-    if args.threads == 1:
+    # a pool starts a thread per queued k up to its size, so the size is clamped
+    workers = min(args.threads, len(ks), os.cpu_count() or 1)
+    if workers == 1:
         blocks = [work(k) for k in ks]
     else:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             blocks = list(pool.map(work, ks))
 
     records = sorted((r for block in blocks for r in block),
@@ -383,8 +377,6 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--method", choices=SOLVE_METHODS, default="ladmm-fw")
     solve.add_argument("--bound", action="store_true",
                        help="also compute the rank-1 density upper bound")
-    solve.add_argument("--json", action="store_true", help="machine-readable output")
-    solve.add_argument("--out", metavar="PATH", help="also write the report to a file")
     solve.set_defaults(handler=run_single)
 
     sweep = sub.add_parser("sweep", help="run methods over a k grid, writing CSV")
@@ -399,8 +391,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma-separated subset of: " + ", ".join(SOLVE_METHODS))
     sweep.add_argument("--out", required=True, metavar="CSV", help="output CSV path")
     sweep.add_argument("--threads", type=int, default=1,
-                       help="worker threads across k values (default 1); rows do not "
-                            "depend on it, though the BLAS thread count can move last bits")
+                       help="worker threads across k values (default 1; at most one per k and "
+                            "CPU); rows do not depend on it, but BLAS threads can move last bits")
     sweep.add_argument("--no-timing", action="store_true",
                        help="write runtime_ms as 0.0 for byte-reproducible CSV")
     sweep.set_defaults(handler=run_sweep)

@@ -257,7 +257,7 @@ def test_criterion_08_planted_recovery():
         if fw.selected.density == 1.0 and ratio >= 1.0 - 1e-9:
             recovered += 1
         greedy_density = greedy_feige(g, 20).density
-        tpm_density = truncated_power_method(g, 20, report.x_avg).density
+        tpm_density = truncated_power_method(g, 20, report.x_avg)[0].density
         comparison.append((seed, fw.selected.density, greedy_density, tpm_density))
     assert recovered >= 18, f"only {recovered}/20 seeds recovered the planted clique"
     elapsed = time.perf_counter() - start

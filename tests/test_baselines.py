@@ -64,16 +64,18 @@ class TestGreedy:
 
 class TestTruncatedPowerMethod:
     def test_k4k2_one_step(self, k4k2):
-        vs = truncated_power_method(k4k2, 4, np.full(6, 1.0))
+        vs, converged = truncated_power_method(k4k2, 4, np.full(6, 1.0))
         assert vs.members == (0, 1, 2, 3)
+        assert converged
 
     def test_clique_indicator_fixed_point(self, k4k2):
         x0 = np.array([1.0, 1.0, 1.0, 1.0, 0.0, 0.0])
-        vs = truncated_power_method(k4k2, 4, x0)
+        vs, converged = truncated_power_method(k4k2, 4, x0)
         assert vs.members == (0, 1, 2, 3)
+        assert converged
 
     def test_c6_from_basis_vector(self, c6):
-        vs = truncated_power_method(c6, 3, np.eye(6)[0])
+        vs, _ = truncated_power_method(c6, 3, np.eye(6)[0])
         _, best = brute_force_dks(c6, 3)
         assert vs.subgraph_weight == pytest.approx(best) == pytest.approx(4.0)
 
@@ -86,12 +88,14 @@ class TestTruncatedPowerMethod:
         for _ in range(25):
             g = random_graph(rng, int(rng.integers(4, 25)), 0.3, weighted=True)
             k = int(rng.integers(2, g.n - 1))
-            vs = truncated_power_method(g, k)
+            vs, converged = truncated_power_method(g, k)
             assert vs.k == k
+            assert converged
             # best-visited dominates the first (degree top-k) candidate step
             with monkeypatch.context() as m:
                 m.setattr(baselines_mod, "TPM_MAX_ITER", 1)
-                first = truncated_power_method(g, k)
+                first, stopped = truncated_power_method(g, k)
+            assert not stopped   # one step never sees the weight stop rising
             assert vs.subgraph_weight >= first.subgraph_weight - 1e-12
 
 
@@ -331,7 +335,8 @@ class TestNearlyEqualEnds:
         assert svals[1] <= sp.sigma2 <= svals[1] * (1 + 1e-4)
         for k in range(2, g.n):
             bound = density_upper_bound(g, k, sp)
-            for vs in (greedy_feige(g, k), truncated_power_method(g, k), rank1_dks(g, k, sp)):
+            for vs in (greedy_feige(g, k), truncated_power_method(g, k)[0],
+                       rank1_dks(g, k, sp)):
                 assert bound >= vs.density, (k, vs.members)
 
 

@@ -30,17 +30,6 @@ def _run_dks(args, entry=("-m", "dks"), **kwargs):
                           env=dict(os.environ, PYTHONPATH=path), **kwargs)
 
 
-def _shown(value):
-    """A report value as `solve`'s text report shows it."""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    if isinstance(value, list):
-        return " ".join(str(v) for v in value)
-    return str(value)
-
-
 @pytest.fixture
 def k4k2_file(tmp_path):
     """K4 on 0-3 plus a pendant path 3-4-5 (connected, so the loader keeps it all)."""
@@ -61,7 +50,7 @@ def fixture_file(tmp_path):
 class TestSolve:
     def test_ladmm_fw_finds_clique(self, k4k2_file, capsys):
         rc = main(["solve", "--graph", k4k2_file, "--k", "4",
-                   "--method", "ladmm-fw", "--json", "--bound"])
+                   "--method", "ladmm-fw", "--bound"])
         assert rc == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["members"] == [0, 1, 2, 3]
@@ -73,21 +62,16 @@ class TestSolve:
     def test_relaxation_certificate_reported(self, k4k2_file, capsys):
         for method in ("ladmm-project", "ladmm-fw"):
             argv = ["solve", "--graph", k4k2_file, "--k", "4", "--method", method]
-            assert main(argv + ["--json"]) == 0
+            assert main(argv) == 0
             payload = json.loads(capsys.readouterr().out)
             assert payload["converged"] is True
             assert payload["dual_bound"] <= -6.0   # min f_L <= -2 * weight of K4
             assert -1e-9 <= payload["gap"] <= 1e-3 * max(1.0, abs(payload["dual_bound"]))
-            assert main(argv) == 0
-            text = capsys.readouterr().out.splitlines()
-            assert f"dual_bound: {payload['dual_bound']!r}" in text
-            assert f"gap: {payload['gap']!r}" in text
 
     def test_ladmm_fw_converged_needs_frank_wolfe_to_finish(self, k4k2_file, fixture_file,
                                                             capsys):
         def solve(graph, method):
-            assert main(["solve", "--graph", graph, "--k", "4", "--method", method,
-                         "--json"]) == 0
+            assert main(["solve", "--graph", graph, "--k", "4", "--method", method]) == 0
             return json.loads(capsys.readouterr().out)
 
         relax_iters = solve(k4k2_file, "ladmm-project")["iters"]
@@ -110,16 +94,14 @@ class TestSolve:
     def test_unconverged_bound_reported(self, fixture_file, capsys, monkeypatch):
         monkeypatch.setattr(baselines_mod, "SPECTRAL_MAX_MATVECS", 1)
         argv = ["solve", "--graph", fixture_file, "--k", "4", "--method", "greedy", "--bound"]
-        assert main(argv + ["--json"]) == 0
+        assert main(argv) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["bound_converged"] is False
         assert payload["upper_bound"] >= payload["density"]
-        assert main(argv) == 0
-        assert "bound_converged: false" in capsys.readouterr().out.splitlines()
 
     def test_brute_weight(self, k4k2_file, capsys):
         rc = main(["solve", "--graph", k4k2_file, "--k", "4",
-                   "--method", "brute", "--json"])
+                   "--method", "brute"])
         assert rc == 0
         assert json.loads(capsys.readouterr().out)["weight"] == 12.0
 
@@ -128,18 +110,30 @@ class TestSolve:
         path.write_text("10 11\n10 12\n11 12\n")
         rc = main(["solve", "--graph", str(path), "--k", "2", "--method", "greedy"])
         assert rc == 0
-        assert "members: 10 11" in capsys.readouterr().out.splitlines()
+        # dense ids would be [0, 1]
+        assert json.loads(capsys.readouterr().out)["members"] == [10, 11]
 
     @pytest.mark.parametrize("method", SOLVE_METHODS)
-    def test_text_report_is_the_payload(self, k4k2_file, capsys, method):
-        argv = ["solve", "--graph", k4k2_file, "--k", "4", "--method", method, "--bound"]
-        assert main(argv + ["--json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert main(argv) == 0
-        lines = capsys.readouterr().out.splitlines()
-        assert [line.split(": ", 1)[0] for line in lines] == list(payload)
-        assert [line for line in lines if not line.startswith("runtime_ms: ")] == [
-            f"{key}: {_shown(value)}" for key, value in payload.items() if key != "runtime_ms"]
+    @pytest.mark.parametrize("bound", [False, True])
+    def test_report_is_strict_json_in_documented_order(self, k4k2_file, capsys, method,
+                                                        bound):
+        def reject(constant):
+            raise ValueError(f"not strict JSON: {constant}")
+
+        argv = ["solve", "--graph", k4k2_file, "--k", "4", "--method", method]
+        assert main(argv + ["--bound"] * bound) == 0
+        payload = json.loads(capsys.readouterr().out, parse_constant=reject)
+        # the key order the README's command-line section documents
+        keys = ["method", "k", "n", "m", "members", "weight", "density", "iters",
+                "converged", "runtime_ms"]
+        if method in ("ladmm-project", "ladmm-fw"):
+            keys += ["dual_bound", "gap"]
+        if method == "ladmm-fw":
+            keys += ["fw_stop_reason", "integrality_gap"]
+        if bound:
+            keys += ["upper_bound", "bound_ratio", "bound_converged"]
+        assert list(payload) == keys
+        assert payload["method"] == method and payload["members"] == [0, 1, 2, 3]
 
     def test_bound_violation_aborts(self, k4k2_file, capsys, monkeypatch):
         import dks.cli as cli_mod
@@ -180,31 +174,27 @@ class TestSolve:
         assert proc.stderr.startswith("error:")
         assert "Traceback" not in proc.stderr
 
-    def test_report_written_to_file(self, k4k2_file, tmp_path, capsys):
-        out = tmp_path / "report.json"
-        rc = main(["solve", "--graph", k4k2_file, "--k", "4", "--method", "greedy",
-                   "--json", "--out", str(out)])
-        assert rc == 0
-        assert json.loads(out.read_text())["density"] == 1.0
-
-    @pytest.mark.parametrize("command", ["solve", "sweep"])
-    @pytest.mark.parametrize("flag", ["--bisect-eps=1e-6", "--prox-scale=literal", "--thin=2",
-                                      "--fw-step=lipschitz", "--rho=0.1", "--alpha=1.8",
-                                      "--fw-max-iter=100", "--eps-abs=1e-3", "--eps-rel=1e-3",
-                                      "--max-iter=3000"])
+    @pytest.mark.parametrize("flag, command", [
+        *((flag, command)
+          for flag in ["--bisect-eps=1e-6", "--prox-scale=literal", "--thin=2",
+                       "--fw-step=lipschitz", "--rho=0.1", "--alpha=1.8", "--fw-max-iter=100",
+                       "--eps-abs=1e-3", "--eps-rel=1e-3", "--max-iter=3000"]
+          for command in ["solve", "sweep"]),
+        # solve's report is its JSON on stdout, in one format and to one sink
+        ("--json", "solve"), ("--out x", "solve")])
     def test_removed_solver_flags_rejected(self, k4k2_file, tmp_path, command, flag):
         argv = {"solve": ["solve", "--k", "4", "--method", "greedy"],
                 "sweep": ["sweep", "--k-list", "4", "--methods", "greedy",
                           "--out", str(tmp_path / "x.csv")]}[command]
         with pytest.raises(SystemExit) as exc:
-            main(argv + ["--graph", k4k2_file, flag])
+            main(argv + ["--graph", k4k2_file, *flag.split()])
         assert exc.value.code == 2
 
     def test_weight_total_overflow_exits_1_without_traceback(self, tmp_path):
         path = tmp_path / "huge.txt"
         path.write_text("0 1 1e308\n1 2 1e308\n0 2 1e308\n2 3 1\n")
         proc = _run_dks(["solve", "--graph", str(path), "--weighted", "--k", "3",
-                         "--method", "greedy", "--json"], text=True)
+                         "--method", "greedy"], text=True)
         assert proc.returncode == 1
         assert proc.stderr.startswith("error:")
         assert "Traceback" not in proc.stderr
@@ -215,14 +205,14 @@ class TestSolve:
                        "from dks.cli import main; sys.exit(main())")
         for argv in (["sweep", "--graph", k4k2_file, "--k-list", "2,3,4",
                       "--methods", ",".join(SOLVE_METHODS), "--out", str(tmp_path / "s.csv")],
-                     ["solve", "--graph", k4k2_file, "--k", "4", "--bound", "--json"]):
+                     ["solve", "--graph", k4k2_file, "--k", "4", "--bound"]):
             proc = _run_dks(argv, entry=entry, text=True)
             assert proc.returncode == 0, proc.stderr
 
     def test_stdin_dash(self, k4k2_file):
         with open(k4k2_file, "rb") as f:
             data = f.read()
-        proc = _run_dks(["solve", "--graph", "-", "--k", "4", "--method", "greedy", "--json"],
+        proc = _run_dks(["solve", "--graph", "-", "--k", "4", "--method", "greedy"],
                         input=data)
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["members"] == [0, 1, 2, 3]
@@ -292,13 +282,45 @@ class TestSweep:
             for i in (2, 3, 4, 5, 8):
                 assert float(row[i]) == pytest.approx(float(ref[i]), rel=1e-12, abs=0.0)
 
-    def test_threads_flag_same_rows(self, fixture_file, tmp_path, capsys):
+    def test_threads_flag_same_rows(self, fixture_file, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)   # a real pool even on one CPU
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         base = ["sweep", "--graph", fixture_file, "--k-list", "4,6",
                 "--methods", "ladmm-fw,ladmm-project,greedy,tpm,rank1", "--no-timing"]
         assert main(base + ["--threads", "1", "--out", str(a)]) == 0
         assert main(base + ["--threads", "3", "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_pool_no_larger_than_grid_or_cpus(self, fixture_file, tmp_path, capsys,
+                                              monkeypatch):
+        import dks.cli as cli_mod
+
+        sizes = []
+
+        class SerialPool:   # records the pool size and starts no thread
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli_mod, "ThreadPoolExecutor", SerialPool)
+        base = ["sweep", "--graph", fixture_file, "--k-list", "3,4,5",
+                "--methods", "ladmm-fw,greedy,tpm,rank1", "--no-timing"]
+        paths = [tmp_path / f"{i}.csv" for i in range(4)]
+        for cpus, threads, path in ((64, "1000000", paths[0]), (2, "1000000", paths[1]),
+                                    (None, "1000000", paths[2]), (64, "1", paths[3])):
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+            assert main(base + ["--threads", threads, "--out", str(path)]) == 0
+        # one worker per k at most, one per CPU at most, and serial with no pool at one
+        assert sizes == [3, 2]
+        assert len({p.read_bytes() for p in paths}) == 1
 
     def test_graph_quantities_computed_once(self, fixture_file, tmp_path, capsys,
                                             monkeypatch):
@@ -359,7 +381,7 @@ class TestSweep:
         for method in ("rank1", "ladmm-fw"):
             calls.clear()
             rc = main(["solve", "--graph", fixture_file, "--k", "4", "--method", method,
-                       "--bound", "--json"])
+                       "--bound"])
             assert rc == 0
             assert calls.get("top_two_singular") == 1
             assert calls.get("rank1_dks", 0) == (method == "rank1")
@@ -471,10 +493,26 @@ class TestSweep:
         assert rows["ladmm-fw"][7] == "false"
         assert int(rows["ladmm-fw"][6]) == int(rows["ladmm-project"][6]) + 100
 
+    def test_tpm_not_converged_at_its_cap(self, tmp_path, capsys, monkeypatch):
+        graph, out = tmp_path / "g.txt", tmp_path / "sweep.csv"
+        assert main(["gen", "--n", "60", "--k", "8", "--p", "0.1", "--seed", "1",
+                     "--out", str(graph)]) == 0
+        solve = ["solve", "--graph", str(graph), "--k", "8", "--method", "tpm"]
+        sweep = ["sweep", "--graph", str(graph), "--k-list", "8", "--methods", "ladmm-fw,tpm",
+                 "--out", str(out)]
+        for cap, converged in ((100, "true"), (1, "false")):
+            monkeypatch.setattr(baselines_mod, "TPM_MAX_ITER", cap)
+            capsys.readouterr()
+            assert main(solve) == 0
+            assert json.loads(capsys.readouterr().out)["converged"] is (converged == "true")
+            assert main(sweep) == 0
+            rows = {r.split(",")[1]: r.split(",") for r in out.read_text().splitlines()[1:]}
+            assert rows["tpm"][7] == converged
+
     def test_single_solve_other_methods(self, k4k2_file, capsys):
         for method in ("tpm", "rank1", "ladmm-project"):
             rc = main(["solve", "--graph", k4k2_file, "--k", "4",
-                       "--method", method, "--json"])
+                       "--method", method])
             assert rc == 0
             payload = json.loads(capsys.readouterr().out)
             assert payload["members"] == [0, 1, 2, 3]
@@ -522,7 +560,7 @@ class TestNearlyEqualEnds:
         assert all(float(r[4]) >= float(r[2]) for r in rows)
         capsys.readouterr()
         assert main(["solve", "--graph", str(graph), "--k", "299", "--method", "greedy",
-                     "--bound", "--json"]) == 0
+                     "--bound"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["upper_bound"] >= payload["density"]
 

@@ -168,7 +168,7 @@ class TestOracleDominance:
             sp = top_two_singular(g)
             candidates = [
                 greedy_feige(g, k),
-                truncated_power_method(g, k, report.x_avg),
+                truncated_power_method(g, k, report.x_avg)[0],
                 rank1_dks(g, k, sp),
                 project_topk(g, report.x_avg, k),
                 frank_wolfe_refine(g, k, report.x_avg).selected,
