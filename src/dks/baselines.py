@@ -10,7 +10,7 @@ functions over an immutable Graph and can run concurrently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -95,24 +95,12 @@ def truncated_power_method(g: Graph, k: int, x0=None) -> tuple[VertexSet, bool]:
 
 @dataclass(frozen=True, eq=False)
 class SpectralPair:
-    """Upper estimates of the top two singular values of W and the leading unit vector.
-
-    ``order_plus`` and ``order_minus``, read-only and built once with the pair,
-    are ``topk(u1, n)`` and ``topk(-u1, n)``; their first k are ``topk(±u1, k)``.
-    """
+    """Upper estimates of the top two singular values of W and the leading unit vector."""
 
     sigma1: float
     u1: np.ndarray
     sigma2: float
     converged: bool = True
-    order_plus: np.ndarray = field(init=False, repr=False)
-    order_minus: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        u = np.asarray(self.u1, dtype=np.float64)
-        for name, order in (("order_plus", topk(u, u.size)), ("order_minus", topk(-u, u.size))):
-            order.flags.writeable = False
-            object.__setattr__(self, name, order)
 
 
 def top_two_singular(g: Graph) -> SpectralPair:
@@ -157,13 +145,12 @@ def _rank1_surrogate(g: Graph, k: int, sp: SpectralPair):
     """Maximizers and maximum of the rank-1 surrogate ``sigma1 (u1' 1_S)^2`` over k-subsets.
 
     The sum is linear, so the top-k entries of ``u1`` or of ``-u1`` are
-    exhaustive; they are the first k of the pair's two orders, so a call
-    costs O(k). Returns ``(plus, minus, q)``: both supports and the surrogate
-    optimum ``q``.
+    exhaustive; ``topk`` finds each in O(n + c log c). Returns
+    ``(plus, minus, q)``: both supports and the surrogate optimum ``q``.
     """
     check_k(g, k)
     u = np.asarray(sp.u1, dtype=np.float64)
-    plus, minus = sp.order_plus[:k], sp.order_minus[:k]
+    plus, minus = topk(u, k), topk(-u, k)
     q = sp.sigma1 * max(float(u[plus].sum()) ** 2, float(u[minus].sum()) ** 2)
     return plus, minus, float(q)
 

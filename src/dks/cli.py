@@ -1,13 +1,13 @@
-"""Command-line harness: single solves, k-sweeps, fixture generation, plot data.
+"""Command-line harness: single solves, k-sweeps and fixture generation.
 
 Outputs are offline tables. A sweep writes one CSV row per (k, method) plus a
-"bound" row per k carrying the a-posteriori density cap; `plotdata` splits a
-sweep CSV into per-method series files for external plotting tools. Densities
-in every row are recomputed from the returned vertex set, never trusted from
-solver internals, and any density exceeding the bound aborts the run: that
+"bound" row per k carrying the a-posteriori density cap; each method's
+density and runtime series are its rows of that CSV. Densities in every row
+are recomputed from the returned vertex set, never trusted from solver
+internals, and any density exceeding the bound aborts the run: that
 inequality is a correctness tripwire, not a soft check.
 
-Exit codes: 0 ok, 1 runtime/numerical failure, 2 usage.
+Exit codes: 0 ok, 1 runtime/numerical failure or out of memory, 2 usage.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from .oracles import brute_force_dks, generate_planted
 from .rounding import frank_wolfe_refine, project_topk
 from .solver import NumericalDivergenceError, solve_lovasz_relaxation
 
-__all__ = ["main", "SweepRecord", "run_single", "run_sweep", "run_gen", "emit_plot_data"]
+__all__ = ["main", "SweepRecord", "run_single", "run_sweep", "run_gen"]
 
 SOLVE_METHODS = ("ladmm-project", "ladmm-fw", "greedy", "tpm", "rank1", "brute")
 RELAX_METHODS = ("ladmm-project", "ladmm-fw")
@@ -188,7 +188,7 @@ def _sweep_one_k(g, k, methods, sp, lambda_hat):
         start = time.perf_counter()
         try:
             relax_report = solve_lovasz_relaxation(g, k, lambda_hat)
-        except Exception as exc:  # consumers record the failure row by row
+        except (ValueError, RuntimeError) as exc:  # consumers record the failure row by row
             print(f"warning: k={k} relaxation solve failed: {exc}", file=sys.stderr)
         relax_s = time.perf_counter() - start
 
@@ -205,7 +205,7 @@ def _sweep_one_k(g, k, methods, sp, lambda_hat):
         try:
             vset, iters, converged, _ = _run_method(g, k, method, relax_report, sp)
             density, weight = vset.density, vset.subgraph_weight
-        except Exception as exc:  # a failed cell must not abort the sweep
+        except (ValueError, RuntimeError) as exc:  # a failed cell must not abort the sweep
             print(f"warning: k={k} method={method} failed: {exc}", file=sys.stderr)
             density = weight = float("nan")
             iters, converged = 0, False
@@ -299,61 +299,6 @@ def run_gen(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# plotdata
-
-
-def emit_plot_data(csv_path, out_dir) -> list:
-    """Split a sweep CSV into per-method density and runtime series files.
-
-    Series files carry the CSV's string fields verbatim, so values round-trip
-    bit-exactly. Returns the list of written paths; raises ``ValueError``
-    before writing anything for an empty CSV or a malformed one: a wrong
-    field count, a k, density or runtime that is not a number, or a method
-    the CLI does not have.
-    """
-    with open(csv_path) as f:
-        lines = [line.rstrip("\n") for line in f]
-    if not lines or lines[0] != CSV_HEADER:
-        raise ValueError(f"malformed sweep CSV: bad header in {csv_path}")
-    series: dict = {}
-    for lineno, line in enumerate(lines[1:], 2):
-        if not line:
-            continue
-        values = line.split(",")
-        if len(values) != len(_COLUMNS):
-            raise ValueError(f"malformed sweep CSV: line {lineno} has {len(values)} fields")
-        row = dict(zip(_COLUMNS, values))
-        if row["method"] not in SOLVE_METHODS + (BOUND_METHOD,):
-            # the method names output files, so only known names pass
-            raise ValueError(
-                f"malformed sweep CSV: line {lineno} has unknown method {row['method']!r}")
-        try:   # failed rows write nan, which passes
-            int(row["k"]), float(row["density"]), float(row["runtime_ms"])
-        except ValueError:
-            raise ValueError(f"malformed sweep CSV: line {lineno} has a bad number") from None
-        series.setdefault(row["method"], []).append(row)
-    if not series:
-        raise ValueError(f"sweep CSV {csv_path} has no data rows")
-
-    os.makedirs(out_dir, exist_ok=True)
-    written = []
-    for method, rows in sorted(series.items()):
-        for kind, column in (("density", "density"), ("runtime", "runtime_ms")):
-            path = os.path.join(out_dir, f"{kind}_{method}.dat")
-            with open(path, "w") as f:
-                for row in rows:
-                    f.write(f"{row['k']} {row[column]}\n")
-            written.append(path)
-    return written
-
-
-def run_plotdata(args) -> int:
-    for path in emit_plot_data(args.csv, args.out_dir):
-        print(path)
-    return 0
-
-
-# ---------------------------------------------------------------------------
 # parser
 
 
@@ -405,11 +350,6 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--out", required=True, metavar="PATH", help="edge-list output path")
     gen.set_defaults(handler=run_gen)
 
-    plotdata = sub.add_parser(
-        "plotdata", help="split a sweep CSV into per-method series files")
-    plotdata.add_argument("--csv", required=True, metavar="CSV", help="sweep CSV path")
-    plotdata.add_argument("--out-dir", required=True, metavar="DIR")
-    plotdata.set_defaults(handler=run_plotdata)
     return parser
 
 
@@ -423,6 +363,9 @@ def main(argv=None) -> int:
         return 2
     except (NumericalDivergenceError, BoundViolationError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
 
 

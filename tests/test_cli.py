@@ -12,7 +12,7 @@ import pytest
 from conftest import near_bipartite
 import dks
 import dks.baselines as baselines_mod
-from dks.cli import CSV_HEADER, SOLVE_METHODS, emit_plot_data, main
+from dks.cli import CSV_HEADER, SOLVE_METHODS, main
 from dks.graph import Graph, VertexSet, load_edge_list, write_edge_list
 from dks.oracles import brute_force_dks
 
@@ -181,14 +181,21 @@ class TestSolve:
                        "--eps-abs=1e-3", "--eps-rel=1e-3", "--max-iter=3000"]
           for command in ["solve", "sweep"]),
         # solve's report is its JSON on stdout, in one format and to one sink
-        ("--json", "solve"), ("--out x", "solve")])
-    def test_removed_solver_flags_rejected(self, k4k2_file, tmp_path, command, flag):
+        ("--json", "solve"), ("--out x", "solve"),
+        # a method's density and runtime series are its rows of the sweep CSV
+        ("--csv x --out-dir y", "plotdata")])
+    def test_removed_solver_flags_rejected(self, k4k2_file, tmp_path, capsys, monkeypatch,
+                                           command, flag):
+        monkeypatch.chdir(tmp_path)
         argv = {"solve": ["solve", "--k", "4", "--method", "greedy"],
-                "sweep": ["sweep", "--k-list", "4", "--methods", "greedy",
-                          "--out", str(tmp_path / "x.csv")]}[command]
+                "sweep": ["sweep", "--k-list", "4", "--methods", "greedy", "--out", "x.csv"],
+                "plotdata": ["plotdata"]}[command]
         with pytest.raises(SystemExit) as exc:
             main(argv + ["--graph", k4k2_file, *flag.split()])
         assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert ("invalid choice" if command == "plotdata" else "unrecognized arguments") in err
+        assert os.listdir(tmp_path) == ["k4tail.txt"]
 
     def test_weight_total_overflow_exits_1_without_traceback(self, tmp_path):
         path = tmp_path / "huge.txt"
@@ -347,7 +354,7 @@ class TestSweep:
             return pairs[-1]
 
         def recorded_topk(x, k):
-            ranked.append(np.array(x))
+            ranked.append((np.array(x), k))
             return topk(x, k)
         monkeypatch.setattr(cli_mod, "top_two_singular", kept_pair)
         monkeypatch.setattr(baselines_mod, "topk", recorded_topk)
@@ -373,10 +380,10 @@ class TestSweep:
         # loading does not build the index; every k and method shares one build
         assert loaded == [False]
         assert len(builds) == 1
-        # u1 and -u1 are each sorted once per graph, not once per call and k
+        # u1 and -u1 are each ranked by one rank1 row and one bound per k, for k entries, never n
         (sp,) = pairs
-        assert sum(np.array_equal(x, sp.u1) for x in ranked) == 1
-        assert sum(np.array_equal(x, -sp.u1) for x in ranked) == 1
+        for u in (sp.u1, -sp.u1):
+            assert sorted(k for x, k in ranked if np.array_equal(x, u)) == [4, 4, 6, 6, 8, 8]
 
         for method in ("rank1", "ladmm-fw"):
             calls.clear()
@@ -483,6 +490,25 @@ class TestSweep:
         rows = {r.split(",")[1]: r.split(",") for r in out.read_text().splitlines()[1:]}
         assert rows["ladmm-fw"][7] == "false" and rows["ladmm-fw"][2] == "nan"
         assert rows["greedy"][7] == "true"
+
+    @pytest.mark.parametrize("site", ["load_edge_list", "solve_lovasz_relaxation",
+                                      "density_upper_bound", "greedy_feige"])
+    def test_out_of_memory_exits_1_without_csv(self, fixture_file, tmp_path, capsys,
+                                               monkeypatch, site):
+        import dks.cli as cli_mod
+
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 7.45 GiB for an array")
+
+        monkeypatch.setattr(cli_mod, site, exhausted)
+        out = tmp_path / "sweep.csv"
+        rc = main(["sweep", "--graph", fixture_file, "--k-list", "4,6",
+                   "--methods", "ladmm-fw,greedy", "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory: Unable to allocate")
+        assert "Traceback" not in err and "warning:" not in err
+        assert not out.exists()
 
     def test_ladmm_fw_row_not_converged_at_fw_cap(self, fixture_file, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
@@ -595,85 +621,3 @@ class TestGen:
             assert rc == 2, (n, k, p)
             assert capsys.readouterr().err.startswith("usage error:")
             assert not (tmp_path / "x.txt").exists()
-
-
-class TestPlotData:
-    def _write_csv(self, path, methods=("greedy", "tpm"), ks=(2, 3, 4)):
-        lines = [CSV_HEADER]
-        for k in ks:
-            for m in methods:
-                lines.append(f"{k},{m},0.5,4.0,1.0,0.5,7,true,12.25")
-        path.write_text("\n".join(lines) + "\n")
-
-    def test_series_files(self, tmp_path, capsys):
-        csv = tmp_path / "s.csv"
-        self._write_csv(csv)
-        rc = main(["plotdata", "--csv", str(csv), "--out-dir", str(tmp_path / "out")])
-        assert rc == 0
-        written = sorted(p.name for p in (tmp_path / "out").iterdir())
-        assert written == ["density_greedy.dat", "density_tpm.dat",
-                           "runtime_greedy.dat", "runtime_tpm.dat"]
-        body = (tmp_path / "out" / "density_greedy.dat").read_text()
-        assert body == "2 0.5\n3 0.5\n4 0.5\n"
-
-    def test_round_trip_bit_exact(self, fixture_file, tmp_path, capsys):
-        csv = tmp_path / "sweep.csv"
-        main(["sweep", "--graph", fixture_file, "--k-list", "4,6",
-              "--methods", "greedy,rank1", "--out", str(csv)])
-        out_dir = tmp_path / "series"
-        emit_plot_data(str(csv), str(out_dir))
-        rows = [l.split(",") for l in csv.read_text().splitlines()[1:]]
-        for row in rows:
-            data = (out_dir / f"density_{row[1]}.dat").read_text()
-            assert f"{row[0]} {row[2]}\n" in data
-            data = (out_dir / f"runtime_{row[1]}.dat").read_text()
-            assert f"{row[0]} {row[8]}\n" in data
-
-    def test_empty_csv_errors_without_files(self, tmp_path, capsys):
-        csv = tmp_path / "empty.csv"
-        csv.write_text(CSV_HEADER + "\n")
-        out_dir = tmp_path / "out"
-        rc = main(["plotdata", "--csv", str(csv), "--out-dir", str(out_dir)])
-        assert rc == 1
-        assert not out_dir.exists()
-
-    @pytest.mark.parametrize("method", ["sub/dir", "..", "alpha", ""])
-    def test_unknown_method_rejected_before_writing(self, tmp_path, capsys, method):
-        csv = tmp_path / "s.csv"
-        self._write_csv(csv, methods=("greedy", method))
-        out_dir = tmp_path / "out"
-        out_dir.mkdir()
-        rc = main(["plotdata", "--csv", str(csv), "--out-dir", str(out_dir)])
-        assert rc == 1
-        assert "malformed sweep CSV: line 3" in capsys.readouterr().err
-        assert list(out_dir.iterdir()) == []
-
-    @pytest.mark.parametrize("row, message", [
-        ("abc,greedy,xyz,1,1,1,0,true,0.0", "has a bad number"),
-        ("2.5,greedy,0.5,4.0,1.0,0.5,7,true,12.25", "has a bad number"),
-        ("3,greedy,dense,4.0,1.0,0.5,7,true,12.25", "has a bad number"),
-        ("3,greedy,0.5,4.0,1.0,0.5,7,true,", "has a bad number"),
-        ("3,greedy,0.5", "has 3 fields"),
-        ("3,greedy,0.5,4.0,1.0,0.5,7,true,12.25,1", "has 10 fields"),
-    ], ids=["letters", "fractional-k", "density", "empty-runtime", "short", "long"])
-    def test_bad_row_rejected_before_writing(self, tmp_path, capsys, row, message):
-        csv = tmp_path / "s.csv"
-        self._write_csv(csv, methods=("greedy",), ks=(2,))
-        csv.write_text(csv.read_text() + row + "\n")
-        out_dir = tmp_path / "out"
-        rc = main(["plotdata", "--csv", str(csv), "--out-dir", str(out_dir)])
-        assert rc == 1
-        assert f"malformed sweep CSV: line 3 {message}" in capsys.readouterr().err
-        assert not out_dir.exists()
-
-    def test_failed_row_nan_copied_verbatim(self, tmp_path):
-        csv = tmp_path / "s.csv"
-        csv.write_text(CSV_HEADER + "\n4,tpm,nan,nan,1.0,nan,0,false,0.0\n")
-        emit_plot_data(str(csv), str(tmp_path / "out"))
-        assert (tmp_path / "out" / "density_tpm.dat").read_text() == "4 nan\n"
-
-    def test_malformed_csv(self, tmp_path, capsys):
-        csv = tmp_path / "bad.csv"
-        csv.write_text("wrong,header\n1,2\n")
-        rc = main(["plotdata", "--csv", str(csv), "--out-dir", str(tmp_path / "out")])
-        assert rc == 1
