@@ -2,10 +2,10 @@
 
 Outputs are offline tables. A sweep writes one CSV row per (k, method) plus a
 "bound" row per k carrying the a-posteriori density cap; each method's
-density and runtime series are its rows of that CSV. Densities in every row
-are recomputed from the returned vertex set, never trusted from solver
-internals, and any density exceeding the bound aborts the run: that
-inequality is a correctness tripwire, not a soft check.
+density and runtime series are its rows. Densities are recomputed from the
+returned vertex set, never trusted from solver internals. A failed cell stops
+the run with the error `solve` prints for it, and so does a density above the
+bound, a correctness tripwire; either way no CSV is written.
 
 Exit codes: 0 ok, 1 runtime/numerical failure or out of memory, 2 usage.
 """
@@ -19,8 +19,6 @@ import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
-
-import numpy as np
 
 from .baselines import (
     density_upper_bound,
@@ -96,7 +94,7 @@ def _check_k(g: Graph, k: int) -> None:
 
 def _bound_ratio(density: float, ub: float, where: str) -> float:
     """``density / ub``; a density above the bound aborts the run as an internal error."""
-    if np.isfinite(density) and density > ub * BOUND_SLACK:
+    if density > ub * BOUND_SLACK:
         raise BoundViolationError(
             f"internal error: {where}density {density} exceeds upper bound {ub}")
     return density / ub if ub > 0 else float("nan")
@@ -113,8 +111,6 @@ def _run_method(g, k, method, relax_report, sp):
     iteration cap.
     """
     if method in RELAX_METHODS:
-        if relax_report is None:
-            raise RuntimeError("relaxation solve failed; no iterate to round")
         details = {"dual_bound": relax_report.dual_bound, "gap": relax_report.gap}
     if method == "ladmm-project":
         vset = project_topk(g, relax_report.x_avg, k)
@@ -186,10 +182,7 @@ def _sweep_one_k(g, k, methods, sp, lambda_hat):
     relax_s = 0.0   # the shared relaxation solve, charged to each row that rounds it
     if any(m in RELAX_METHODS for m in methods):
         start = time.perf_counter()
-        try:
-            relax_report = solve_lovasz_relaxation(g, k, lambda_hat)
-        except (ValueError, RuntimeError) as exc:  # consumers record the failure row by row
-            print(f"warning: k={k} relaxation solve failed: {exc}", file=sys.stderr)
+        relax_report = solve_lovasz_relaxation(g, k, lambda_hat)
         relax_s = time.perf_counter() - start
 
     start = time.perf_counter()
@@ -202,17 +195,11 @@ def _sweep_one_k(g, k, methods, sp, lambda_hat):
 
     for method in methods:
         start = time.perf_counter() - (relax_s if method in RELAX_METHODS else 0.0)
-        try:
-            vset, iters, converged, _ = _run_method(g, k, method, relax_report, sp)
-            density, weight = vset.density, vset.subgraph_weight
-        except (ValueError, RuntimeError) as exc:  # a failed cell must not abort the sweep
-            print(f"warning: k={k} method={method} failed: {exc}", file=sys.stderr)
-            density = weight = float("nan")
-            iters, converged = 0, False
+        vset, iters, converged, _ = _run_method(g, k, method, relax_report, sp)
         elapsed_ms = (time.perf_counter() - start) * 1e3
         records.append(SweepRecord(
-            k=k, method=method, density=density, weight=weight, upper_bound=ub,
-            bound_ratio=_bound_ratio(density, ub, f"k={k} method={method} "),
+            k=k, method=method, density=vset.density, weight=vset.subgraph_weight,
+            upper_bound=ub, bound_ratio=_bound_ratio(vset.density, ub, f"k={k} method={method} "),
             iters=iters, converged=converged, runtime_ms=elapsed_ms))
     return records
 
@@ -247,6 +234,9 @@ def run_sweep(args) -> int:
             raise UsageError(f"unknown method {m!r}; choose from {', '.join(SOLVE_METHODS)}")
     if not methods:
         raise UsageError("no methods selected")
+    # the CSV is written only after every k is solved, so its path is checked first
+    if os.path.isdir(args.out) or not os.path.isdir(os.path.dirname(args.out) or "."):
+        raise OSError(f"--out {args.out!r} is a directory or its directory does not exist")
     g = load_edge_list(args.graph, weighted=args.weighted)
     _check_k(g, ks[0])  # the grid is sorted: its ends bound every k, and a range is never listed
     _check_k(g, ks[-1])

@@ -24,6 +24,7 @@ __all__ = [
 # generate_planted draws over every vertex pair, about 12 bytes each at peak
 _MAX_PAIRS = 10**7
 _MAX_SUBSETS = 10**7   # brute_force_dks refuses to enumerate more k-subsets
+_MAX_MULTIPLY_ADDS = 10**12   # or subsets costing more multiply-adds in all, n**2 each
 
 
 def _dense_adjacency(g: Graph) -> np.ndarray:
@@ -38,7 +39,8 @@ def brute_force_dks(g: Graph, k: int):
 
     Subsets are enumerated in lexicographic order and ties keep the first
     maximum, so the winner is the lexicographically smallest optimal subset.
-    Refuses instances with more than ``_MAX_SUBSETS`` subsets.
+    Refuses instances with more than ``_MAX_SUBSETS`` subsets, or whose
+    subsets cost more than ``_MAX_MULTIPLY_ADDS`` in all (n**2 each).
     """
     if not 2 <= k <= g.n:
         raise ValueError(f"k must lie in [2, {g.n}], got {k}")
@@ -46,6 +48,9 @@ def brute_force_dks(g: Graph, k: int):
     if total > _MAX_SUBSETS:
         raise ValueError(
             f"C({g.n}, {k}) = {total} subsets exceeds the enumeration limit {_MAX_SUBSETS}")
+    if total * g.n**2 > _MAX_MULTIPLY_ADDS:
+        raise ValueError(f"C({g.n}, {k}) * {g.n}^2 = {total * g.n**2} multiply-adds exceeds "
+                         f"the enumeration work limit {_MAX_MULTIPLY_ADDS}")
     W = _dense_adjacency(g)
     chunk_rows = max(1, 5_000_000 // max(g.n, 1))
     combos = itertools.combinations(range(g.n), k)

@@ -252,15 +252,36 @@ class TestSweep:
         row = [l for l in out.read_text().splitlines() if ",brute," in l][0]
         assert float(row.split(",")[3]) == pytest.approx(weight)
 
-    def test_failed_cell_recorded_not_fatal(self, fixture_file, tmp_path, capsys):
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_failed_cell_stops_the_sweep(self, fixture_file, tmp_path, capsys, monkeypatch,
+                                         threads):
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)   # a real pool even on one CPU
         out = tmp_path / "sweep.csv"
-        rc = main(["sweep", "--graph", fixture_file, "--k-list", "25",
+        rc = main(["sweep", "--graph", fixture_file, "--k-list", "4,25", "--threads", threads,
                    "--methods", "brute,greedy", "--out", str(out)])
-        assert rc == 0
-        rows = {r.split(",")[1]: r.split(",") for r in out.read_text().splitlines()[1:]}
-        assert rows["brute"][7] == "false"
-        assert rows["brute"][2] == "nan"
-        assert rows["greedy"][7] == "true"
+        assert rc == 1
+        # the same line `solve --method brute` prints at k=25
+        assert capsys.readouterr().err == ("error: C(37, 25) = 1852482996 subsets exceeds "
+                                           "the enumeration limit 10000000\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("out", ["missing/sweep.csv", "."])
+    def test_unwritable_out_refused_before_load(self, fixture_file, tmp_path, capsys,
+                                                monkeypatch, out):
+        import dks.cli as cli_mod
+
+        def load(*args, **kwargs):
+            pytest.fail("the graph was read before --out was checked")
+
+        monkeypatch.setattr(cli_mod, "load_edge_list", load)
+        monkeypatch.chdir(tmp_path)
+        before = sorted(tmp_path.rglob("*"))
+        rc = main(["sweep", "--graph", fixture_file, "--k-list", "4",
+                   "--methods", "greedy", "--out", out])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and repr(out) in err and "Traceback" not in err
+        assert sorted(tmp_path.rglob("*")) == before
 
     def test_byte_identical_reruns(self, fixture_file, tmp_path, capsys):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -279,6 +300,7 @@ class TestSweep:
                      "--out", str(graph)]) == 0
         assert main(["sweep", "--graph", str(graph), "--k-min", "8", "--k-max", "16",
                      "--k-step", "2", "--no-timing", "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
         got = [line.split(",") for line in out.read_text().splitlines()]
         want = [line.split(",") for line in _GOLDEN_SWEEP.read_text().splitlines()]
         assert got[0] == want[0] == CSV_HEADER.split(",")
@@ -471,25 +493,25 @@ class TestSweep:
                    "--methods", "ladmm-fw,greedy,brute", "--out", str(out)])
         assert rc == 0
         rows = [l.split(",") for l in out.read_text().splitlines()[1:]]
+        assert len(rows) == 2 * 4   # 2 k values x (bound + 3 methods)
         for r in rows:
-            if r[2] != "nan":
-                assert float(r[2]) <= float(r[4]) * (1 + 1e-9)
+            assert float(r[2]) <= float(r[4]) * (1 + 1e-9)
 
-    def test_relaxation_failure_recorded_per_row(self, fixture_file, tmp_path,
-                                                 capsys, monkeypatch):
+    def test_relaxation_failure_stops_the_sweep(self, fixture_file, tmp_path,
+                                                capsys, monkeypatch):
         import dks.cli as cli_mod
+        from dks.solver import NumericalDivergenceError
 
         def explode(*args, **kwargs):
-            raise RuntimeError("synthetic solver failure")
+            raise NumericalDivergenceError("synthetic solver failure")
 
         monkeypatch.setattr(cli_mod, "solve_lovasz_relaxation", explode)
         out = tmp_path / "sweep.csv"
         rc = main(["sweep", "--graph", fixture_file, "--k-list", "4",
                    "--methods", "ladmm-fw,greedy", "--out", str(out)])
-        assert rc == 0
-        rows = {r.split(",")[1]: r.split(",") for r in out.read_text().splitlines()[1:]}
-        assert rows["ladmm-fw"][7] == "false" and rows["ladmm-fw"][2] == "nan"
-        assert rows["greedy"][7] == "true"
+        assert rc == 1
+        assert capsys.readouterr().err == "error: synthetic solver failure\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("site", ["load_edge_list", "solve_lovasz_relaxation",
                                       "density_upper_bound", "greedy_feige"])

@@ -18,6 +18,10 @@ def edgeless():
     return Graph.from_edges(3, [])
 
 
+def path(n):
+    return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
+
+
 NAN_START = np.array([np.nan, 1.0, 1.0, 1.0, 0.0, 0.0])
 
 CASES = [
@@ -39,6 +43,9 @@ CASES = [
      ValueError, r"k must lie in \[2, 6\]"),
     ("brute-k-above-n", lambda: brute_force_dks(k4k2(), 7),
      ValueError, r"k must lie in \[2, 6\]"),
+    # 4,498,500 subsets, under the subset limit, but 4.0e13 multiply-adds (about 21 minutes)
+    ("brute-work-past-limit", lambda: brute_force_dks(path(3000), 2998),
+     ValueError, r"C\(3000, 2998\) \* 3000\^2 = 40486500000000 multiply-adds exceeds"),
     ("params-degrees-matrix", lambda: CappedSimplexParams(np.ones((3, 3)), 2.0, 1.0),
      ValueError, "degrees must be a vector"),
     ("params-degrees-scalar", lambda: CappedSimplexParams(5.0, 2.0, 1.0),
