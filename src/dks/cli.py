@@ -34,7 +34,7 @@ from .graph import (
     load_edge_list,
     write_edge_list,
 )
-from .oracles import brute_force_dks, generate_planted
+from .oracles import brute_force_dks, check_brute_force, generate_planted
 from .rounding import frank_wolfe_refine, project_topk
 from .solver import NumericalDivergenceError, solve_lovasz_relaxation
 
@@ -240,6 +240,8 @@ def run_sweep(args) -> int:
     g = load_edge_list(args.graph, weighted=args.weighted)
     _check_k(g, ks[0])  # the grid is sorted: its ends bound every k, and a range is never listed
     _check_k(g, ks[-1])
+    for k in ks if "brute" in methods else ():   # brute's limits hang on n and k alone
+        check_brute_force(g.n, k)
     # graph-level quantities, computed once and shared by every k and method
     sp = top_two_singular(g)
     lambda_hat = None

@@ -4,7 +4,8 @@ Everything here is pure and deterministic: a :class:`Graph` is immutable after
 construction (its arrays are marked read-only) and safe to share across
 concurrent solver runs. The bincount operators reduce in one fixed order, bit-stable
 whatever the thread count; ``power_iteration_norm``'s BLAS dot products and norms
-can move in their last bits with ``OPENBLAS_NUM_THREADS``.
+can move in their last bits with ``OPENBLAS_NUM_THREADS``. Edges keep their
+canonical order; only the solver scans :attr:`Graph.wavefront`, a reordered copy.
 """
 
 from __future__ import annotations
@@ -60,9 +61,10 @@ class Graph:
     """Immutable weighted undirected simple graph.
 
     Edges are stored once as ``(i, j)`` pairs with ``i < j``, sorted
-    lexicographically. That fixed, deterministic orientation stands in for the
-    signed vertex-edge incidence matrix, which is never materialized: a column
-    for edge ``(i, j)`` is understood as ``e_i - e_j``.
+    lexicographically: the canonical order, which every edge-indexed result
+    but the solver's (see :attr:`wavefront`) follows. That fixed orientation stands in
+    for the signed vertex-edge incidence matrix, which is never materialized: a
+    column for edge ``(i, j)`` is understood as ``e_i - e_j``.
 
     ``original_ids[i]`` is the label vertex ``i`` carried before relabeling to
     the dense ``0..n-1`` range (the identity for programmatically built
@@ -148,6 +150,23 @@ class Graph:
         for arr in index:
             arr.setflags(write=False)
         return index
+
+    @cached_property
+    def wavefront(self) -> "Graph":
+        """This graph, its edges in ascending ``(i + j, i)`` order: the solver's scan order.
+
+        Each vertex meets its head and its tail edges in canonical order still, so
+        ``B f`` keeps its bits, and neighbouring edges seldom share a bin. Built on
+        first use, 16 bytes per edge, 24 if weighted; a view's own view is a copy,
+        not itself, which only the cycle collector would free."""
+        order = np.argsort(self.edges[:, 0] + self.edges[:, 1], kind="stable")
+        edges = np.empty((self.m, 2), dtype=np.int64, order="F")
+        for col in range(2):
+            np.take(self.edges[:, col], order, out=edges[:, col], mode="wrap")
+        weights = self.weights if self.is_unweighted else self.weights[order]
+        for arr in (edges, weights):
+            arr.setflags(write=False)
+        return Graph(self.n, self.m, edges, weights, self.degree, self.original_ids)
 
 
 @dataclass(frozen=True)
@@ -461,10 +480,12 @@ def _check_vertex_vector(g: Graph, x) -> np.ndarray:
     return x
 
 
-def edge_differences(g: Graph, x) -> np.ndarray:
-    """Per-edge differences ``x_i - x_j`` in stored edge order (``B^T x``)."""
+def edge_differences(g: Graph, x, out=None) -> np.ndarray:
+    """Per-edge differences ``x_i - x_j`` in stored edge order (``B^T x``), into ``out`` if given."""
     x = _check_vertex_vector(g, x)
-    return x[g.edges[:, 0]] - x[g.edges[:, 1]]
+    # the ids are in range, so "wrap" moves none; it spares take a checked copy of out
+    out = np.take(x, g.edges[:, 0], out=out, mode="wrap")
+    return np.subtract(out, x[g.edges[:, 1]], out=out)
 
 
 def _edges_at(ptr, vertices) -> np.ndarray:
@@ -479,10 +500,9 @@ def _scatter(bins, terms, n: int) -> np.ndarray:
     return np.bincount(bins, weights=terms, minlength=n).astype(np.float64, copy=False)
 
 
-# W @ x scans only the edges at x's nonzeros when they are fewer than n / 8, B f
-# only f's nonzeros when fewer than m / 8. The first costs as much as a full scan
-# near n / 4 nonzeros (random or top-degree supports, mean degree 20-30); below
-# n / 8 it costs at most 0.6 of one.
+# W @ x scans only the edges at x's nonzeros when they are fewer than n / 8. That
+# costs as much as a full scan near n / 4 nonzeros (random or top-degree supports,
+# mean degree 20-30); below n / 8 it costs at most 0.6 of one.
 _SPARSE_FRACTION = 8
 
 
@@ -493,16 +513,16 @@ def _sparse_support(a: np.ndarray):
     return np.flatnonzero(nonzero) if _SPARSE_FRACTION * count < a.size else None
 
 
-def edge_differences_adjoint(g: Graph, f) -> np.ndarray:
-    """Exact adjoint of :func:`edge_differences`: accumulate ``+f_e`` at ``i``, ``-f_e`` at ``j``,
-    over every edge or only the nonzeros of a sparse ``f``, bitwise alike as in W @ x."""
+def edge_differences_adjoint(g: Graph, f, at=None) -> np.ndarray:
+    """Exact adjoint of :func:`edge_differences`: accumulate ``+f_e`` at ``i``, ``-f_e`` at ``j``.
+    Given ``at``, ascending edge ids, ``f`` holds the entries there, zero elsewhere,
+    and only those edges are scanned, with a full scan's bits as in W @ x."""
     f = np.asarray(f, dtype=np.float64)
-    if f.shape != (g.m,):
-        raise ValueError(f"expected a length-{g.m} edge vector, got shape {f.shape}")
+    if f.shape != ((g.m,) if at is None else np.shape(at)):
+        raise ValueError(f"expected {g.m} edge entries or one per id in at, got {f.shape}")
     e0, e1 = g.edges[:, 0], g.edges[:, 1]
-    support = _sparse_support(f)
-    if support is not None:
-        e0, e1, f = e0[support], e1[support], f[support]
+    if at is not None:
+        e0, e1 = e0[at], e1[at]
     return _scatter(e0, f, g.n) - _scatter(e1, f, g.n)
 
 
@@ -612,19 +632,19 @@ def incidence_norm_sq_upper(g: Graph) -> float:
     """Safe upper estimate of the squared incidence spectral norm ``||B||^2``.
 
     Lanczos (:func:`power_iteration_norm`) for ``lambda_max(B B^T)`` on the
-    solver's own edge scans ``B (B^T x)``, inflated by ``(1 + LAMBDA_TOL)``
-    and capped at the certified Anderson-Morley bound
-    ``max_edge(deg_i + deg_j)`` (unweighted degrees). If the matvec cap
-    ``LAMBDA_MAX_MATVECS`` is hit, that bound is returned as is; it never
-    exceeds the Gershgorin bound ``2 * max_degree``. Overestimating is safe
-    for consumers that need a feasible step size; underestimating is not.
+    solver's own edge scans ``B (B^T x)`` over :attr:`Graph.wavefront`, which
+    it builds, inflated by ``(1 + LAMBDA_TOL)`` and capped at the certified
+    Anderson-Morley bound ``max_edge(deg_i + deg_j)`` (unweighted degrees). If
+    the matvec cap ``LAMBDA_MAX_MATVECS`` is hit, that bound is returned as is;
+    it never exceeds the Gershgorin bound ``2 * max_degree``. Overestimating is
+    safe for consumers that need a feasible step size; underestimating is not.
     """
     if g.m == 0:
         raise ValueError("graph has no edges")
     counts = np.bincount(g.edges.T.ravel(), minlength=g.n)
     edge_bound = float((counts[g.edges[:, 0]] + counts[g.edges[:, 1]]).max())
     estimate, _, converged = power_iteration_norm(
-        lambda x: edge_differences_adjoint(g, edge_differences(g, x)), g.n,
+        lambda x: edge_differences_adjoint(g.wavefront, edge_differences(g.wavefront, x)), g.n,
         tol=0.5 * LAMBDA_TOL, max_iter=LAMBDA_MAX_MATVECS)
     return min((1.0 + LAMBDA_TOL) * estimate, edge_bound) if converged else edge_bound
 

@@ -18,6 +18,7 @@ from .graph import Graph, VertexSet
 __all__ = [
     "PlantedInstance",
     "brute_force_dks",
+    "check_brute_force",
     "generate_planted",
 ]
 
@@ -34,23 +35,27 @@ def _dense_adjacency(g: Graph) -> np.ndarray:
     return W
 
 
+def check_brute_force(n: int, k: int) -> None:
+    """Raise ``ValueError`` unless :func:`brute_force_dks` takes size ``k`` on ``n`` vertices."""
+    if not 2 <= k <= n:
+        raise ValueError(f"k must lie in [2, {n}], got {k}")
+    total = math.comb(n, k)
+    if total > _MAX_SUBSETS:
+        raise ValueError(
+            f"C({n}, {k}) = {total} subsets exceeds the enumeration limit {_MAX_SUBSETS}")
+    if total * n**2 > _MAX_MULTIPLY_ADDS:
+        raise ValueError(f"C({n}, {k}) * {n}^2 = {total * n**2} multiply-adds exceeds "
+                         f"the enumeration work limit {_MAX_MULTIPLY_ADDS}")
+
+
 def brute_force_dks(g: Graph, k: int):
     """Exact densest-k by exhaustive enumeration; ``(vertex_set, weight)``.
 
     Subsets are enumerated in lexicographic order and ties keep the first
     maximum, so the winner is the lexicographically smallest optimal subset.
-    Refuses instances with more than ``_MAX_SUBSETS`` subsets, or whose
-    subsets cost more than ``_MAX_MULTIPLY_ADDS`` in all (n**2 each).
+    Refuses the sizes :func:`check_brute_force` refuses.
     """
-    if not 2 <= k <= g.n:
-        raise ValueError(f"k must lie in [2, {g.n}], got {k}")
-    total = math.comb(g.n, k)
-    if total > _MAX_SUBSETS:
-        raise ValueError(
-            f"C({g.n}, {k}) = {total} subsets exceeds the enumeration limit {_MAX_SUBSETS}")
-    if total * g.n**2 > _MAX_MULTIPLY_ADDS:
-        raise ValueError(f"C({g.n}, {k}) * {g.n}^2 = {total * g.n**2} multiply-adds exceeds "
-                         f"the enumeration work limit {_MAX_MULTIPLY_ADDS}")
+    check_brute_force(g.n, k)
     W = _dense_adjacency(g)
     chunk_rows = max(1, 5_000_000 // max(g.n, 1))
     combos = itertools.combinations(range(g.n), k)

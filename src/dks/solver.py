@@ -109,8 +109,9 @@ def solve_lovasz_relaxation(g: Graph, k: int, lambda_hat: float | None = None) -
     Per iteration, in reused edge-length buffers: an x-update through the
     capped-simplex prox at the linearized point, warm-started from the last
     ``nu``, a z-update through shrinkage over-relaxed by ``ALPHA`` (1.8), and
-    the scaled dual ascent step; two adjoint scans cover every edge, the
-    dual residual's ``B(z - z_prev)`` only those whose ``z`` moved. Starts from the
+    the scaled dual ascent step. ``z`` is zero off its support, which shrinkage,
+    the updates of ``z`` and the scan ``B(z - z_prev)`` alone touch; the other
+    scans cover every edge, in :attr:`Graph.wavefront` order. Starts from the
     indicator of the k largest-degree vertices and from ``RHO_START`` (0.1).
     Every ``BALANCE_EVERY`` (10) iterations up to ``BALANCE_UNTIL`` (200),
     ``rho`` is doubled (halved) when the primal residual exceeds ``rho``
@@ -126,7 +127,7 @@ def solve_lovasz_relaxation(g: Graph, k: int, lambda_hat: float | None = None) -
     and the duality gap ``f_L(x) - D`` is at most ``EPS_REL max(1, |D|)``,
     where ``D``, the sum of the k smallest entries of ``rho B u - degree``,
     is a lower bound on ``min f_L`` by LP weak duality because
-    ``|rho u_e| <= w_e``.
+    ``|rho u_e| <= w_e``; ``D`` is computed once both residual tests pass, or at the cap.
 
     ``lambda_hat``, a safe upper estimate of ``||B||^2``, depends on the
     graph alone: callers solving at several ``k`` compute it once with
@@ -142,19 +143,20 @@ def solve_lovasz_relaxation(g: Graph, k: int, lambda_hat: float | None = None) -
         lambda_hat = incidence_norm_sq_upper(g)
     elif not (np.isfinite(lambda_hat) and lambda_hat > 0):
         raise ValueError("lambda_hat must be positive and finite")
+    g = g.wavefront   # every edge-indexed vector below is in the view's edge order
     scale = float(g.weights.max())
-    degree, weights = g.degree / scale, g.weights / scale
+    degree = g.degree / scale   # weights / scale is formed where used, not kept
     rho = RHO_START
     params = CappedSimplexParams(degree, float(k), rho * lambda_hat)
     mu = 1.0 / params.tau
+    threshold = g.weights / scale / rho   # shrinkage's levels, kept until rho moves
 
     x = np.zeros(g.n)
     x[topk(degree, k)] = 1.0
     btx = edge_differences(g, x)
-    z = btx.copy()
-    u = np.zeros(g.m)
-    x_sum = np.zeros(g.n)
-    relaxed, work, nu = np.empty(g.m), np.empty(g.m), None  # buffers reused by every iteration
+    z, support = btx.copy(), np.flatnonzero(btx)   # z is +0.0 off its support, ascending ids
+    u, residual = np.zeros(g.m), np.zeros(g.m)   # residual: btx - z, then scratch
+    x_sum, nu = np.zeros(g.n), None
 
     sqrt_m, sqrt_n = np.sqrt(g.m), np.sqrt(g.n)
     converged = False
@@ -162,38 +164,48 @@ def solve_lovasz_relaxation(g: Graph, k: int, lambda_hat: float | None = None) -
     iters = 0
 
     for t in range(MAX_ITER):
-        np.subtract(btx, z, out=work)
-        work += u
-        x, nu = prox_capped_simplex(x - mu * rho * edge_differences_adjoint(g, work), params, nu)
-        btx = edge_differences(g, x)
-        np.multiply(ALPHA, btx, out=relaxed)
-        relaxed += np.multiply(1.0 - ALPHA, z, out=work)
-        z_prev = z
-        z = shrinkage(np.add(relaxed, u, out=work), weights, rho)
-        u += relaxed
-        u -= z
-        if not (np.isfinite(x).all() and np.isfinite(z).all()):
+        residual += u   # (btx - z) + u
+        x, nu = prox_capped_simplex(
+            x - mu * rho * edge_differences_adjoint(g, residual), params, nu)
+        edge_differences(g, x, out=btx)
+        relaxed = np.multiply(ALPHA, btx, out=residual)   # + (1 - ALPHA) z, which is
+        relaxed[support] += (1.0 - ALPHA) * z[support]   # -0.0 off the support: no change
+        u += relaxed   # relaxed + u, shrinkage's input
+        # z = v - clip(v, -t, t) is nonzero exactly where |v| <= t fails, NaN included
+        old, z_prev = support, z[support]
+        z[old] = 0.0
+        support = np.flatnonzero(~(np.abs(u, out=residual) <= threshold))
+        z[support] = z_new = shrinkage(u[support], g.weights[support] / scale, rho)
+        u[support] -= z_new   # u - z, which off the support is u
+        if not (np.isfinite(x).all() and np.isfinite(z_new).all()):
             raise NumericalDivergenceError(f"non-finite iterate at iteration {t + 1}")
 
         x_sum += x
         iters = t + 1
 
-        r_norm = float(np.linalg.norm(np.subtract(btx, z, out=work)))
-        s_norm = float(np.linalg.norm(
-            edge_differences_adjoint(g, np.subtract(z, z_prev, out=work))))
+        np.copyto(residual, btx)
+        residual[support] -= z_new
+        r_norm = float(np.linalg.norm(residual))
+        moved = np.sort(np.concatenate([old, support]))   # z - z_prev is zero off both supports
+        moved = moved[np.diff(moved, prepend=-1) > 0]
+        step = z[moved]
+        step[np.searchsorted(moved, old)] -= z_prev
+        s_norm = float(np.linalg.norm(edge_differences_adjoint(g, step, at=moved)))
         bu = edge_differences_adjoint(g, u)
         eps_pri = sqrt_m * EPS_ABS + EPS_REL * max(
             float(np.linalg.norm(btx)), float(np.linalg.norm(z)))
         eps_dual = sqrt_n * EPS_ABS + EPS_REL * float(np.linalg.norm(bu))
-        # u = clip(relaxed + u_prev, +-w/rho), so y = rho u has |y_e| <= w_e and
-        # f_L(x) >= (B y - degree) @ x on the capped simplex: the k smallest
-        # entries of B y - degree sum to a lower bound on min f_L
-        dual_bound = float(np.partition(rho * bu - degree, k - 1)[:k].sum())
-        gap = float(weights @ np.abs(btx, out=work) - degree @ x) - dual_bound
-        if (r_norm <= eps_pri and s_norm <= eps_dual
-                and gap <= EPS_REL * max(1.0, abs(dual_bound))):
-            converged = True
-            break
+        residuals_met = r_norm <= eps_pri and s_norm <= eps_dual
+        if residuals_met or iters == MAX_ITER:
+            # u = clip(relaxed + u_prev, +-w/rho), so y = rho u has |y_e| <= w_e and
+            # f_L(x) >= (B y - degree) @ x on the capped simplex: the k smallest
+            # entries of B y - degree sum to a lower bound on min f_L
+            dual_bound = float(np.partition(rho * bu - degree, k - 1)[:k].sum())
+            weights = g.weights / scale   # |btx| overwrites btx, unread until the next scan
+            gap = float(weights @ np.abs(btx, out=btx) - degree @ x) - dual_bound
+            if residuals_met and gap <= EPS_REL * max(1.0, abs(dual_bound)):
+                converged = True
+                break
 
         if iters % BALANCE_EVERY == 0 and iters <= BALANCE_UNTIL:
             factor = 1.0
@@ -204,6 +216,7 @@ def solve_lovasz_relaxation(g: Graph, k: int, lambda_hat: float | None = None) -
             if factor != 1.0:
                 rho *= factor
                 u /= factor   # keeps rho u, the unscaled dual, unchanged
+                threshold = g.weights / scale / rho
                 params = CappedSimplexParams(degree, float(k), rho * lambda_hat)
                 mu = 1.0 / params.tau
 

@@ -265,6 +265,33 @@ class TestSweep:
                                            "the enumeration limit 10000000\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("k_list, error", [
+        ("4,25", "C(37, 25) = 1852482996 subsets exceeds the enumeration limit 10000000"),
+        ("4,8,30", "C(37, 8) = 38608020 subsets exceeds the enumeration limit 10000000"),
+        ("2,36", "C(37, 2) * 37^2 = 911754 multiply-adds exceeds the enumeration work "
+                 "limit 100000"),
+    ], ids=["subsets", "inner-k", "work"])
+    def test_brute_limits_checked_before_any_cell(self, fixture_file, tmp_path, capsys,
+                                                  monkeypatch, k_list, error):
+        # brute's limits hang on n and k alone: the whole grid is checked after
+        # the load, before k=4 is enumerated or any other method runs
+        import dks.cli as cli_mod
+        import dks.oracles as oracles_mod
+
+        def no_cell(*args, **kwargs):
+            pytest.fail("a cell ran before brute's limits were checked")
+
+        if k_list == "2,36":
+            monkeypatch.setattr(oracles_mod, "_MAX_MULTIPLY_ADDS", 100000)
+        for name in ("brute_force_dks", "greedy_feige", "solve_lovasz_relaxation"):
+            monkeypatch.setattr(cli_mod, name, no_cell)
+        out = tmp_path / "sweep.csv"
+        rc = main(["sweep", "--graph", fixture_file, "--k-list", k_list,
+                   "--methods", "brute,greedy,ladmm-fw", "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {error}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("out", ["missing/sweep.csv", "."])
     def test_unwritable_out_refused_before_load(self, fixture_file, tmp_path, capsys,
                                                 monkeypatch, out):

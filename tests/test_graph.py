@@ -1,3 +1,4 @@
+import functools
 import gzip
 import io
 import itertools
@@ -613,6 +614,8 @@ class TestOperators:
         with pytest.raises(ValueError):
             edge_differences_adjoint(k3, np.zeros(2))
         with pytest.raises(ValueError):
+            edge_differences_adjoint(k3, np.zeros(3), at=np.array([0, 2]))
+        with pytest.raises(ValueError):
             adjacency_matvec(k3, np.zeros(2))
 
 
@@ -681,10 +684,12 @@ class TestSparseKernelsMatchFullScans:
             support = rng.choice(g.m, size=int(rng.integers(0, most + 1)), replace=False)
             f[support] = rng.choice([1.0, 0.0, -0.0, 1e-300, -1e-300, 0.5, -3.0, 1e300],
                                     size=support.size) * rng.uniform(0.5, 2.0, support.size)
+            at = np.sort(support)   # the ids given, zero entries among them
             with np.errstate(over="ignore", invalid="ignore"):   # 1e300 sums overflow
                 got = edge_differences_adjoint(g, f)
+                given = edge_differences_adjoint(g, f[at], at=at)
                 want = edge_differences_adjoint_full_scan(g, f)
-            assert _bits(got) == _bits(want)
+            assert _bits(got) == _bits(want) and _bits(given) == _bits(want)
 
     def test_adjoint_edge_supports(self):
         rng = np.random.default_rng(28)
@@ -745,6 +750,79 @@ class TestSparseKernelsMatchFullScans:
             assert (tail_order[tail_ptr[v]:tail_ptr[v + 1]]
                     == np.flatnonzero(g.edges[:, 1] == v)).all()
         assert not any(a.flags.writeable for a in g.incidence)
+
+
+def _wavefront_cases():
+    """Random weighted graphs, some with isolated vertices, and stars."""
+    rng = np.random.default_rng(31)
+    for trial in range(40):
+        n = int(rng.integers(3, 90))
+        g = _log_uniform_graph(rng, n, rng.uniform(0.03, 0.6), unused=min(trial % 4, n - 2))
+        yield pytest.param(g, id=f"random-{trial}")
+    for n in (2, 5, 40):   # vertex 0 heads every edge
+        yield pytest.param(Graph.from_edges(n, [(0, i) for i in range(1, n)]), id=f"star-{n}")
+    yield pytest.param(Graph.from_edges(30, [(i, 29) for i in range(29)], np.arange(1.0, 30.0)),
+                       id="star-tails")   # vertex 29 is every edge's tail
+
+
+class TestWavefront:
+    """``Graph.wavefront`` against the graph it was built from."""
+
+    @pytest.mark.parametrize("g", _wavefront_cases())
+    def test_scans_bitwise_alike(self, g):
+        view = g.wavefront
+        keys = g.edges[:, 0] * g.n + g.edges[:, 1]
+        perm = np.searchsorted(keys, view.edges[:, 0] * g.n + view.edges[:, 1])
+        assert (keys[perm] == view.edges[:, 0] * g.n + view.edges[:, 1]).all()
+        assert _bits(view.weights) == _bits(g.weights[perm])
+        assert (view.weights is g.weights) == g.is_unweighted   # unit weights are shared
+        assert view.degree is g.degree and view.original_ids is g.original_ids
+        rng = np.random.default_rng(g.m)
+        x = rng.normal(size=g.n) * 10.0 ** rng.uniform(-200, 200, size=g.n)
+        out = np.empty(g.m)
+        assert _bits(edge_differences(view, x)) == _bits(edge_differences(g, x)[perm])
+        assert edge_differences(view, x, out=out) is out
+        assert _bits(out) == _bits(edge_differences(g, x)[perm])
+        for count in (0, 1, max(1, g.m // 20), g.m // 2, g.m):   # sparse and dense f
+            f = np.zeros(g.m)
+            ids = rng.choice(g.m, size=count, replace=False)
+            f[ids] = rng.choice([1.0, -0.0, 1e-300, -3.0, 0.5], size=count) * rng.uniform(
+                0.5, 2.0, size=count)
+            want = edge_differences_adjoint(g, f)
+            assert _bits(edge_differences_adjoint(view, f[perm])) == _bits(want)
+            at = np.flatnonzero(f[perm] != 0)
+            assert _bits(edge_differences_adjoint(view, f[perm][at], at=at)) == _bits(want)
+
+    @pytest.mark.parametrize("g", _wavefront_cases())
+    def test_each_vertex_keeps_canonical_order(self, g):
+        i, j = g.wavefront.edges[:, 0], g.wavefront.edges[:, 1]
+        assert (i < j).all()
+        # ascending (i + j, i)
+        assert (np.lexsort((i, i + j)) == np.arange(g.m)).all()
+        for v in range(g.n):
+            assert (np.diff(j[i == v]) > 0).all()   # head edges: ascending (v, j)
+            assert (np.diff(i[j == v]) > 0).all()   # tail edges: ascending (i, v)
+        view = g.wavefront
+        assert not any(a.flags.writeable for a in (view.edges, view.weights))
+        assert view.edges[:, 0].flags.c_contiguous and view.edges[:, 1].flags.c_contiguous
+        assert view.wavefront.edges.tobytes() == view.edges.tobytes()
+
+    def test_built_once_per_graph(self, monkeypatch):
+        import dks.solver as solver_mod
+
+        builds, build = [], Graph.wavefront.func
+        counted = functools.cached_property(lambda g: builds.append(g) or build(g))
+        counted.__set_name__(Graph, "wavefront")
+        monkeypatch.setattr(Graph, "wavefront", counted)
+        rng = np.random.default_rng(32)
+        g = _log_uniform_graph(rng, 40, 0.2, unused=2)
+        assert "wavefront" not in g.__dict__   # not built at construction
+        lambda_hat = incidence_norm_sq_upper(g)
+        assert builds == [g]
+        for k in (3, 10, 20):
+            solver_mod.solve_lovasz_relaxation(g, k, lambda_hat)
+            solver_mod.solve_lovasz_relaxation(g, k)
+        assert builds == [g] and g.wavefront is g.wavefront
 
 
 class TestIncidenceNormBound:

@@ -3,7 +3,6 @@ import pytest
 
 import dks.solver as solver_mod
 from conftest import random_feasible_batch, random_graph
-import dks.graph as graph_mod
 from dense_oracles import edmonds_lovasz, solve_lovasz_relaxation_unbuffered
 from dks.graph import (
     Graph,
@@ -132,13 +131,56 @@ class TestSolveRelaxation:
         with pytest.raises(ValueError):
             solve_lovasz_relaxation(g, 2)
 
-    def test_divergence_detected(self, k3, monkeypatch):
-        def poisoned(v, w, rho):
-            return np.full_like(np.asarray(v, dtype=float), np.nan)
+    def test_divergence_detected(self, k3):
+        # NaN enters where arithmetic puts it: a forward scan, or a prox output
+        for site in ("edge_differences", "prox_capped_simplex"):
+            original = getattr(solver_mod, site)
 
-        monkeypatch.setattr(solver_mod, "shrinkage", poisoned)
-        with pytest.raises(NumericalDivergenceError, match="iteration 1"):
-            solve_lovasz_relaxation(k3, 2)
+            def poisoned(*args, **kwargs):
+                result = original(*args, **kwargs)
+                if site == "prox_capped_simplex":
+                    result[0][0] = np.nan
+                elif "out" in kwargs:   # the iteration's scan, not the starting point's
+                    result[0] = np.nan
+                return result
+
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(solver_mod, site, poisoned)
+                with pytest.raises(NumericalDivergenceError, match="iteration 1$"):
+                    solve_lovasz_relaxation(k3, 2)
+
+    def test_nan_off_the_support_joins_it(self, monkeypatch):
+        # a NaN at an edge that left z's support, or never was in it, raises at
+        # the iteration that makes it
+        g = generate_planted(120, 10, 0.05, seed=0).graph
+        adjoint, scan = solver_mod.edge_differences_adjoint, solver_mod.edge_differences
+        moved, scans, shrunk = [], [], []
+        poison_at = 6
+
+        def recording_adjoint(graph, f, at=None):
+            if at is not None:
+                moved.append(np.array(at))   # the old support and the new
+            return adjoint(graph, f, at)
+
+        def poisoning_scan(graph, x, out=None):
+            result = scan(graph, x, out=out)
+            scans.append(None)
+            if len(scans) == poison_at + 1:   # the forward scan of iteration poison_at
+                off = np.setdiff1d(np.arange(graph.m), moved[-1])
+                result[off[0]] = np.nan
+            return result
+
+        def recording_shrinkage(v, w, rho):
+            shrunk.append(np.isnan(v).sum())
+            return shrink(v, w, rho)
+
+        shrink = solver_mod.shrinkage
+        monkeypatch.setattr(solver_mod, "edge_differences_adjoint", recording_adjoint)
+        monkeypatch.setattr(solver_mod, "edge_differences", poisoning_scan)
+        monkeypatch.setattr(solver_mod, "shrinkage", recording_shrinkage)
+        with pytest.raises(NumericalDivergenceError, match=f"iteration {poison_at}$"):
+            solve_lovasz_relaxation(g, 10)
+        assert len(moved) == poison_at - 1 and shrunk == [0] * (poison_at - 1) + [1]
 
     def test_given_lambda_hat_is_used_as_is(self, c6, monkeypatch):
         own = solve_lovasz_relaxation(c6, 3)
@@ -228,7 +270,8 @@ class TestDualityGap:
 
 
 class TestMatchesUnbufferedLoop:
-    """The buffered loop, its sparse scans and warm prox against the plain loop, bit for bit."""
+    """The support-tracking loop, its sparse scans and warm prox against the plain loop,
+    bit for bit, both on the wavefront edge order the loop scans."""
 
     FIELDS = ("x_avg", "x_last", "iters", "converged", "r_norm_final", "s_norm_final",
               "eps_pri_final", "eps_dual_final", "dual_bound", "gap", "mu", "lambda_hat")
@@ -241,29 +284,33 @@ class TestMatchesUnbufferedLoop:
             yield g
             yield Graph.from_edges(g.n, g.edges, 10.0 ** rng.uniform(-3, 3, size=g.m))
 
-    def assert_same(self, got, want):
-        for name in self.FIELDS:
+    def assert_same(self, got, want, fields=FIELDS):
+        for name in fields:
             assert (np.asarray(getattr(got, name)).tobytes()
                     == np.asarray(getattr(want, name)).tobytes()), name
 
     def test_solves(self, monkeypatch):
-        sparse = []
-        support = graph_mod._sparse_support
+        partial = []
+        adjoint = solver_mod.edge_differences_adjoint
 
-        def recording_support(a):
-            found = support(a)
-            sparse.append(found is not None)
-            return found
+        def recording_adjoint(g, f, at=None):
+            if at is not None:
+                partial.append(len(at) < g.m)
+            return adjoint(g, f, at)
 
-        monkeypatch.setattr(graph_mod, "_sparse_support", recording_support)
+        monkeypatch.setattr(solver_mod, "edge_differences_adjoint", recording_adjoint)
         rho_moved = False
+        iters = 0
         for g in self.graphs():
             lambda_hat = incidence_norm_sq_upper(g)
             for k in (2, 10, 25, g.n - 1):
                 got = solve_lovasz_relaxation(g, k, lambda_hat)
-                self.assert_same(got, solve_lovasz_relaxation_unbuffered(g, k, lambda_hat))
+                self.assert_same(got, solve_lovasz_relaxation_unbuffered(g.wavefront, k,
+                                                                         lambda_hat))
                 rho_moved |= got.mu != 1.0 / (solver_mod.RHO_START * lambda_hat)
-        assert rho_moved and any(sparse) and not all(sparse)
+                iters += got.iters
+        # one scan of the moved edges per iteration, and it skips some
+        assert rho_moved and len(partial) == iters and all(partial)
 
     def test_capped_past_the_freeze(self, monkeypatch):
         # tolerances no solve meets: every rho change, then the fixed-rho tail
@@ -271,9 +318,29 @@ class TestMatchesUnbufferedLoop:
         monkeypatch.setattr(solver_mod, "EPS_REL", 1e-12)
         past_the_freeze = 0
         for g in self.graphs():
-            for max_iter in (1, 7, solver_mod.BALANCE_UNTIL + 30):
+            # a cap at a multiple of BALANCE_EVERY certifies before its rho change
+            for max_iter in (1, 7, 2 * solver_mod.BALANCE_EVERY, solver_mod.BALANCE_UNTIL + 30):
                 monkeypatch.setattr(solver_mod, "MAX_ITER", max_iter)
                 got = solve_lovasz_relaxation(g, 25)
-                self.assert_same(got, solve_lovasz_relaxation_unbuffered(g, 25))
+                self.assert_same(got, solve_lovasz_relaxation_unbuffered(g.wavefront, 25))
                 past_the_freeze += got.iters > solver_mod.BALANCE_UNTIL
         assert past_the_freeze >= 3   # the unweighted graphs run into the fixed-rho tail
+
+    # sums over edges follow the edge order and may move in their last bit
+    VERTEX_FIELDS = ("x_avg", "x_last", "iters", "converged", "s_norm_final", "eps_dual_final",
+                     "dual_bound", "mu")
+
+    def test_vertex_fields_match_the_canonical_order(self, monkeypatch):
+        for g in self.graphs():
+            lambda_hat = incidence_norm_sq_upper(g)
+            for k in (2, 10, 25, g.n - 1):
+                got = solve_lovasz_relaxation(g, k, lambda_hat)
+                want = solve_lovasz_relaxation_unbuffered(g, k, lambda_hat)
+                self.assert_same(got, want, self.VERTEX_FIELDS)
+        monkeypatch.setattr(solver_mod, "EPS_ABS", 1e-12)
+        monkeypatch.setattr(solver_mod, "EPS_REL", 1e-12)
+        for g in self.graphs():
+            for max_iter in (1, 7, 2 * solver_mod.BALANCE_EVERY, solver_mod.BALANCE_UNTIL + 30):
+                monkeypatch.setattr(solver_mod, "MAX_ITER", max_iter)
+                self.assert_same(solve_lovasz_relaxation(g, 25),
+                                 solve_lovasz_relaxation_unbuffered(g, 25), self.VERTEX_FIELDS)
