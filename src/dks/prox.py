@@ -46,14 +46,18 @@ class CappedSimplexParams:
             raise ValueError(f"k must lie in [2, {d.size - 1}], got {self.k}")
 
 
-def cardinality_gap(nu: float, v: np.ndarray, p: CappedSimplexParams) -> float:
-    """``sum_i clamp(v_i + (degrees_i - nu)/tau, 0, 1) - k``.
+def cardinality_gap(nu: float, v: np.ndarray, p: CappedSimplexParams, out=None) -> float:
+    """``sum_i clamp(v_i + (degrees_i - nu)/tau, 0, 1) - k``, formed in ``out`` if given.
 
     Monotone non-increasing in ``nu``; its root is the optimal dual variable
-    of the sum-to-k constraint.
+    of the sum-to-k constraint. The clamp is ``np.clip``'s up to the sign of
+    a zero, which no sum less ``k`` can show.
     """
-    x = np.clip(v + (p.degrees - nu) / p.tau, 0.0, 1.0)
-    return float(x.sum() - p.k)
+    x = np.subtract(p.degrees, nu, out=out)
+    x /= p.tau
+    x += v
+    np.maximum(x, 0.0, out=x)
+    return float(np.minimum(x, 1.0, out=x).sum() - p.k)
 
 
 def prox_capped_simplex(v, p: CappedSimplexParams, start: float | None = None):
@@ -83,9 +87,10 @@ def prox_capped_simplex(v, p: CappedSimplexParams, start: float | None = None):
     lo, hi, step = 0, breaks.shape[0] - 1, 1
     gap_lo, gap_hi = v.shape[0] - p.k, -p.k
     at = None if start is None else min(max(int(np.searchsorted(breaks, start)), 1), hi - 1)
+    scratch = np.empty_like(v)   # every gap evaluation's buffer
     while hi - lo > 1:
         mid = (lo + hi) // 2 if at is None else at
-        gap_mid = cardinality_gap(breaks[mid], v, p)
+        gap_mid = cardinality_gap(breaks[mid], v, p, out=scratch)
         if gap_mid > 0:
             lo, gap_lo = mid, gap_mid
         else:

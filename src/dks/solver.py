@@ -25,6 +25,7 @@ solves over a shared (immutable) Graph are safe.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,6 +98,11 @@ class SolverReport:
     lambda_hat: float
 
 
+def _norm(v: np.ndarray) -> float:
+    """``np.linalg.norm(v)`` of a float vector, by its own formula, without its wrapper."""
+    return math.sqrt(v @ v)
+
+
 def lovasz_objective(g: Graph, x) -> float:
     """Closed-form Lovász extension value ``-degree @ x + sum_e w_e |x_i - x_j|``."""
     x = _check_vertex_vector(g, x)
@@ -149,13 +155,16 @@ def solve_lovasz_relaxation(g: Graph, k: int, lambda_hat: float | None = None) -
     rho = RHO_START
     params = CappedSimplexParams(degree, float(k), rho * lambda_hat)
     mu = 1.0 / params.tau
-    threshold = g.weights / scale / rho   # shrinkage's levels, kept until rho moves
+    # shrinkage's levels, kept until rho moves; unit weights give them as one scalar
+    levels = 1.0 if g.is_unweighted else g.weights
+    threshold = levels / scale / rho
 
     x = np.zeros(g.n)
     x[topk(degree, k)] = 1.0
     btx = edge_differences(g, x)
     z, support = btx.copy(), np.flatnonzero(btx)   # z is +0.0 off its support, ascending ids
     u, residual = np.zeros(g.m), np.zeros(g.m)   # residual: btx - z, then scratch
+    mask = np.empty(g.m, dtype=bool)   # z's support
     x_sum, nu = np.zeros(g.n), None
 
     sqrt_m, sqrt_n = np.sqrt(g.m), np.sqrt(g.n)
@@ -167,14 +176,15 @@ def solve_lovasz_relaxation(g: Graph, k: int, lambda_hat: float | None = None) -
         residual += u   # (btx - z) + u
         x, nu = prox_capped_simplex(
             x - mu * rho * edge_differences_adjoint(g, residual), params, nu)
-        edge_differences(g, x, out=btx)
+        edge_differences(g, x, out=btx, scratch=residual)
         relaxed = np.multiply(ALPHA, btx, out=residual)   # + (1 - ALPHA) z, which is
         relaxed[support] += (1.0 - ALPHA) * z[support]   # -0.0 off the support: no change
         u += relaxed   # relaxed + u, shrinkage's input
         # z = v - clip(v, -t, t) is nonzero exactly where |v| <= t fails, NaN included
         old, z_prev = support, z[support]
         z[old] = 0.0
-        support = np.flatnonzero(~(np.abs(u, out=residual) <= threshold))
+        np.less_equal(np.abs(u, out=residual), threshold, out=mask)
+        support = np.flatnonzero(np.logical_not(mask, out=mask))
         z[support] = z_new = shrinkage(u[support], g.weights[support] / scale, rho)
         u[support] -= z_new   # u - z, which off the support is u
         if not (np.isfinite(x).all() and np.isfinite(z_new).all()):
@@ -185,23 +195,26 @@ def solve_lovasz_relaxation(g: Graph, k: int, lambda_hat: float | None = None) -
 
         np.copyto(residual, btx)
         residual[support] -= z_new
-        r_norm = float(np.linalg.norm(residual))
-        moved = np.sort(np.concatenate([old, support]))   # z - z_prev is zero off both supports
-        moved = moved[np.diff(moved, prepend=-1) > 0]
+        r_norm = _norm(residual)
+        moved = np.concatenate([old, support])   # z - z_prev is zero off both supports
+        moved.sort()
+        first = np.ones(moved.size, dtype=bool)   # each id once
+        np.not_equal(moved[1:], moved[:-1], out=first[1:])
+        moved = moved[first]
         step = z[moved]
         step[np.searchsorted(moved, old)] -= z_prev
-        s_norm = float(np.linalg.norm(edge_differences_adjoint(g, step, at=moved)))
+        s_norm = _norm(edge_differences_adjoint(g, step, at=moved))
         bu = edge_differences_adjoint(g, u)
-        eps_pri = sqrt_m * EPS_ABS + EPS_REL * max(
-            float(np.linalg.norm(btx)), float(np.linalg.norm(z)))
-        eps_dual = sqrt_n * EPS_ABS + EPS_REL * float(np.linalg.norm(bu))
+        eps_pri = sqrt_m * EPS_ABS + EPS_REL * max(_norm(btx), _norm(z))
+        eps_dual = sqrt_n * EPS_ABS + EPS_REL * _norm(bu)
         residuals_met = r_norm <= eps_pri and s_norm <= eps_dual
         if residuals_met or iters == MAX_ITER:
             # u = clip(relaxed + u_prev, +-w/rho), so y = rho u has |y_e| <= w_e and
             # f_L(x) >= (B y - degree) @ x on the capped simplex: the k smallest
             # entries of B y - degree sum to a lower bound on min f_L
             dual_bound = float(np.partition(rho * bu - degree, k - 1)[:k].sum())
-            weights = g.weights / scale   # |btx| overwrites btx, unread until the next scan
+            # |btx| overwrites btx, unread until the next scan
+            weights = g.weights if scale == 1.0 else g.weights / scale
             gap = float(weights @ np.abs(btx, out=btx) - degree @ x) - dual_bound
             if residuals_met and gap <= EPS_REL * max(1.0, abs(dual_bound)):
                 converged = True
@@ -216,7 +229,7 @@ def solve_lovasz_relaxation(g: Graph, k: int, lambda_hat: float | None = None) -
             if factor != 1.0:
                 rho *= factor
                 u /= factor   # keeps rho u, the unscaled dual, unchanged
-                threshold = g.weights / scale / rho
+                threshold = levels / scale / rho
                 params = CappedSimplexParams(degree, float(k), rho * lambda_hat)
                 mu = 1.0 / params.tau
 

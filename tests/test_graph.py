@@ -378,6 +378,38 @@ class TestRelabel:
             _assert_same_load("\n".join(lines) + "\n", weighted)
 
 
+class TestUnweightedMerge:
+    """The loader's sort-and-mask merge of unweighted pairs against the reference's
+    dict merge (the same graph ``np.unique`` of the keys gives)."""
+
+    @staticmethod
+    def _text(rng, weighted):
+        # several components over disjoint ids, every pair in both orientations
+        # a random number of times, and self-loops among them
+        lines = []
+        for comp in np.split(rng.permutation(300)[:60], [10, 25, 40]):
+            for _ in range(int(rng.integers(1, 3 * comp.size))):
+                u, v = (int(t) for t in rng.choice(comp, size=2))
+                for _ in range(int(rng.integers(1, 4))):
+                    lines.append((u, v) if rng.random() < 0.5 else (v, u))
+        return "".join(f"{u} {v}" + (f" {float(rng.uniform(0.5, 2.0))!r}" if weighted else "")
+                       + "\n" for u, v in lines)
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_matches_reference(self, weighted):
+        rng = np.random.default_rng(411)
+        for _ in range(60):
+            g = _assert_same_load(self._text(rng, weighted), weighted)
+            assert g is not None and (weighted or g.is_unweighted)
+
+    def test_with_and_without_self_loops(self):
+        for text in ("1 1\n1 2\n2 1\n2 2\n", "5 6\n6 5\n", "3 3\n3 4\n"):
+            for weighted in (False, True):
+                source = text if not weighted else "".join(
+                    line + " 0.5\n" for line in text.splitlines())
+                _assert_same_load(source, weighted)
+
+
 _MALFORMED = ("x 1", "1", "1 2 3 4", "1 2 -1.5", "1 2 0", "1 2 nan",
               "1 2 inf", "1 2 abc", "0.5 1", "1 y 2")
 
@@ -548,6 +580,23 @@ class TestFromEdges:
     def test_arrays_immutable(self, k3):
         with pytest.raises(ValueError):
             k3.weights[0] = 5.0
+
+    def test_ascending_keys_are_not_sorted_again(self, monkeypatch):
+        calls = []
+        argsort = np.argsort
+        monkeypatch.setattr(np, "argsort", lambda *a, **kw: calls.append(a) or argsort(*a, **kw))
+        w = np.array([1.0, 2.0, 3.0])
+        ascending = Graph.from_edges(4, [(0, 1), (3, 0), (2, 1)], w)   # keys 1, 3, 6
+        assert calls == []
+        w[0] = 5.0   # the caller's array is neither kept nor frozen
+        assert w.flags.writeable and ascending.weights.tolist() == [1.0, 2.0, 3.0]
+        unsorted = Graph.from_edges(4, [(2, 1), (0, 1), (3, 0)], [3.0, 1.0, 2.0])
+        assert len(calls) == 1
+        for name in ("edges", "weights", "degree", "original_ids"):
+            assert getattr(unsorted, name).tobytes() == getattr(ascending, name).tobytes()
+        for edges in ([(0, 1), (0, 1)], [(0, 1), (1, 0)], [(0, 1), (1, 2), (0, 1)]):
+            with pytest.raises(ValueError, match="duplicate"):
+                Graph.from_edges(3, edges)
 
 
 class TestOperators:
@@ -752,6 +801,37 @@ class TestSparseKernelsMatchFullScans:
         assert not any(a.flags.writeable for a in g.incidence)
 
 
+class TestStableOrder:
+    """``_stable_order`` against numpy's stable argsort."""
+
+    @staticmethod
+    def assert_stable(key, bound):
+        got, want = graph_mod._stable_order(key, bound), np.argsort(key, kind="stable")
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("m", [0, 1, 2, 9, 1000])
+    def test_many_ties(self, m):
+        rng = np.random.default_rng(60 + m)
+        for bound in (1, 2, 3, m + 1, 2**40):
+            self.assert_stable(rng.integers(0, bound, size=m), bound)
+
+    def test_keys_at_the_bound(self):
+        # the largest packed key, (bound - 1) * m + m - 1, is int64's largest
+        rng = np.random.default_rng(61)
+        m = 64
+        bound = (np.iinfo(np.int64).max + 1) // m
+        key = rng.choice([0, 1, bound - 2, bound - 1], size=m)
+        key[-1] = bound - 1
+        self.assert_stable(key, bound)
+
+    def test_overflow_falls_back(self):
+        # one past the bound, packing would wrap around and misorder these keys
+        rng = np.random.default_rng(62)
+        m = 64
+        bound = (np.iinfo(np.int64).max + 1) // m + 1
+        self.assert_stable(rng.choice([0, 1, bound - 2, bound - 1], size=m), bound)
+
+
 def _wavefront_cases():
     """Random weighted graphs, some with isolated vertices, and stars."""
     rng = np.random.default_rng(31)
@@ -806,6 +886,47 @@ class TestWavefront:
         assert not any(a.flags.writeable for a in (view.edges, view.weights))
         assert view.edges[:, 0].flags.c_contiguous and view.edges[:, 1].flags.c_contiguous
         assert view.wavefront.edges.tobytes() == view.edges.tobytes()
+
+    @pytest.mark.parametrize("g", _wavefront_cases())
+    def test_public_arrays_read_only(self, g):
+        view = g.wavefront
+        for graph in (g, view):
+            for arr in (graph.edges, graph.weights, graph.degree, graph.original_ids,
+                        *graph.incidence):
+                assert not arr.flags.writeable
+        # the kernels scan the writeable array the view's edges show
+        assert g._scan is None and view._scan.flags.writeable and view.edges.base is view._scan
+
+    @pytest.mark.parametrize("g", _wavefront_cases())
+    def test_full_matvec_matches_oracle(self, g):
+        rng = np.random.default_rng(g.n + g.m)
+        twin = Graph.from_edges(g.n, g.edges)   # unit weights, or g itself if it has them
+        for graph in (g, twin):
+            # no zero entry, so every edge is scanned, over the wavefront
+            x = rng.choice([-1.0, 1.0], size=g.n) * 10.0 ** rng.uniform(-100, 100, size=g.n)
+            want = adjacency_matvec_full_scan(graph, x)
+            assert _bits(adjacency_matvec(graph, x)) == _bits(want)
+            assert "wavefront" in graph.__dict__ and "incidence" not in graph.__dict__
+            assert _bits(adjacency_matvec(graph.wavefront, x)) == _bits(want)
+
+    def test_solve_and_sweep_leave_the_scan_index_alone(self, tmp_path, monkeypatch):
+        import dks.cli as cli_mod
+        from dks.oracles import generate_planted
+        from dks.solver import solve_lovasz_relaxation
+
+        path = tmp_path / "g.txt"
+        write_edge_list(generate_planted(80, 8, 0.1, seed=5).graph, path)
+        want = load_edge_list(path).wavefront._scan.tobytes()
+        g = load_edge_list(path)
+        incidence_norm_sq_upper(g)
+        solve_lovasz_relaxation(g, 8)
+        assert g.wavefront._scan.tobytes() == want
+        loaded = []
+        monkeypatch.setattr(cli_mod, "load_edge_list",
+                            lambda *a, **kw: loaded.append(load_edge_list(*a, **kw)) or loaded[-1])
+        assert cli_mod.main(["sweep", "--graph", str(path), "--k-list", "4,8", "--threads", "1",
+                             "--no-timing", "--out", str(tmp_path / "s.csv")]) == 0
+        assert loaded[0].wavefront._scan.tobytes() == want
 
     def test_built_once_per_graph(self, monkeypatch):
         import dks.solver as solver_mod

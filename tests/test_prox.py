@@ -116,9 +116,9 @@ class TestProxCappedSimplex:
         calls = {"n": 0}
         original = prox_mod.cardinality_gap
 
-        def counting(nu, v, p):
+        def counting(nu, v, p, out=None):
             calls["n"] += 1
-            return original(nu, v, p)
+            return original(nu, v, p, out)
 
         monkeypatch.setattr(prox_mod, "cardinality_gap", counting)
         rng = np.random.default_rng(8)
@@ -152,9 +152,9 @@ class TestProxCappedSimplex:
         calls = {"n": 0}
         original = prox_mod.cardinality_gap
 
-        def counting(nu, v, p):
+        def counting(nu, v, p, out=None):
             calls["n"] += 1
-            return original(nu, v, p)
+            return original(nu, v, p, out)
 
         monkeypatch.setattr(prox_mod, "cardinality_gap", counting)
         rng = np.random.default_rng(12)

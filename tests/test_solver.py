@@ -162,8 +162,8 @@ class TestSolveRelaxation:
                 moved.append(np.array(at))   # the old support and the new
             return adjoint(graph, f, at)
 
-        def poisoning_scan(graph, x, out=None):
-            result = scan(graph, x, out=out)
+        def poisoning_scan(graph, x, out=None, scratch=None):
+            result = scan(graph, x, out=out, scratch=scratch)
             scans.append(None)
             if len(scans) == poison_at + 1:   # the forward scan of iteration poison_at
                 off = np.setdiff1d(np.arange(graph.m), moved[-1])
@@ -325,6 +325,34 @@ class TestMatchesUnbufferedLoop:
                 self.assert_same(got, solve_lovasz_relaxation_unbuffered(g.wavefront, 25))
                 past_the_freeze += got.iters > solver_mod.BALANCE_UNTIL
         assert past_the_freeze >= 3   # the unweighted graphs run into the fixed-rho tail
+
+    def test_equal_weights_take_the_array_levels(self, monkeypatch):
+        # all weights 2.0 is not unweighted: shrinkage's levels stay an array, while the
+        # unit-weight twin's are one scalar; both match the plain loop, and each other
+        # up to the scale, a power of two, z's supports included
+        scaled_fields = ("dual_bound", "gap")
+        supports = []
+        shrink = solver_mod.shrinkage
+        monkeypatch.setattr(solver_mod, "shrinkage",
+                            lambda v, w, rho: supports[-1].append(v.size) or shrink(v, w, rho))
+        for seed in range(2):
+            g = generate_planted(120, 10, 0.05, seed=seed).graph
+            twin = Graph.from_edges(g.n, g.edges, np.full(g.m, 2.0))
+            assert g.is_unweighted and not twin.is_unweighted
+            lambda_hat = incidence_norm_sq_upper(g)
+            for k in (2, 10, 25):
+                reports = []
+                for h in (g, twin):
+                    supports.append([])
+                    reports.append(solve_lovasz_relaxation(h, k, lambda_hat))
+                unit, doubled = reports
+                assert supports[-1] == supports[-2]
+                for h, got in ((g, unit), (twin, doubled)):
+                    self.assert_same(got, solve_lovasz_relaxation_unbuffered(h.wavefront, k,
+                                                                             lambda_hat))
+                self.assert_same(doubled, unit, [f for f in self.FIELDS if f not in scaled_fields])
+                for name in scaled_fields:
+                    assert getattr(doubled, name) == 2.0 * getattr(unit, name)
 
     # sums over edges follow the edge order and may move in their last bit
     VERTEX_FIELDS = ("x_avg", "x_last", "iters", "converged", "s_norm_final", "eps_dual_final",
