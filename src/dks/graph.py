@@ -4,9 +4,8 @@ Everything here is pure and deterministic: a :class:`Graph` is immutable after
 construction (its arrays are marked read-only) and safe to share across
 concurrent solver runs. The bincount operators reduce in one fixed order, bit-stable
 whatever the thread count; ``power_iteration_norm``'s BLAS dot products and norms
-can move in their last bits with ``OPENBLAS_NUM_THREADS``. Edges keep their
-canonical order; the solver and every full ``W @ x`` scan :attr:`Graph.wavefront`,
-a reordered copy.
+can move in their last bits with ``OPENBLAS_NUM_THREADS``. Edges are stored
+once, in the wavefront order ``(i + j, i)`` that every scan follows.
 """
 
 from __future__ import annotations
@@ -47,14 +46,23 @@ class EdgeListParseError(ValueError):
         self.lineno = lineno
 
 
-# the edge key below reaches n * n - 1, which must fit in int64
-_MAX_VERTICES = math.isqrt(np.iinfo(np.int64).max)
+# the edge key below stays under 2 * n * n, which must fit in int64
+_MAX_VERTICES = math.isqrt(np.iinfo(np.int64).max // 2)
 
 
 def _edge_key(a, b, n: int) -> np.ndarray:
-    """Edge ``{a, b}``'s key over ``0..n-1``: keys ascend in canonical order and
-    ``divmod(key, n)`` gives back ``(i, j)`` with ``i < j``."""
-    return np.minimum(a, b) * n + np.maximum(a, b)
+    """Edge ``{a, b}``'s key over ``0..n-1``: keys ascend in the wavefront order
+    ``(i + j, i)``, ``i < j``, and :func:`_edge_ends` gives back ``(i, j)``."""
+    return (a + b) * n + np.minimum(a, b)
+
+
+def _edge_ends(key: np.ndarray, n: int, i=None, j=None):
+    """The ``(i, j)`` of :func:`_edge_key`'s ``key``, into ``i`` and ``j`` if given
+    (``j`` may be ``key`` itself); ``j`` is formed in place, with no temporary."""
+    i = np.remainder(key, n, out=i)
+    j = np.floor_divide(key, n, out=j)
+    j -= i
+    return i, j
 
 
 def _stable_order(key: np.ndarray, bound: int) -> np.ndarray:
@@ -77,27 +85,29 @@ def _stable_order(key: np.ndarray, bound: int) -> np.ndarray:
 class Graph:
     """Immutable weighted undirected simple graph.
 
-    Edges are stored once as ``(i, j)`` pairs with ``i < j``, sorted
-    lexicographically: the canonical order, which every edge-indexed result
-    but the solver's (see :attr:`wavefront`) follows. That fixed orientation stands in
-    for the signed vertex-edge incidence matrix, which is never materialized: a
-    column for edge ``(i, j)`` is understood as ``e_i - e_j``.
+    Edges are stored once as ``(i, j)`` pairs with ``i < j``, sorted by
+    ``(i + j, i)``: the wavefront order, which every edge-indexed result
+    follows and every scan runs in. Each vertex meets its head edges in
+    ascending ``j`` and its tail edges in ascending ``i``, as in lexicographic
+    order, so per-vertex sums have the bits that order gives, and neighbouring
+    edges seldom share a bin. That fixed orientation stands in for the signed
+    vertex-edge incidence matrix, which is never materialized: a column for
+    edge ``(i, j)`` is understood as ``e_i - e_j``.
 
     ``original_ids[i]`` is the label vertex ``i`` carried before relabeling to
     the dense ``0..n-1`` range (the identity for programmatically built
-    graphs). Every public array is read-only. A :attr:`wavefront` view also
-    holds ``_scan``, the writeable array its ``edges`` shows read-only, which
-    only this module's kernels read: numpy copies a read-only index in every
-    ``bincount`` and ``take``.
+    graphs). Every public array is read-only. ``edges`` is a read-only view of
+    ``_scan``, a writeable array which only this module's kernels read: numpy
+    copies a read-only index in every ``bincount`` and ``take``.
     """
 
     n: int
     m: int
-    edges: np.ndarray        # (m, 2) int64, i < j, lexicographically sorted, columns contiguous
+    edges: np.ndarray        # (m, 2) int64, i < j, in (i + j, i) order, columns contiguous
     weights: np.ndarray      # (m,) float64, strictly positive
     degree: np.ndarray       # (n,) float64 weighted degree W @ 1
     original_ids: np.ndarray  # (n,) int64
-    _scan: np.ndarray | None = field(default=None, repr=False)
+    _scan: np.ndarray = field(repr=False)   # the writeable array edges shows
 
     @classmethod
     def from_edges(cls, n, edges, weights=None, original_ids=None) -> "Graph":
@@ -106,7 +116,7 @@ class Graph:
         Pairs may come in either orientation but must be free of self-loops and
         duplicates (merge duplicates before calling; :func:`load_edge_list`
         does). Weights default to 1 and must be positive, finite and of finite total.
-        Pairs whose keys already ascend strictly, as the loader's do, are not sorted.
+        Pairs whose :func:`_edge_key` keys already ascend strictly are not sorted.
         """
         if not 1 <= n <= _MAX_VERTICES:
             raise ValueError(f"vertex count must lie in [1, {_MAX_VERTICES}], got {n}")
@@ -130,9 +140,10 @@ class Graph:
             key, w = key[order], w[order]
             if (key[1:] == key[:-1]).any():
                 raise ValueError("duplicate edges are not allowed")
-        e = np.stack(np.divmod(key, n)).T  # Fortran order: each column is contiguous
+        scan = np.empty((m, 2), dtype=np.int64, order="F")   # each column contiguous
+        _edge_ends(key, n, *scan.T)
 
-        degree = np.bincount(e.T.ravel(), weights=np.concatenate([w, w]), minlength=n)
+        degree = np.bincount(scan.T.ravel(), weights=np.concatenate([w, w]), minlength=n)
         if original_ids is None:
             ids = np.arange(n, dtype=np.int64)
         else:
@@ -140,14 +151,8 @@ class Graph:
             if ids.shape != (n,):
                 raise ValueError("original_ids length must equal n")
 
-        g = cls(
-            n=int(n),
-            m=int(m),
-            edges=e,
-            weights=w,
-            degree=degree,
-            original_ids=ids,
-        )
+        g = cls(n=int(n), m=int(m), edges=scan.view(), weights=w, degree=degree,
+                original_ids=ids, _scan=scan)
         for arr in (g.edges, g.weights, g.degree, g.original_ids):
             arr.setflags(write=False)
         return g
@@ -158,40 +163,22 @@ class Graph:
 
     @cached_property
     def incidence(self) -> tuple:
-        """``(head_ptr, tail_order, tail_ptr)``: the edges at each vertex, built on first use.
+        """``(head_order, head_ptr, tail_order, tail_ptr)``: the edges at each
+        vertex, built on first use.
 
-        Edges headed at ``v`` are ids ``head_ptr[v]:head_ptr[v + 1]``; edges
-        tailed at ``v`` are ``tail_order[tail_ptr[v]:tail_ptr[v + 1]]``, in
-        ascending id order both. It costs 8 bytes per edge and 16 per vertex,
+        Edges headed at ``v`` are ``head_order[head_ptr[v]:head_ptr[v + 1]]``,
+        those tailed at ``v`` ``tail_order[tail_ptr[v]:tail_ptr[v + 1]]``, in
+        ascending id order both. It costs 16 bytes per edge and 16 per vertex,
         and is built lazily so that loading a graph does not pay for it;
         concurrent first uses at worst build it twice, alike.
         """
-        ptr = [np.concatenate([[0], np.cumsum(np.bincount(col, minlength=self.n))])
-               for col in self.edges.T]
-        index = (ptr[0], _stable_order(self.edges[:, 1], self.n), ptr[1])
+        index = []
+        for col in self._scan.T:
+            index += [_stable_order(col, self.n),
+                      np.concatenate([[0], np.cumsum(np.bincount(col, minlength=self.n))])]
         for arr in index:
             arr.setflags(write=False)
-        return index
-
-    @cached_property
-    def wavefront(self) -> "Graph":
-        """This graph, its edges in ascending ``(i + j, i)`` order: the order of
-        the solver's scans and of every full ``W @ x``.
-
-        Each vertex meets its head and its tail edges in canonical order still, so
-        ``B f`` and ``W x`` keep their bits, and neighbouring edges seldom share a
-        bin. Its ``edges`` is a read-only view of its writeable ``_scan``. Built on
-        first use, 16 bytes per edge, 24 if weighted; a view's own view is a copy,
-        not itself, which only the cycle collector would free."""
-        order = _stable_order(self.edges[:, 0] + self.edges[:, 1], 2 * self.n)
-        scan = np.empty((self.m, 2), dtype=np.int64, order="F")
-        for col in range(2):
-            np.take(self.edges[:, col], order, out=scan[:, col], mode="wrap")
-        edges = scan.view()
-        weights = self.weights if self.is_unweighted else self.weights[order]
-        for arr in (edges, weights):
-            arr.setflags(write=False)
-        return Graph(self.n, self.m, edges, weights, self.degree, self.original_ids, scan)
+        return tuple(index)
 
 
 @dataclass(frozen=True)
@@ -474,11 +461,12 @@ def load_edge_list(source, weighted: bool = False) -> Graph:
         keys = keys[first]
     # the per-line arrays are dead from here: freed, they lower the peak in from_edges
     del pairs, weights, proper, dense
-    a, b = np.divmod(keys, ids.size)
+    a, b = _edge_ends(keys, ids.size, j=keys)
     keep = _largest_component(ids.size, a, b)
     relabel = np.cumsum(keep) - 1
     inside = keep[a]
-    # keys ascend strictly, and the relabel keeps their order: from_edges sorts nothing
+    # keys ascend strictly; from_edges sorts them again only if a cut component's
+    # ids lay between kept ones, so that the relabel changes some sums i + j
     edges = np.stack([relabel[a[inside]], relabel[b[inside]]], axis=1)
     return Graph.from_edges(int(keep.sum()), edges, None if w is None else w[inside],
                             original_ids=ids[keep])
@@ -516,17 +504,11 @@ def _check_vertex_vector(g: Graph, x) -> np.ndarray:
     return x
 
 
-def _columns(g: Graph):
-    """``g``'s head and tail columns, from its writeable ``_scan`` when it has one."""
-    e = g.edges if g._scan is None else g._scan
-    return e[:, 0], e[:, 1]
-
-
 def edge_differences(g: Graph, x, out=None, scratch=None) -> np.ndarray:
     """Per-edge differences ``x_i - x_j`` in stored edge order (``B^T x``), into ``out``
     if given; ``scratch``, if given, is an edge-length buffer that it overwrites."""
     x = _check_vertex_vector(g, x)
-    heads, tails = _columns(g)
+    heads, tails = g._scan.T
     # the ids are in range, so "wrap" moves none; it spares take a checked copy of out
     out = np.take(x, heads, out=out, mode="wrap")
     return np.subtract(out, np.take(x, tails, out=scratch, mode="wrap"), out=out)
@@ -564,32 +546,29 @@ def edge_differences_adjoint(g: Graph, f, at=None) -> np.ndarray:
     f = np.asarray(f, dtype=np.float64)
     if f.shape != ((g.m,) if at is None else np.shape(at)):
         raise ValueError(f"expected {g.m} edge entries or one per id in at, got {f.shape}")
-    e0, e1 = _columns(g)
+    e0, e1 = g._scan.T
     if at is not None:
         e0, e1 = e0[at], e1[at]
     return _scatter(e0, f, g.n) - _scatter(e1, f, g.n)
 
 
 def adjacency_matvec(g: Graph, x) -> np.ndarray:
-    """``W @ x``: a scan of every edge, over :attr:`Graph.wavefront`, or of only
-    the edges at the nonzeros of a sparse ``x`` (O(sum of their degrees + n)).
+    """``W @ x``: a scan of every edge, or of only the edges at the nonzeros of a
+    sparse ``x`` (O(sum of their degrees + n)).
 
-    Both add each vertex's nonzero terms in canonical edge order, starting
-    from 0.0, and the zero terms a full scan adds change no such sum, so the
-    two give bitwise the same result. Unit weights are not multiplied in.
+    Both add each vertex's nonzero terms in edge id order, starting from 0.0,
+    and the zero terms a full scan adds change no such sum, so the two give
+    bitwise the same result. Unit weights are not multiplied in.
     """
     x = _check_vertex_vector(g, x)
     support = _sparse_support(x)
+    e0, e1 = g._scan.T
     at_tail = at_head = slice(None)
-    if support is None:
-        g = g.wavefront
-        e0, e1 = _columns(g)
-    else:
-        head_ptr, tail_order, tail_ptr = g.incidence
-        # ascending tails, then ids: each head's edges still come in id order
+    if support is not None:
+        head_order, head_ptr, tail_order, tail_ptr = g.incidence
+        # ascending tails (heads), then ids: each head's (tail's) edges still come in id order
         at_tail = tail_order[_edges_at(tail_ptr, support)]
-        at_head = _edges_at(head_ptr, support)
-        e0, e1 = g.edges[:, 0], g.edges[:, 1]
+        at_head = head_order[_edges_at(head_ptr, support)]
     head_terms, tail_terms = np.take(x, e1[at_tail]), np.take(x, e0[at_head])
     if not g.is_unweighted:
         head_terms *= g.weights[at_tail]
@@ -683,19 +662,19 @@ def incidence_norm_sq_upper(g: Graph) -> float:
     """Safe upper estimate of the squared incidence spectral norm ``||B||^2``.
 
     Lanczos (:func:`power_iteration_norm`) for ``lambda_max(B B^T)`` on the
-    solver's own edge scans ``B (B^T x)`` over :attr:`Graph.wavefront`, which
-    it builds, inflated by ``(1 + LAMBDA_TOL)`` and capped at the certified
-    Anderson-Morley bound ``max_edge(deg_i + deg_j)`` (unweighted degrees). If
-    the matvec cap ``LAMBDA_MAX_MATVECS`` is hit, that bound is returned as is;
-    it never exceeds the Gershgorin bound ``2 * max_degree``. Overestimating is
-    safe for consumers that need a feasible step size; underestimating is not.
+    solver's own edge scans ``B (B^T x)``, inflated by ``(1 + LAMBDA_TOL)`` and
+    capped at the certified Anderson-Morley bound ``max_edge(deg_i + deg_j)``
+    (unweighted degrees). If the matvec cap ``LAMBDA_MAX_MATVECS`` is hit, that
+    bound is returned as is; it never exceeds the Gershgorin bound
+    ``2 * max_degree``. Overestimating is safe for consumers that need a
+    feasible step size; underestimating is not.
     """
     if g.m == 0:
         raise ValueError("graph has no edges")
-    counts = np.bincount(g.edges.T.ravel(), minlength=g.n)
+    counts = np.bincount(g._scan.T.ravel(), minlength=g.n)
     edge_bound = float((counts[g.edges[:, 0]] + counts[g.edges[:, 1]]).max())
     estimate, _, converged = power_iteration_norm(
-        lambda x: edge_differences_adjoint(g.wavefront, edge_differences(g.wavefront, x)), g.n,
+        lambda x: edge_differences_adjoint(g, edge_differences(g, x)), g.n,
         tol=0.5 * LAMBDA_TOL, max_iter=LAMBDA_MAX_MATVECS)
     return min((1.0 + LAMBDA_TOL) * estimate, edge_bound) if converged else edge_bound
 
@@ -707,7 +686,8 @@ def subgraph_weight(g: Graph, members) -> float:
         raise ValueError("vertex id out of range")
     mask = np.zeros(g.n, dtype=bool)
     mask[idx] = True
-    # the edges headed in S, in ascending id order; those tailed in S too
-    headed = _edges_at(g.incidence[0], np.flatnonzero(mask))
+    # the edges headed in S, by ascending head, then id; those tailed in S too
+    head_order, head_ptr = g.incidence[:2]
+    headed = head_order[_edges_at(head_ptr, np.flatnonzero(mask))]
     return 2.0 * float(g.weights[headed[mask[g.edges[headed, 1]]]].sum())
 

@@ -137,9 +137,9 @@ def random_feasible_point(rng, n, k):
     return random_feasible_batch(rng, 1, n, k)[0]
 
 
-# `Graph.from_edges` as it was before the canonical order became one int64
-# key: axis-1 min/max, a two-key lexsort and a 2-D duplicate scan, kept as the
-# oracle for that constructor.
+# `Graph.from_edges` as it was before the edge order became one int64 key:
+# axis-1 min/max, a two-key lexsort on the wavefront order (i + j, i) and a
+# 2-D duplicate scan, kept as the oracle for that constructor.
 def from_edges_reference(n, edges, weights=None, original_ids=None) -> Graph:
     """Build a graph from ``(u, v)`` pairs, canonicalizing orientation and order.
 
@@ -167,7 +167,7 @@ def from_edges_reference(n, edges, weights=None, original_ids=None) -> Graph:
         lo = e.min(axis=1)
         hi = e.max(axis=1)
         e = np.stack([lo, hi], axis=1)
-        order = np.lexsort((e[:, 1], e[:, 0]))
+        order = np.lexsort((e[:, 0], e[:, 0] + e[:, 1]))
         e = e[order]
         w = w[order]
         if m > 1 and ((e[1:] == e[:-1]).all(axis=1)).any():
@@ -181,13 +181,15 @@ def from_edges_reference(n, edges, weights=None, original_ids=None) -> Graph:
         if ids.shape != (n,):
             raise ValueError("original_ids length must equal n")
 
+    scan = np.asfortranarray(e)
     g = Graph(
         n=int(n),
         m=int(m),
-        edges=e,
+        edges=scan.view(),
         weights=w,
         degree=degree,
         original_ids=ids,
+        _scan=scan,
     )
     for arr in (g.edges, g.weights, g.degree, g.original_ids):
         arr.setflags(write=False)

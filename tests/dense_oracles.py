@@ -11,6 +11,7 @@ the faster code must match bitwise.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -121,11 +122,23 @@ def adjacency_matvec_full_scan(g: Graph, x) -> np.ndarray:
     return out
 
 
+def lexicographic_copy(g: Graph):
+    """``(copy, perm)``: a stand-in for ``g`` whose edges and weights are sorted by
+    ``(i, j)``, the order they had before the wavefront order, with ``perm`` taking
+    ``g``'s edge order to it. The library's edge kernels accept it as a graph."""
+    perm = np.lexsort((g.edges[:, 1], g.edges[:, 0]))
+    edges = np.asfortranarray(g.edges[perm])
+    return SimpleNamespace(n=g.n, m=g.m, edges=edges, _scan=edges, weights=g.weights[perm],
+                           degree=g.degree), perm
+
+
 def subgraph_weight_by_mask(g: Graph, members) -> float:
-    """``1_S' W 1_S`` from a membership mask over every edge."""
+    """``1_S' W 1_S`` from a membership mask over every edge, summed in
+    lexicographic ``(i, j)`` order."""
     mask = np.zeros(g.n, dtype=bool)
     mask[np.asarray(list(members), dtype=np.int64)] = True
-    inside = mask[g.edges[:, 0]] & mask[g.edges[:, 1]]
+    order = np.lexsort((g.edges[:, 1], g.edges[:, 0]))
+    inside = order[mask[g.edges[order, 0]] & mask[g.edges[order, 1]]]
     return 2.0 * float(g.weights[inside].sum())
 
 

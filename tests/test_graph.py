@@ -1,4 +1,3 @@
-import functools
 import gzip
 import io
 import itertools
@@ -18,6 +17,7 @@ from dense_oracles import (
     adjacency_matvec_full_scan,
     dense_cross_check,
     edge_differences_adjoint_full_scan,
+    lexicographic_copy,
     subgraph_weight_by_mask,
     topk_full_sort,
 )
@@ -56,6 +56,27 @@ class TestLoadEdgeList:
         g = _load("1 2\n3 4\n4 5\n")
         assert g.n == 3 and g.m == 2
         assert g.original_ids.tolist() == [3, 4, 5]
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_cut_component_between_kept_ids_sorts_again(self, monkeypatch, weighted):
+        # cutting {3, 4} renumbers 5 -> 3 and 6 -> 4: the key of (1, 2) came before that
+        # of (0, 5), but (1, 2) after (0, 3), so from_edges takes its sort path
+        pairs = [(1, 2), (0, 5), (0, 1), (5, 6)]
+        lines = [f"{u} {v}" + (f" {1.5 + e}" if weighted else "") for e, (u, v) in
+                 enumerate(pairs)]
+        text = "\n".join(lines + ["3 4" + (" 9.0" if weighted else "")]) + "\n"
+        calls = []
+        argsort = np.argsort
+        monkeypatch.setattr(np, "argsort", lambda *a, **kw: calls.append(a) or argsort(*a, **kw))
+        g = _load(text, weighted=weighted)
+        assert len(calls) == 1
+        key = graph_mod._edge_key(g.edges[:, 0], g.edges[:, 1], g.n)
+        assert (key[1:] > key[:-1]).all()
+        assert g.original_ids.tolist() == [0, 1, 2, 5, 6]
+        relabeled = [(1, 2), (0, 3), (0, 1), (3, 4)]
+        want = Graph.from_edges(5, relabeled, [1.5, 2.5, 3.5, 4.5] if weighted else None)
+        for name in ("edges", "weights", "degree", "_scan"):
+            assert getattr(g, name).tobytes() == getattr(want, name).tobytes(), name
 
     def test_weighted_duplicates_sum(self):
         g = _load("1 2 0.5\n2 1 0.25\n", weighted=True)
@@ -553,11 +574,23 @@ class TestFromEdges:
         assert g.weights.tolist() == [1.0, 2.0]
 
     def test_rejects_vertex_count_beyond_edge_key(self):
-        # the key min * n + max needs n * n to fit in int64; refused before
+        # the key (i + j) * n + i needs 2 * n * n to fit in int64; refused before
         # the length-n degree array is allocated
         for edges in ([(0, 1)], []):
             with pytest.raises(ValueError, match="vertex count"):
-                Graph.from_edges(2**32, edges)
+                Graph.from_edges(graph_mod._MAX_VERTICES + 1, edges)
+
+    def test_edge_key_round_trips_at_the_vertex_limit(self):
+        # scalar arrays only: a graph this size would need a 16 GB degree array
+        n = graph_mod._MAX_VERTICES
+        assert n == 2**31 - 1
+        a, b = np.array([n - 2, 1, 0, n - 1]), np.array([n - 1, 0, 1, n - 2])
+        key = graph_mod._edge_key(a, b, n)
+        # the exact keys, in Python integers, so a wrapped int64 would differ
+        assert key.tolist() == [(int(u) + int(v)) * n + min(int(u), int(v)) for u, v in zip(a, b)]
+        assert key.max() <= np.iinfo(np.int64).max
+        i, j = graph_mod._edge_ends(key, n)
+        assert i.tolist() == [n - 2, 0, 0, n - 2] and j.tolist() == [n - 1, 1, 1, n - 1]
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
@@ -791,10 +824,10 @@ class TestSparseKernelsMatchFullScans:
     def test_index_matches_edges(self):
         rng = np.random.default_rng(26)
         g = _log_uniform_graph(rng, 50, 0.2, unused=3)
-        head_ptr, tail_order, tail_ptr = g.incidence
+        head_order, head_ptr, tail_order, tail_ptr = g.incidence
         assert g.incidence is g.incidence
         for v in range(g.n):
-            assert (np.arange(head_ptr[v], head_ptr[v + 1])
+            assert (head_order[head_ptr[v]:head_ptr[v + 1]]
                     == np.flatnonzero(g.edges[:, 0] == v)).all()
             assert (tail_order[tail_ptr[v]:tail_ptr[v + 1]]
                     == np.flatnonzero(g.edges[:, 1] == v)).all()
@@ -846,68 +879,75 @@ def _wavefront_cases():
 
 
 class TestWavefront:
-    """``Graph.wavefront`` against the graph it was built from."""
+    """Every graph's one edge order, ascending ``(i + j, i)``, against the
+    lexicographic order it replaced."""
 
     @pytest.mark.parametrize("g", _wavefront_cases())
     def test_scans_bitwise_alike(self, g):
-        view = g.wavefront
-        keys = g.edges[:, 0] * g.n + g.edges[:, 1]
-        perm = np.searchsorted(keys, view.edges[:, 0] * g.n + view.edges[:, 1])
-        assert (keys[perm] == view.edges[:, 0] * g.n + view.edges[:, 1]).all()
-        assert _bits(view.weights) == _bits(g.weights[perm])
-        assert (view.weights is g.weights) == g.is_unweighted   # unit weights are shared
-        assert view.degree is g.degree and view.original_ids is g.original_ids
+        lex, perm = lexicographic_copy(g)
+        w = np.concatenate([lex.weights, lex.weights])
+        assert _bits(g.degree) == _bits(np.bincount(lex.edges.T.ravel(), weights=w,
+                                                    minlength=g.n))
         rng = np.random.default_rng(g.m)
         x = rng.normal(size=g.n) * 10.0 ** rng.uniform(-200, 200, size=g.n)
         out = np.empty(g.m)
-        assert _bits(edge_differences(view, x)) == _bits(edge_differences(g, x)[perm])
-        assert edge_differences(view, x, out=out) is out
-        assert _bits(out) == _bits(edge_differences(g, x)[perm])
+        assert _bits(edge_differences(g, x, out=out)[perm]) == _bits(edge_differences(lex, x))
+        for count in (0, 1, max(1, g.n // 10), g.n):   # sparse and dense x
+            y = np.zeros(g.n)
+            y[rng.choice(g.n, size=count, replace=False)] = x[:count]
+            assert _bits(adjacency_matvec(g, y)) == _bits(adjacency_matvec_full_scan(lex, y))
+            members = rng.choice(g.n, size=count, replace=False)
+            assert _bits(subgraph_weight(g, members)) == _bits(
+                subgraph_weight_by_mask(lex, members))
         for count in (0, 1, max(1, g.m // 20), g.m // 2, g.m):   # sparse and dense f
             f = np.zeros(g.m)
             ids = rng.choice(g.m, size=count, replace=False)
             f[ids] = rng.choice([1.0, -0.0, 1e-300, -3.0, 0.5], size=count) * rng.uniform(
                 0.5, 2.0, size=count)
-            want = edge_differences_adjoint(g, f)
-            assert _bits(edge_differences_adjoint(view, f[perm])) == _bits(want)
-            at = np.flatnonzero(f[perm] != 0)
-            assert _bits(edge_differences_adjoint(view, f[perm][at], at=at)) == _bits(want)
+            want = edge_differences_adjoint_full_scan(lex, f[perm])
+            assert _bits(edge_differences_adjoint(g, f)) == _bits(want)
+            at = np.flatnonzero(f != 0)
+            assert _bits(edge_differences_adjoint(g, f[at], at=at)) == _bits(want)
+
+    @pytest.mark.parametrize("g", _wavefront_cases())
+    def test_from_shuffled_pairs_alike(self, g):
+        rng = np.random.default_rng(g.m + 1)
+        order = rng.permutation(g.m)
+        pairs = g.edges[order]
+        flip = rng.random(g.m) < 0.5
+        pairs[flip] = pairs[flip, ::-1]
+        again = Graph.from_edges(g.n, pairs, g.weights[order])
+        for name in ("edges", "weights", "degree", "_scan"):
+            assert getattr(again, name).tobytes() == getattr(g, name).tobytes(), name
 
     @pytest.mark.parametrize("g", _wavefront_cases())
     def test_each_vertex_keeps_canonical_order(self, g):
-        i, j = g.wavefront.edges[:, 0], g.wavefront.edges[:, 1]
+        i, j = g.edges[:, 0], g.edges[:, 1]
         assert (i < j).all()
         # ascending (i + j, i)
         assert (np.lexsort((i, i + j)) == np.arange(g.m)).all()
         for v in range(g.n):
             assert (np.diff(j[i == v]) > 0).all()   # head edges: ascending (v, j)
             assert (np.diff(i[j == v]) > 0).all()   # tail edges: ascending (i, v)
-        view = g.wavefront
-        assert not any(a.flags.writeable for a in (view.edges, view.weights))
-        assert view.edges[:, 0].flags.c_contiguous and view.edges[:, 1].flags.c_contiguous
-        assert view.wavefront.edges.tobytes() == view.edges.tobytes()
+        assert g.edges[:, 0].flags.c_contiguous and g.edges[:, 1].flags.c_contiguous
 
     @pytest.mark.parametrize("g", _wavefront_cases())
     def test_public_arrays_read_only(self, g):
-        view = g.wavefront
-        for graph in (g, view):
-            for arr in (graph.edges, graph.weights, graph.degree, graph.original_ids,
-                        *graph.incidence):
-                assert not arr.flags.writeable
-        # the kernels scan the writeable array the view's edges show
-        assert g._scan is None and view._scan.flags.writeable and view.edges.base is view._scan
+        for arr in (g.edges, g.weights, g.degree, g.original_ids, *g.incidence):
+            assert not arr.flags.writeable
+        # the kernels scan the writeable array the graph's edges show
+        assert g._scan.flags.writeable and g.edges.base is g._scan
 
     @pytest.mark.parametrize("g", _wavefront_cases())
     def test_full_matvec_matches_oracle(self, g):
         rng = np.random.default_rng(g.n + g.m)
         twin = Graph.from_edges(g.n, g.edges)   # unit weights, or g itself if it has them
         for graph in (g, twin):
-            # no zero entry, so every edge is scanned, over the wavefront
+            # no zero entry, so every edge is scanned
             x = rng.choice([-1.0, 1.0], size=g.n) * 10.0 ** rng.uniform(-100, 100, size=g.n)
             want = adjacency_matvec_full_scan(graph, x)
             assert _bits(adjacency_matvec(graph, x)) == _bits(want)
-            assert "wavefront" in graph.__dict__ and "incidence" not in graph.__dict__
-            assert _bits(adjacency_matvec(graph.wavefront, x)) == _bits(want)
+            assert "incidence" not in graph.__dict__
 
     def test_solve_and_sweep_leave_the_scan_index_alone(self, tmp_path, monkeypatch):
         import dks.cli as cli_mod
@@ -916,34 +956,17 @@ class TestWavefront:
 
         path = tmp_path / "g.txt"
         write_edge_list(generate_planted(80, 8, 0.1, seed=5).graph, path)
-        want = load_edge_list(path).wavefront._scan.tobytes()
+        want = load_edge_list(path)._scan.tobytes()
         g = load_edge_list(path)
         incidence_norm_sq_upper(g)
         solve_lovasz_relaxation(g, 8)
-        assert g.wavefront._scan.tobytes() == want
+        assert g._scan.tobytes() == want
         loaded = []
         monkeypatch.setattr(cli_mod, "load_edge_list",
                             lambda *a, **kw: loaded.append(load_edge_list(*a, **kw)) or loaded[-1])
         assert cli_mod.main(["sweep", "--graph", str(path), "--k-list", "4,8", "--threads", "1",
                              "--no-timing", "--out", str(tmp_path / "s.csv")]) == 0
-        assert loaded[0].wavefront._scan.tobytes() == want
-
-    def test_built_once_per_graph(self, monkeypatch):
-        import dks.solver as solver_mod
-
-        builds, build = [], Graph.wavefront.func
-        counted = functools.cached_property(lambda g: builds.append(g) or build(g))
-        counted.__set_name__(Graph, "wavefront")
-        monkeypatch.setattr(Graph, "wavefront", counted)
-        rng = np.random.default_rng(32)
-        g = _log_uniform_graph(rng, 40, 0.2, unused=2)
-        assert "wavefront" not in g.__dict__   # not built at construction
-        lambda_hat = incidence_norm_sq_upper(g)
-        assert builds == [g]
-        for k in (3, 10, 20):
-            solver_mod.solve_lovasz_relaxation(g, k, lambda_hat)
-            solver_mod.solve_lovasz_relaxation(g, k)
-        assert builds == [g] and g.wavefront is g.wavefront
+        assert loaded[0]._scan.tobytes() == want
 
 
 class TestIncidenceNormBound:

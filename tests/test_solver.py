@@ -3,7 +3,7 @@ import pytest
 
 import dks.solver as solver_mod
 from conftest import random_feasible_batch, random_graph
-from dense_oracles import edmonds_lovasz, solve_lovasz_relaxation_unbuffered
+from dense_oracles import edmonds_lovasz, lexicographic_copy, solve_lovasz_relaxation_unbuffered
 from dks.graph import (
     Graph,
     edge_differences,
@@ -271,7 +271,7 @@ class TestDualityGap:
 
 class TestMatchesUnbufferedLoop:
     """The support-tracking loop, its sparse scans and warm prox against the plain loop,
-    bit for bit, both on the wavefront edge order the loop scans."""
+    bit for bit, both on the graph's own wavefront edge order."""
 
     FIELDS = ("x_avg", "x_last", "iters", "converged", "r_norm_final", "s_norm_final",
               "eps_pri_final", "eps_dual_final", "dual_bound", "gap", "mu", "lambda_hat")
@@ -305,8 +305,7 @@ class TestMatchesUnbufferedLoop:
             lambda_hat = incidence_norm_sq_upper(g)
             for k in (2, 10, 25, g.n - 1):
                 got = solve_lovasz_relaxation(g, k, lambda_hat)
-                self.assert_same(got, solve_lovasz_relaxation_unbuffered(g.wavefront, k,
-                                                                         lambda_hat))
+                self.assert_same(got, solve_lovasz_relaxation_unbuffered(g, k, lambda_hat))
                 rho_moved |= got.mu != 1.0 / (solver_mod.RHO_START * lambda_hat)
                 iters += got.iters
         # one scan of the moved edges per iteration, and it skips some
@@ -322,7 +321,7 @@ class TestMatchesUnbufferedLoop:
             for max_iter in (1, 7, 2 * solver_mod.BALANCE_EVERY, solver_mod.BALANCE_UNTIL + 30):
                 monkeypatch.setattr(solver_mod, "MAX_ITER", max_iter)
                 got = solve_lovasz_relaxation(g, 25)
-                self.assert_same(got, solve_lovasz_relaxation_unbuffered(g.wavefront, 25))
+                self.assert_same(got, solve_lovasz_relaxation_unbuffered(g, 25))
                 past_the_freeze += got.iters > solver_mod.BALANCE_UNTIL
         assert past_the_freeze >= 3   # the unweighted graphs run into the fixed-rho tail
 
@@ -348,8 +347,7 @@ class TestMatchesUnbufferedLoop:
                 unit, doubled = reports
                 assert supports[-1] == supports[-2]
                 for h, got in ((g, unit), (twin, doubled)):
-                    self.assert_same(got, solve_lovasz_relaxation_unbuffered(h.wavefront, k,
-                                                                             lambda_hat))
+                    self.assert_same(got, solve_lovasz_relaxation_unbuffered(h, k, lambda_hat))
                 self.assert_same(doubled, unit, [f for f in self.FIELDS if f not in scaled_fields])
                 for name in scaled_fields:
                     assert getattr(doubled, name) == 2.0 * getattr(unit, name)
@@ -359,16 +357,19 @@ class TestMatchesUnbufferedLoop:
                      "dual_bound", "mu")
 
     def test_vertex_fields_match_the_canonical_order(self, monkeypatch):
+        # the plain loop on the lexicographic (i, j) order the edges had before
         for g in self.graphs():
+            lex = lexicographic_copy(g)[0]
             lambda_hat = incidence_norm_sq_upper(g)
             for k in (2, 10, 25, g.n - 1):
                 got = solve_lovasz_relaxation(g, k, lambda_hat)
-                want = solve_lovasz_relaxation_unbuffered(g, k, lambda_hat)
+                want = solve_lovasz_relaxation_unbuffered(lex, k, lambda_hat)
                 self.assert_same(got, want, self.VERTEX_FIELDS)
         monkeypatch.setattr(solver_mod, "EPS_ABS", 1e-12)
         monkeypatch.setattr(solver_mod, "EPS_REL", 1e-12)
         for g in self.graphs():
+            lex = lexicographic_copy(g)[0]
             for max_iter in (1, 7, 2 * solver_mod.BALANCE_EVERY, solver_mod.BALANCE_UNTIL + 30):
                 monkeypatch.setattr(solver_mod, "MAX_ITER", max_iter)
                 self.assert_same(solve_lovasz_relaxation(g, 25),
-                                 solve_lovasz_relaxation_unbuffered(g, 25), self.VERTEX_FIELDS)
+                                 solve_lovasz_relaxation_unbuffered(lex, 25), self.VERTEX_FIELDS)
