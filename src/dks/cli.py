@@ -27,13 +27,7 @@ from .baselines import (
     top_two_singular,
     truncated_power_method,
 )
-from .graph import (
-    Graph,
-    check_k,
-    incidence_norm_sq_upper,
-    load_edge_list,
-    write_edge_list,
-)
+from .graph import Graph, check_k, load_edge_list, write_edge_list
 from .oracles import brute_force_dks, check_brute_force, generate_planted
 from .rounding import frank_wolfe_refine, project_topk
 from .solver import NumericalDivergenceError, solve_lovasz_relaxation
@@ -141,11 +135,9 @@ def run_single(args) -> int:
     k = args.k
     _check_k(g, k)
     sp = top_two_singular(g) if args.bound or args.method == "rank1" else None
-    lambda_hat = incidence_norm_sq_upper(g) if args.method in RELAX_METHODS else None
 
     start = time.perf_counter()
-    relax_report = (solve_lovasz_relaxation(g, k, lambda_hat)
-                    if args.method in RELAX_METHODS else None)
+    relax_report = solve_lovasz_relaxation(g, k) if args.method in RELAX_METHODS else None
     vset, iters, converged, details = _run_method(g, k, args.method, relax_report, sp)
     runtime_ms = (time.perf_counter() - start) * 1e3
 
@@ -176,13 +168,13 @@ def run_single(args) -> int:
 # sweep
 
 
-def _sweep_one_k(g, k, methods, sp, lambda_hat):
+def _sweep_one_k(g, k, methods, sp):
     records = []
     relax_report = None
     relax_s = 0.0   # the shared relaxation solve, charged to each row that rounds it
     if any(m in RELAX_METHODS for m in methods):
         start = time.perf_counter()
-        relax_report = solve_lovasz_relaxation(g, k, lambda_hat)
+        relax_report = solve_lovasz_relaxation(g, k)
         relax_s = time.perf_counter() - start
 
     start = time.perf_counter()
@@ -242,14 +234,10 @@ def run_sweep(args) -> int:
     _check_k(g, ks[-1])
     for k in ks if "brute" in methods else ():   # brute's limits hang on n and k alone
         check_brute_force(g.n, k)
-    # graph-level quantities, computed once and shared by every k and method
-    sp = top_two_singular(g)
-    lambda_hat = None
-    if any(m in RELAX_METHODS for m in methods):
-        lambda_hat = incidence_norm_sq_upper(g)
+    sp = top_two_singular(g)   # computed once, shared by every k and method
 
     def work(k):
-        return _sweep_one_k(g, k, methods, sp, lambda_hat)
+        return _sweep_one_k(g, k, methods, sp)
 
     # a pool starts a thread per queued k up to its size, so the size is clamped
     workers = min(args.threads, len(ks), os.cpu_count() or 1)

@@ -180,6 +180,19 @@ class Graph:
             arr.setflags(write=False)
         return tuple(index)
 
+    @cached_property
+    def _norm_sq_upper(self) -> float:
+        """:func:`incidence_norm_sq_upper`'s estimate, made on first use; concurrent
+        first uses at worst make it twice, alike."""
+        if self.m == 0:
+            raise ValueError("graph has no edges")
+        counts = np.bincount(self._scan.T.ravel(), minlength=self.n)
+        edge_bound = float((counts[self.edges[:, 0]] + counts[self.edges[:, 1]]).max())
+        estimate, _, converged = power_iteration_norm(
+            lambda x: edge_differences_adjoint(self, edge_differences(self, x)), self.n,
+            tol=0.5 * LAMBDA_TOL, max_iter=LAMBDA_MAX_MATVECS)
+        return min((1.0 + LAMBDA_TOL) * estimate, edge_bound) if converged else edge_bound
+
 
 @dataclass(frozen=True)
 class VertexSet:
@@ -369,7 +382,7 @@ def _fast_parse(data, weighted: bool):
     """
     data = _drop_comment_lines(data)
     if (data is None or data.translate(None, _WEIGHT_BYTES if weighted else _ID_BYTES)
-            or data.count(b"\r") != data.count(b"\r\n")):
+            or b"\r" in data and data.count(b"\r") != data.count(b"\r\n")):
         return None
     try:
         with warnings.catch_warnings():
@@ -667,16 +680,11 @@ def incidence_norm_sq_upper(g: Graph) -> float:
     (unweighted degrees). If the matvec cap ``LAMBDA_MAX_MATVECS`` is hit, that
     bound is returned as is; it never exceeds the Gershgorin bound
     ``2 * max_degree``. Overestimating is safe for consumers that need a
-    feasible step size; underestimating is not.
+    feasible step size; underestimating is not. It is a fact of the graph:
+    made on the first call, which reads the ``LAMBDA_*`` constants, and kept
+    on the graph for every later one.
     """
-    if g.m == 0:
-        raise ValueError("graph has no edges")
-    counts = np.bincount(g._scan.T.ravel(), minlength=g.n)
-    edge_bound = float((counts[g.edges[:, 0]] + counts[g.edges[:, 1]]).max())
-    estimate, _, converged = power_iteration_norm(
-        lambda x: edge_differences_adjoint(g, edge_differences(g, x)), g.n,
-        tol=0.5 * LAMBDA_TOL, max_iter=LAMBDA_MAX_MATVECS)
-    return min((1.0 + LAMBDA_TOL) * estimate, edge_bound) if converged else edge_bound
+    return g._norm_sq_upper
 
 
 def subgraph_weight(g: Graph, members) -> float:

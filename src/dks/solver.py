@@ -82,7 +82,7 @@ class SolverReport:
     max(scale, |dual_bound|)`` held, ``scale`` the largest weight: only
     ``dual_bound`` and ``gap`` are in weight units, the rest of the run
     works on weights over ``scale``. ``mu`` is the final proximal step,
-    ``1/(rho * lambda_hat)`` at the final ``rho``.
+    ``1/(rho * incidence_norm_sq_upper(g))`` at the final ``rho``.
     """
 
     x_avg: np.ndarray
@@ -96,7 +96,6 @@ class SolverReport:
     dual_bound: float
     gap: float
     mu: float
-    lambda_hat: float
 
 
 def _norm(v: np.ndarray) -> float:
@@ -110,7 +109,7 @@ def lovasz_objective(g: Graph, x) -> float:
     return float(g.weights @ np.abs(edge_differences(g, x)) - g.degree @ x)
 
 
-def solve_lovasz_relaxation(g: Graph, k: int, lambda_hat: float | None = None) -> SolverReport:
+def solve_lovasz_relaxation(g: Graph, k: int) -> SolverReport:
     """Solve the Lovász relaxation at cardinality ``k`` with linearized ADMM.
 
     Per iteration, in reused edge-length buffers: an x-update through the
@@ -140,20 +139,14 @@ def solve_lovasz_relaxation(g: Graph, k: int, lambda_hat: float | None = None) -
     ``d/(k-1)``, ``d`` the mean weighted degree; on dense graphs such as the
     admm-sweep benchmark's, the solve ends at that value to within 0.05%.
 
-    ``lambda_hat``, a safe upper estimate of ``||B||^2``, depends on the
-    graph alone: callers solving at several ``k`` compute it once with
-    :func:`incidence_norm_sq_upper` and pass it; by default it is computed
-    here. Raises ``ValueError`` for out-of-range ``k``, an edgeless graph,
-    or a ``lambda_hat`` that is not positive and finite, and
-    :class:`NumericalDivergenceError` when an iterate goes non-finite.
+    ``mu`` comes from :func:`incidence_norm_sq_upper`, a safe upper estimate
+    of ``||B||^2`` made on the graph's first solve and kept on the graph for
+    every later ``k``. Raises ``ValueError`` for out-of-range ``k`` or an
+    edgeless graph, and :class:`NumericalDivergenceError` when an iterate
+    goes non-finite.
     """
     check_k(g, k)
-    if g.m == 0:
-        raise ValueError("graph has no edges")
-    if lambda_hat is None:
-        lambda_hat = incidence_norm_sq_upper(g)
-    elif not (np.isfinite(lambda_hat) and lambda_hat > 0):
-        raise ValueError("lambda_hat must be positive and finite")
+    lambda_hat = incidence_norm_sq_upper(g)
     scale = float(g.weights.max())
     degree = g.degree / scale   # weights / scale is formed where used, not kept
     rho = RHO_START
@@ -249,5 +242,4 @@ def solve_lovasz_relaxation(g: Graph, k: int, lambda_hat: float | None = None) -
         dual_bound=dual_bound * scale,
         gap=gap * scale,
         mu=mu,
-        lambda_hat=lambda_hat,
     )

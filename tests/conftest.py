@@ -1,5 +1,6 @@
 """Shared fixtures and independent test oracles."""
 
+import functools
 import gzip
 import io
 import sys
@@ -37,6 +38,16 @@ def path3():
 def star5():
     """Star on 5 vertices, center 0."""
     return Graph.from_edges(5, [(0, i) for i in range(1, 5)])
+
+
+def record_makes(monkeypatch, name: str) -> list:
+    """Patch the cached property ``Graph.<name>`` to append each graph it is made
+    for to the returned list; a kept value is read back without a call."""
+    made, make = [], getattr(Graph, name).func
+    counted = functools.cached_property(lambda g: made.append(g) or make(g))
+    counted.__set_name__(Graph, name)
+    monkeypatch.setattr(Graph, name, counted)
+    return made
 
 
 def random_graph(rng, n, p, weighted=False, dyadic=False, ensure_edge=True):

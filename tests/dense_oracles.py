@@ -246,4 +246,4 @@ def solve_lovasz_relaxation_unbuffered(g: Graph, k: int,
         x_avg=x_sum / iters, x_last=x, iters=iters, converged=converged,
         r_norm_final=r_norm, s_norm_final=s_norm, eps_pri_final=float(eps_pri),
         eps_dual_final=float(eps_dual), dual_bound=dual_bound * scale, gap=gap * scale,
-        mu=mu, lambda_hat=lambda_hat)
+        mu=mu)

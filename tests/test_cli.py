@@ -1,4 +1,3 @@
-import functools
 import gzip
 import json
 import os
@@ -9,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import near_bipartite
+from conftest import near_bipartite, record_makes
 import dks
 import dks.baselines as baselines_mod
 from dks.cli import CSV_HEADER, SOLVE_METHODS, main
@@ -17,7 +16,17 @@ from dks.graph import Graph, VertexSet, load_edge_list, write_edge_list
 from dks.oracles import brute_force_dks
 
 
-_GOLDEN_SWEEP = Path(__file__).parent / "data" / "golden_sweep_planted.csv"
+# the output contract: each golden CSV is the sweep, with the default methods and
+# --no-timing, of the graph of `dks gen <gen flags>` over the k grid of its sweep flags
+_GOLDEN_SWEEPS = {
+    # dks gen --n 300 --k 12 --p 0.05 --seed 3, swept at k = 8..16 step 2
+    "planted": (["--n", "300", "--k", "12", "--p", "0.05", "--seed", "3"],
+                ["--k-min", "8", "--k-max", "16", "--k-step", "2"]),
+    # dks gen --n 2000 --k 30 --p 0.002 --seed 1, swept at --k-list 20,30,45,60: a
+    # sparse graph, where the relaxation is informative
+    "sparse": (["--n", "2000", "--k", "30", "--p", "0.002", "--seed", "1"],
+               ["--k-list", "20,30,45,60"]),
+}
 _GZIPPED = gzip.compress("".join(f"{i} {i + 1}\n" for i in range(500)).encode())
 
 
@@ -319,17 +328,17 @@ class TestSweep:
         assert main(argv + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_matches_golden_sweep(self, tmp_path, capsys):
-        # the output contract: the planted graph of `dks gen --n 300 --k 12
-        # --p 0.05 --seed 3` swept with the default methods
-        graph, out = tmp_path / "planted.txt", tmp_path / "sweep.csv"
-        assert main(["gen", "--n", "300", "--k", "12", "--p", "0.05", "--seed", "3",
-                     "--out", str(graph)]) == 0
-        assert main(["sweep", "--graph", str(graph), "--k-min", "8", "--k-max", "16",
-                     "--k-step", "2", "--no-timing", "--out", str(out)]) == 0
+    @pytest.mark.parametrize("name", _GOLDEN_SWEEPS)
+    def test_matches_golden_sweep(self, name, tmp_path, capsys):
+        gen_flags, sweep_flags = _GOLDEN_SWEEPS[name]
+        graph, out = tmp_path / "graph.txt", tmp_path / "sweep.csv"
+        assert main(["gen", *gen_flags, "--out", str(graph)]) == 0
+        assert main(["sweep", "--graph", str(graph), *sweep_flags, "--no-timing",
+                     "--out", str(out)]) == 0
         assert capsys.readouterr().err == ""
+        golden = Path(__file__).parent / "data" / f"golden_sweep_{name}.csv"
         got = [line.split(",") for line in out.read_text().splitlines()]
-        want = [line.split(",") for line in _GOLDEN_SWEEP.read_text().splitlines()]
+        want = [line.split(",") for line in golden.read_text().splitlines()]
         assert got[0] == want[0] == CSV_HEADER.split(",")
         assert len(got) == len(want)
         for row, ref in zip(got[1:], want[1:]):
@@ -393,7 +402,6 @@ class TestSweep:
             monkeypatch.setattr(cli_mod, name, wrapper)
 
         counted("top_two_singular")
-        counted("incidence_norm_sq_upper")
         counted("rank1_dks")
         pairs, ranked = [], []
         top_two, topk = cli_mod.top_two_singular, baselines_mod.topk
@@ -408,11 +416,10 @@ class TestSweep:
         monkeypatch.setattr(cli_mod, "top_two_singular", kept_pair)
         monkeypatch.setattr(baselines_mod, "topk", recorded_topk)
 
-        # the incidence index: counted where built, and looked for right after the load
-        builds, build = [], Graph.incidence.func
-        counted_index = functools.cached_property(lambda g: builds.append(g) or build(g))
-        counted_index.__set_name__(Graph, "incidence")
-        monkeypatch.setattr(Graph, "incidence", counted_index)
+        # the incidence index and the estimate of ||B||^2: counted where made, and the
+        # index looked for right after the load
+        builds = record_makes(monkeypatch, "incidence")
+        estimates = record_makes(monkeypatch, "_norm_sq_upper")
         load = cli_mod.load_edge_list
         loaded = []
 
@@ -425,10 +432,11 @@ class TestSweep:
                    "--methods", "ladmm-fw,rank1", "--out", str(tmp_path / "x.csv")])
         assert rc == 0
         # the bound computes the rank-1 surrogate itself: one rank1_dks per k
-        assert calls == {"top_two_singular": 1, "incidence_norm_sq_upper": 1, "rank1_dks": 3}
-        # loading does not build the index; every k and method shares one build
+        assert calls == {"top_two_singular": 1, "rank1_dks": 3}
+        # loading does not build the index; every k and method shares one build, and
+        # every relaxation one estimate
         assert loaded == [False]
-        assert len(builds) == 1
+        assert len(builds) == 1 and len(estimates) == 1
         # u1 and -u1 are each ranked by one rank1 row and one bound per k, for k entries, never n
         (sp,) = pairs
         for u in (sp.u1, -sp.u1):
@@ -436,13 +444,13 @@ class TestSweep:
 
         for method in ("rank1", "ladmm-fw"):
             calls.clear()
+            estimates.clear()
             rc = main(["solve", "--graph", fixture_file, "--k", "4", "--method", method,
                        "--bound"])
             assert rc == 0
             assert calls.get("top_two_singular") == 1
             assert calls.get("rank1_dks", 0) == (method == "rank1")
-            # λ̂ comes before the clock starts, as in a sweep
-            assert calls.get("incidence_norm_sq_upper", 0) == (method == "ladmm-fw")
+            assert len(estimates) == (method == "ladmm-fw")
 
     def test_unconverged_spectral_pair_reported(self, fixture_file, tmp_path, capsys,
                                                 monkeypatch):

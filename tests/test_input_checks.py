@@ -8,6 +8,7 @@ from dks.graph import Graph, incidence_norm_sq_upper, load_edge_list
 from dks.oracles import brute_force_dks
 from dks.prox import CappedSimplexParams, prox_capped_simplex, shrinkage
 from dks.rounding import frank_wolfe_refine
+from dks.solver import solve_lovasz_relaxation
 
 
 def k4k2():
@@ -32,6 +33,8 @@ CASES = [
     ("spectral-pair-edgeless", lambda: top_two_singular(edgeless()),
      ValueError, "graph has no edges"),
     ("lambda-hat-edgeless", lambda: incidence_norm_sq_upper(edgeless()),
+     ValueError, "graph has no edges"),
+    ("relaxation-edgeless", lambda: solve_lovasz_relaxation(edgeless(), 2),
      ValueError, "graph has no edges"),
     ("from-edges-weights-length", lambda: Graph.from_edges(3, [(0, 1)], weights=[1.0, 2.0]),
      ValueError, "weights length must match edge count"),

@@ -1,15 +1,19 @@
+import io
+
 import numpy as np
 import pytest
 
 import dks.solver as solver_mod
-from conftest import random_feasible_batch, random_graph
+from conftest import random_feasible_batch, random_graph, record_makes
 from dense_oracles import edmonds_lovasz, lexicographic_copy, solve_lovasz_relaxation_unbuffered
 from dks.graph import (
     Graph,
     edge_differences,
     edge_differences_adjoint,
     incidence_norm_sq_upper,
+    load_edge_list,
     subgraph_weight,
+    write_edge_list,
 )
 from dks.oracles import brute_force_dks, generate_planted
 from dks.rounding import project_topk
@@ -182,21 +186,18 @@ class TestSolveRelaxation:
             solve_lovasz_relaxation(g, 10)
         assert len(moved) == poison_at - 1 and shrunk == [0] * (poison_at - 1) + [1]
 
-    def test_given_lambda_hat_is_used_as_is(self, c6, monkeypatch):
-        own = solve_lovasz_relaxation(c6, 3)
-        lambda_hat = incidence_norm_sq_upper(c6)
-
-        def forbidden(*args, **kwargs):
-            raise AssertionError("lambda_hat recomputed")
-
-        monkeypatch.setattr(solver_mod, "incidence_norm_sq_upper", forbidden)
-        given = solve_lovasz_relaxation(c6, 3, lambda_hat=lambda_hat)
-        assert given.lambda_hat == own.lambda_hat and given.mu == own.mu
-        assert given.iters == own.iters
-        assert (given.x_avg == own.x_avg).all()
-        for bad in (0.0, -1.0, np.nan, np.inf):
-            with pytest.raises(ValueError):
-                solve_lovasz_relaxation(c6, 3, lambda_hat=bad)
+    def test_norm_estimate_kept_on_the_graph(self, monkeypatch):
+        # two solves on one graph estimate ||B||^2 once, and both equal, bit for
+        # bit, the solve on a fresh copy, which makes its own estimate
+        g = generate_planted(120, 10, 0.05, seed=0).graph
+        made = record_makes(monkeypatch, "_norm_sq_upper")
+        first, second = solve_lovasz_relaxation(g, 10), solve_lovasz_relaxation(g, 10)
+        assert made == [g]
+        fresh = Graph.from_edges(g.n, g.edges)
+        want = solve_lovasz_relaxation(fresh, 10)
+        assert made == [g, fresh]
+        for got in (first, second):
+            TestMatchesUnbufferedLoop().assert_same(got, want)
 
     @pytest.mark.parametrize("c", [2.0**70, 2.0**-700], ids=["2**70", "2**-700"])
     def test_scale_equivariant(self, c):
@@ -254,11 +255,12 @@ class TestDualityGap:
         max_iter = solver_mod.BALANCE_UNTIL + 100
         monkeypatch.setattr(solver_mod, "MAX_ITER", max_iter)
         report = solve_lovasz_relaxation(g, 25)
+        lambda_hat = incidence_norm_sq_upper(g)
         assert not report.converged and len(taus) == len(rhos) == report.iters == max_iter
         # iteration t (from 1) runs the x-prox, then the shrinkage, at one rho
-        assert all(tau == rho * report.lambda_hat for tau, rho in zip(taus, rhos))
+        assert all(tau == rho * lambda_hat for tau, rho in zip(taus, rhos))
         assert rhos[0] == solver_mod.RHO_START
-        assert report.mu == 1.0 / (rhos[-1] * report.lambda_hat)
+        assert report.mu == 1.0 / (rhos[-1] * lambda_hat)
         changes = [(t, rhos[t] / rhos[t - 1]) for t in range(1, len(rhos))
                    if rhos[t] != rhos[t - 1]]
         assert changes
@@ -274,7 +276,7 @@ class TestMatchesUnbufferedLoop:
     bit for bit, both on the graph's own wavefront edge order."""
 
     FIELDS = ("x_avg", "x_last", "iters", "converged", "r_norm_final", "s_norm_final",
-              "eps_pri_final", "eps_dual_final", "dual_bound", "gap", "mu", "lambda_hat")
+              "eps_pri_final", "eps_dual_final", "dual_bound", "gap", "mu")
 
     @staticmethod
     def graphs():
@@ -304,7 +306,7 @@ class TestMatchesUnbufferedLoop:
         for g in self.graphs():
             lambda_hat = incidence_norm_sq_upper(g)
             for k in (2, 10, 25, g.n - 1):
-                got = solve_lovasz_relaxation(g, k, lambda_hat)
+                got = solve_lovasz_relaxation(g, k)
                 self.assert_same(got, solve_lovasz_relaxation_unbuffered(g, k, lambda_hat))
                 rho_moved |= got.mu != 1.0 / (solver_mod.RHO_START * lambda_hat)
                 iters += got.iters
@@ -338,16 +340,16 @@ class TestMatchesUnbufferedLoop:
             g = generate_planted(120, 10, 0.05, seed=seed).graph
             twin = Graph.from_edges(g.n, g.edges, np.full(g.m, 2.0))
             assert g.is_unweighted and not twin.is_unweighted
-            lambda_hat = incidence_norm_sq_upper(g)
             for k in (2, 10, 25):
                 reports = []
                 for h in (g, twin):
                     supports.append([])
-                    reports.append(solve_lovasz_relaxation(h, k, lambda_hat))
+                    reports.append(solve_lovasz_relaxation(h, k))
                 unit, doubled = reports
                 assert supports[-1] == supports[-2]
                 for h, got in ((g, unit), (twin, doubled)):
-                    self.assert_same(got, solve_lovasz_relaxation_unbuffered(h, k, lambda_hat))
+                    want = solve_lovasz_relaxation_unbuffered(h, k, incidence_norm_sq_upper(h))
+                    self.assert_same(got, want)
                 self.assert_same(doubled, unit, [f for f in self.FIELDS if f not in scaled_fields])
                 for name in scaled_fields:
                     assert getattr(doubled, name) == 2.0 * getattr(unit, name)
@@ -360,10 +362,9 @@ class TestMatchesUnbufferedLoop:
         # the plain loop on the lexicographic (i, j) order the edges had before
         for g in self.graphs():
             lex = lexicographic_copy(g)[0]
-            lambda_hat = incidence_norm_sq_upper(g)
             for k in (2, 10, 25, g.n - 1):
-                got = solve_lovasz_relaxation(g, k, lambda_hat)
-                want = solve_lovasz_relaxation_unbuffered(lex, k, lambda_hat)
+                got = solve_lovasz_relaxation(g, k)
+                want = solve_lovasz_relaxation_unbuffered(lex, k, incidence_norm_sq_upper(g))
                 self.assert_same(got, want, self.VERTEX_FIELDS)
         monkeypatch.setattr(solver_mod, "EPS_ABS", 1e-12)
         monkeypatch.setattr(solver_mod, "EPS_REL", 1e-12)
@@ -371,5 +372,35 @@ class TestMatchesUnbufferedLoop:
             lex = lexicographic_copy(g)[0]
             for max_iter in (1, 7, 2 * solver_mod.BALANCE_EVERY, solver_mod.BALANCE_UNTIL + 30):
                 monkeypatch.setattr(solver_mod, "MAX_ITER", max_iter)
-                self.assert_same(solve_lovasz_relaxation(g, 25),
-                                 solve_lovasz_relaxation_unbuffered(lex, 25), self.VERTEX_FIELDS)
+                want = solve_lovasz_relaxation_unbuffered(lex, 25, incidence_norm_sq_upper(g))
+                self.assert_same(solve_lovasz_relaxation(g, 25), want, self.VERTEX_FIELDS)
+
+
+class TestInformativeRegime:
+    """The sparse golden sweep's graph (``dks gen --n 2000 --k 30 --p 0.002 --seed 1``,
+    loaded), where the relaxation's bound is far above the uniform point's ``2Wk/n``."""
+
+    KS = (20, 30, 45, 60)
+
+    @pytest.fixture(scope="class")
+    def solved(self):
+        text = io.StringIO()
+        write_edge_list(generate_planted(2000, 30, 0.002, seed=1).graph, text)
+        text.seek(0)
+        g = load_edge_list(text)
+        return g, {k: solve_lovasz_relaxation(g, k) for k in self.KS}
+
+    def test_average_and_last_iterate_round_alike(self, solved):
+        g, reports = solved
+        for k, report in reports.items():
+            avg, last = (project_topk(g, x, k).density for x in (report.x_avg, report.x_last))
+            assert abs(avg - last) <= 0.01, k
+
+    def test_bound_is_tight_at_the_clique(self, solved):
+        report = solved[1][30]
+        assert -report.dual_bound / (30 * 29) == pytest.approx(1.0, rel=1e-9, abs=0.0)
+
+    def test_bound_above_the_uniform_point(self, solved):
+        g, reports = solved
+        k = 60
+        assert -reports[k].dual_bound >= 3 * 2 * g.weights.sum() * k / g.n
