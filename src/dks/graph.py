@@ -53,12 +53,13 @@ _MAX_VERTICES = math.isqrt(np.iinfo(np.int64).max // 2)
 def _edge_key(a, b, n: int) -> np.ndarray:
     """Edge ``{a, b}``'s key over ``0..n-1``: keys ascend in the wavefront order
     ``(i + j, i)``, ``i < j``, and :func:`_edge_ends` gives back ``(i, j)``."""
-    return (a + b) * n + np.minimum(a, b)
+    key = np.add(a, b)
+    return np.add(np.multiply(key, n, out=key), np.minimum(a, b), out=key)
 
 
 def _edge_ends(key: np.ndarray, n: int, i=None, j=None):
-    """The ``(i, j)`` of :func:`_edge_key`'s ``key``, into ``i`` and ``j`` if given
-    (``j`` may be ``key`` itself); ``j`` is formed in place, with no temporary."""
+    """The ``(i, j)`` of :func:`_edge_key`'s ``key``, into ``i`` and ``j`` if given;
+    ``j`` is formed in place, with no temporary."""
     i = np.remainder(key, n, out=i)
     j = np.floor_divide(key, n, out=j)
     j -= i
@@ -122,35 +123,42 @@ class Graph:
             raise ValueError(f"vertex count must lie in [1, {_MAX_VERTICES}], got {n}")
         e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
         m = e.shape[0]
-        w = np.ones(m) if weights is None else np.array(weights, dtype=np.float64)
-        if w.shape != (m,):
+        w = None if weights is None else np.array(weights, dtype=np.float64)
+        if w is not None and w.shape != (m,):
             raise ValueError("weights length must match edge count")
         if m and (e.min() < 0 or e.max() >= n):
             raise ValueError("vertex id out of range")
         if (e[:, 0] == e[:, 1]).any():
             raise ValueError("self-loops are not allowed")
-        if not np.isfinite(w).all() or (w <= 0).any():
-            raise ValueError("edge weights must be positive and finite")
-        with np.errstate(over="ignore"):   # every degree and subgraph weight sums part of it
-            if not np.isfinite(2 * w.sum()):
-                raise ValueError("total edge weight overflows")
+        if w is not None:
+            _check_weights(w)
         key = _edge_key(e[:, 0], e[:, 1], n)
         if not (key[1:] > key[:-1]).all():
             order = np.argsort(key, kind="stable")
-            key, w = key[order], w[order]
+            key, w = key[order], None if w is None else w[order]
             if (key[1:] == key[:-1]).any():
                 raise ValueError("duplicate edges are not allowed")
         scan = np.empty((m, 2), dtype=np.int64, order="F")   # each column contiguous
         _edge_ends(key, n, *scan.T)
+        ids = np.array(np.arange(n) if original_ids is None else original_ids, dtype=np.int64)
+        if ids.shape != (n,):
+            raise ValueError("original_ids length must equal n")
+        return cls._from_scan(n, scan, w, ids)
 
-        degree = np.bincount(scan.T.ravel(), weights=np.concatenate([w, w]), minlength=n)
-        if original_ids is None:
-            ids = np.arange(n, dtype=np.int64)
+    @classmethod
+    def _from_scan(cls, n, scan, w, ids) -> "Graph":
+        """Every graph's one builder. ``scan``, kept as ``_scan``, is an F-ordered
+        ``(m, 2)`` int64 array of ``(i, j)``, ``i < j``, in strictly ascending
+        wavefront order; ``w`` holds checked weights (None: unit ones)."""
+        m = scan.shape[0]
+        ends = scan.T.ravel()   # a view: the heads, then the tails
+        if w is None:
+            w = np.ones(m)
+            # unit weights are counted, not summed: the same bits, with no 2m-float
+            # weight array; an edgeless graph's bincount stays int64, as a sum's does
+            degree = np.bincount(ends, minlength=n).astype(np.float64 if m else np.int64)
         else:
-            ids = np.asarray(original_ids, dtype=np.int64).copy()
-            if ids.shape != (n,):
-                raise ValueError("original_ids length must equal n")
-
+            degree = np.bincount(ends, weights=np.concatenate([w, w]), minlength=n)
         g = cls(n=int(n), m=int(m), edges=scan.view(), weights=w, degree=degree,
                 original_ids=ids, _scan=scan)
         for arr in (g.edges, g.weights, g.degree, g.original_ids):
@@ -279,6 +287,15 @@ def _read_source(source):
     return data
 
 
+def _check_weights(w: np.ndarray) -> None:
+    """Refuse weights that are not positive and finite, or whose total overflows."""
+    if not np.isfinite(w).all() or (w <= 0).any():
+        raise ValueError("edge weights must be positive and finite")
+    with np.errstate(over="ignore"):   # every degree and subgraph weight sums part of it
+        if not np.isfinite(2 * w.sum()):
+            raise ValueError("total edge weight overflows")
+
+
 def _largest_component(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Mask of the largest connected component of edges ``(a, b)`` over ``0..n-1``.
 
@@ -289,11 +306,15 @@ def _largest_component(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     component sizes breaks ties towards the component with the smallest id.
     """
     root = np.arange(n)
+    ra, rb, lo = np.empty_like(a), np.empty_like(b), np.empty_like(a)
     while True:
-        ra, rb = root[a], root[b]
-        if (ra == rb).all():
+        # in-range ids: "wrap" moves none and spares take a copy of out
+        np.take(root, a, out=ra, mode="wrap")
+        np.take(root, b, out=rb, mode="wrap")
+        if np.array_equal(ra, rb):
             break
-        np.minimum.at(root, np.maximum(ra, rb), np.minimum(ra, rb))
+        np.minimum(ra, rb, out=lo)
+        np.minimum.at(root, np.maximum(ra, rb, out=ra), lo)
         while True:
             jumped = root[root]
             if (jumped == root).all():
@@ -412,19 +433,23 @@ def _parse(data, weighted: bool):
     return np.frombuffer(ends, dtype=np.int64).reshape(-1, 2), np.frombuffer(weights)
 
 
-# ids no larger than this multiple of their count are relabeled through a
-# presence bitmap, whose memory then stays linear in the input
-_BITMAP_SPAN = 4
+# ids below this multiple of their count are relabeled through a presence bitmap
+# and a lookup table, 9 bytes per value up to the largest; sparser ones by bisection
+_BITMAP_SPAN = 1
 
 
 def _relabel(flat: np.ndarray):
-    """``np.unique(flat, return_inverse=True)``, in linear time for dense ids."""
+    """``np.unique(flat, return_inverse=True)``, in linear time for dense ids, and
+    in at most 17 bytes per entry besides ``flat`` and the ids whatever they are."""
     top = int(flat.max())
     if flat.min() >= 0 and top < _BITMAP_SPAN * flat.size:
         present = np.zeros(top + 1, dtype=bool)
         present[flat] = True
-        return np.flatnonzero(present), (np.cumsum(present) - 1)[flat]
-    return np.unique(flat, return_inverse=True)
+        lookup = np.cumsum(present)
+        lookup -= 1
+        return np.flatnonzero(present), lookup[flat]
+    ids = np.unique(flat)
+    return ids, np.searchsorted(ids, flat)
 
 
 def load_edge_list(source, weighted: bool = False) -> Graph:
@@ -447,8 +472,12 @@ def load_edge_list(source, weighted: bool = False) -> Graph:
     Any other input, and every input with an error, is read by the per-line
     parser instead, so errors and their line numbers are always its own.
 
+    Merged keys are decoded once, into the edge array the graph keeps; only a
+    cut component renumbers ids, and so goes through :meth:`Graph.from_edges`.
+
     Raises :class:`EdgeListParseError` on malformed lines or invalid UTF-8,
-    and ``ValueError`` on corrupt gzip input or if no edges survive preprocessing.
+    and ``ValueError`` on corrupt gzip input, if no edges survive preprocessing,
+    or on merged weights that are not finite or whose total overflows.
     """
     pairs, weights = _parse(_read_source(source), weighted)
     proper = pairs[:, 0] != pairs[:, 1]
@@ -457,14 +486,16 @@ def load_edge_list(source, weighted: bool = False) -> Graph:
     if not proper.all():
         pairs, weights = pairs[proper], weights[proper] if weighted else weights
     ids, dense = _relabel(pairs.ravel())
-    dense = dense.reshape(-1, 2)
-    keys = _edge_key(dense[:, 0], dense[:, 1], ids.size)
+    del pairs, proper   # each edge-length array is freed once read, to lower the peak
+    n = ids.size
+    keys = _edge_key(dense[0::2], dense[1::2], n)
+    del dense
     w = None
     if weighted:
         keys, pair_of = np.unique(keys, return_inverse=True)
         # bincount adds in file order starting from 0.0, like a sequential fold
         w = np.bincount(pair_of, weights=weights, minlength=keys.size)
-        del pair_of
+        del pair_of, weights
     else:
         # np.unique(keys) takes 25x as long on numpy 2.4 (25 against 1 ms at 9e4 keys)
         keys.sort()
@@ -472,15 +503,19 @@ def load_edge_list(source, weighted: bool = False) -> Graph:
         first[0] = True
         np.not_equal(keys[1:], keys[:-1], out=first[1:])
         keys = keys[first]
-    # the per-line arrays are dead from here: freed, they lower the peak in from_edges
-    del pairs, weights, proper, dense
-    a, b = _edge_ends(keys, ids.size, j=keys)
-    keep = _largest_component(ids.size, a, b)
-    relabel = np.cumsum(keep) - 1
-    inside = keep[a]
-    # keys ascend strictly; from_edges sorts them again only if a cut component's
-    # ids lay between kept ones, so that the relabel changes some sums i + j
-    edges = np.stack([relabel[a[inside]], relabel[b[inside]]], axis=1)
+    scan = np.empty((keys.size, 2), dtype=np.int64, order="F")
+    _edge_ends(keys, n, *scan.T)
+    del keys
+    keep = _largest_component(n, *scan.T)
+    if keep.all():
+        if weighted:
+            _check_weights(w)
+        return Graph._from_scan(n, scan, w, ids)
+    inside = keep[scan[:, 0]]
+    edges = (np.cumsum(keep) - 1)[scan[inside]]
+    del scan
+    # the keys ascended strictly; they may not once the cut renumbers ids that
+    # lay between kept ones, which changes some sums i + j
     return Graph.from_edges(int(keep.sum()), edges, None if w is None else w[inside],
                             original_ids=ids[keep])
 

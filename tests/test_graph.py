@@ -1,6 +1,7 @@
 import gzip
 import io
 import itertools
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -77,6 +78,19 @@ class TestLoadEdgeList:
         want = Graph.from_edges(5, relabeled, [1.5, 2.5, 3.5, 4.5] if weighted else None)
         for name in ("edges", "weights", "degree", "_scan"):
             assert getattr(g, name).tobytes() == getattr(want, name).tobytes(), name
+
+    @pytest.mark.parametrize("cut", [False, True], ids=["whole", "cut"])
+    def test_weight_total_overflow_refused(self, cut):
+        # every merged weight is finite, their total is not; the loader builds a
+        # whole graph itself and hands a cut one to from_edges, and both refuse
+        text = "0 1 1e308\n1 2 1e308\n0 2 1e308\n2 3 1\n" + ("7 8 1\n" if cut else "")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="total edge weight overflows"):
+                _load(text, weighted=True)
+            # a merge that overflows one weight is refused as that weight
+            with pytest.raises(ValueError, match="positive and finite"):
+                _load(text.replace("0 2 1e308", "1 0 1e308"), weighted=True)
 
     def test_weighted_duplicates_sum(self):
         g = _load("1 2 0.5\n2 1 0.25\n", weighted=True)
@@ -429,6 +443,101 @@ class TestUnweightedMerge:
                 source = text if not weighted else "".join(
                     line + " 0.5\n" for line in text.splitlines())
                 _assert_same_load(source, weighted)
+
+
+def _merged_input(rng, weighted, cut, spread):
+    """A seeded edge-list file and the graph it must load to: the kept ids, and
+    the merged pairs over them with their file-order weight sums.
+
+    One connected component, its ids ``spread`` apart, and, if ``cut``, a smaller
+    one whose ids lie between its ids; every pair comes one to three times in
+    either orientation, the lines shuffled, under a comment header and with one
+    comment line among them.
+    """
+    n = int(rng.integers(20, 200))
+    labels = rng.permutation(n) * spread + int(rng.integers(0, 3)) * spread
+    pairs = {(min(u, v), max(u, v)) for u, v in zip(labels[:-1], labels[1:])}
+    while len(pairs) < 3 * n:
+        u, v = (int(t) for t in rng.choice(labels, size=2))
+        if u != v:
+            pairs.add((min(u, v), max(u, v)))
+    lines = []
+    for u, v in sorted(pairs):
+        for _ in range(int(rng.integers(1, 4))):
+            lines.append((u, v) if rng.random() < 0.5 else (v, u))
+    others = []
+    if cut:   # a path on ids between the kept ones, so the relabel reorders keys
+        ids = labels + spread // 2 if spread > 1 else np.arange(n + 3, n + 8)
+        others = [(int(a), int(b)) for a, b in zip(ids[:4], ids[1:5])]
+    lines += others
+    rng.shuffle(lines)
+    weights = rng.choice([0.5, 1.0, 2.5], size=len(lines)) * rng.uniform(0.5, 2.0, len(lines))
+    merged = {}
+    for (u, v), w in zip(lines, weights):
+        key = (min(u, v), max(u, v))
+        merged[key] = merged.get(key, 0.0) + float(w) if weighted else 1.0
+    text = [f"{u} {v}" + (f" {float(w)!r}" if weighted else "")
+            for (u, v), w in zip(lines, weights)]
+    text.insert(int(rng.integers(len(text) + 1)), "% a comment among the lines")
+    kept = np.unique(labels)
+    inside = set(kept.tolist())
+    merged = {key: w for key, w in merged.items() if key[0] in inside}
+    return "# header\n" + "\n".join(text) + "\n", kept, merged
+
+
+class TestOneBuild:
+    """The loader builds each graph once: bitwise the graph that ``from_edges``
+    builds from the merged, relabeled pairs, with the same array layout."""
+
+    @pytest.mark.parametrize("spread", [1, 3, 79, 1000])
+    @pytest.mark.parametrize("cut", [False, True], ids=["whole", "cut"])
+    @pytest.mark.parametrize("weighted", [False, True], ids=["unit", "weighted"])
+    def test_matches_from_edges_of_merged_pairs(self, monkeypatch, weighted, cut, spread):
+        rng = np.random.default_rng([412, weighted, cut, spread])
+        calls = []
+        from_edges = Graph.from_edges.__func__
+        monkeypatch.setattr(Graph, "from_edges", classmethod(
+            lambda cls, *a, **kw: calls.append(a) or from_edges(cls, *a, **kw)))
+        for _ in range(10):
+            text, kept, merged = _merged_input(rng, weighted, cut, spread)
+            calls.clear()
+            g = _load(text, weighted=weighted)
+            assert len(calls) == cut   # only a cut component goes through from_edges
+            index = {int(v): i for i, v in enumerate(kept)}
+            want = from_edges(Graph, kept.size, [(index[u], index[v]) for u, v in merged],
+                              list(merged.values()) if weighted else None, original_ids=kept)
+            assert (g.n, g.m) == (want.n, want.m)
+            for name in ("edges", "weights", "degree", "original_ids", "_scan"):
+                a, b = getattr(g, name), getattr(want, name)
+                assert a.dtype == b.dtype and a.shape == b.shape, name
+                assert a.tobytes() == b.tobytes(), name
+                assert a.flags.writeable == b.flags.writeable == (name == "_scan"), name
+            assert g._scan.flags.f_contiguous and np.shares_memory(g.edges, g._scan)
+
+
+def _spread_file(path, spread):
+    """A seeded file of about 1e5 edges over 1e4 vertices, ids ``spread`` apart."""
+    rng = np.random.default_rng(413)
+    ends = rng.integers(0, 10_000, size=(100_000, 2)) * spread
+    path.write_text("# seeded\n" + "".join(f"{u} {v}\n" for u, v in ends.tolist()))
+    return path
+
+
+class TestLoaderMemory:
+    # tracemalloc sees numpy's buffers, so the peak is an exact count that repeats;
+    # the file's own bytes are part of it
+    @pytest.mark.parametrize("spread,most", [(1, 55), (79, 60)])
+    def test_peak_bytes_per_edge(self, tmp_path, spread, most):
+        path = _spread_file(tmp_path / "g.txt", spread)
+        load_edge_list(path)
+        tracemalloc.start()
+        try:
+            g = load_edge_list(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g.m > 90_000
+        assert peak / g.m <= most, peak / g.m
 
 
 _MALFORMED = ("x 1", "1", "1 2 3 4", "1 2 -1.5", "1 2 0", "1 2 nan",
