@@ -152,13 +152,9 @@ class Graph:
         wavefront order; ``w`` holds checked weights (None: unit ones)."""
         m = scan.shape[0]
         ends = scan.T.ravel()   # a view: the heads, then the tails
-        if w is None:
-            w = np.ones(m)
-            # unit weights are counted, not summed: the same bits, with no 2m-float
-            # weight array; an edgeless graph's bincount stays int64, as a sum's does
-            degree = np.bincount(ends, minlength=n).astype(np.float64 if m else np.int64)
-        else:
-            degree = np.bincount(ends, weights=np.concatenate([w, w]), minlength=n)
+        # unit weights are counted, not summed: the same bits, with no 2m-float weight array
+        w, terms = (np.ones(m), None) if w is None else (w, np.concatenate([w, w]))
+        degree = _scatter(ends, terms, n)   # float64, an edgeless graph's too
         g = cls(n=int(n), m=int(m), edges=scan.view(), weights=w, degree=degree,
                 original_ids=ids, _scan=scan)
         for arr in (g.edges, g.weights, g.degree, g.original_ids):
@@ -187,19 +183,6 @@ class Graph:
         for arr in index:
             arr.setflags(write=False)
         return tuple(index)
-
-    @cached_property
-    def _norm_sq_upper(self) -> float:
-        """:func:`incidence_norm_sq_upper`'s estimate, made on first use; concurrent
-        first uses at worst make it twice, alike."""
-        if self.m == 0:
-            raise ValueError("graph has no edges")
-        counts = np.bincount(self._scan.T.ravel(), minlength=self.n)
-        edge_bound = float((counts[self.edges[:, 0]] + counts[self.edges[:, 1]]).max())
-        estimate, _, converged = power_iteration_norm(
-            lambda x: edge_differences_adjoint(self, edge_differences(self, x)), self.n,
-            tol=0.5 * LAMBDA_TOL, max_iter=LAMBDA_MAX_MATVECS)
-        return min((1.0 + LAMBDA_TOL) * estimate, edge_bound) if converged else edge_bound
 
 
 @dataclass(frozen=True)
@@ -715,11 +698,16 @@ def incidence_norm_sq_upper(g: Graph) -> float:
     (unweighted degrees). If the matvec cap ``LAMBDA_MAX_MATVECS`` is hit, that
     bound is returned as is; it never exceeds the Gershgorin bound
     ``2 * max_degree``. Overestimating is safe for consumers that need a
-    feasible step size; underestimating is not. It is a fact of the graph:
-    made on the first call, which reads the ``LAMBDA_*`` constants, and kept
-    on the graph for every later one.
+    feasible step size; underestimating is not.
     """
-    return g._norm_sq_upper
+    if g.m == 0:
+        raise ValueError("graph has no edges")
+    counts = np.bincount(g._scan.T.ravel(), minlength=g.n)
+    edge_bound = float((counts[g.edges[:, 0]] + counts[g.edges[:, 1]]).max())
+    estimate, _, converged = power_iteration_norm(
+        lambda x: edge_differences_adjoint(g, edge_differences(g, x)), g.n,
+        tol=0.5 * LAMBDA_TOL, max_iter=LAMBDA_MAX_MATVECS)
+    return min((1.0 + LAMBDA_TOL) * estimate, edge_bound) if converged else edge_bound
 
 
 def subgraph_weight(g: Graph, members) -> float:

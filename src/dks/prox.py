@@ -23,15 +23,16 @@ __all__ = ["CappedSimplexParams", "cardinality_gap", "prox_capped_simplex", "shr
 
 @dataclass(frozen=True)
 class CappedSimplexParams:
-    """Parameters of ``argmin -degrees @ x + (tau/2) ||x - v||^2`` over the capped simplex.
+    """Parameters of ``argmin -degrees @ x + sum_i (tau_i/2) (x_i - v_i)^2`` over the
+    capped simplex.
 
-    ``tau`` is the quadratic scaling of the prox (callers that evaluate the
-    prox of ``g / mu`` pass ``tau = 1/mu``).
+    ``tau`` is the quadratic scaling of the prox: one positive scalar, kept as
+    given, or one positive entry per vertex, kept as a float64 vector.
     """
 
     degrees: np.ndarray
     k: float
-    tau: float
+    tau: float | np.ndarray
 
     def __post_init__(self):
         d = np.asarray(self.degrees, dtype=np.float64)
@@ -40,14 +41,19 @@ class CappedSimplexParams:
             raise ValueError("degrees must be a vector of length >= 3")
         if not np.isfinite(d).all():
             raise ValueError("degrees must be finite")
-        if not (self.tau > 0 and np.isfinite(self.tau)):
+        tau = np.asarray(self.tau, dtype=np.float64)
+        if tau.ndim:
+            object.__setattr__(self, "tau", tau)
+        if tau.shape not in ((), d.shape):
+            raise ValueError("tau must be a scalar or match the degree vector length")
+        if not ((tau > 0).all() and np.isfinite(tau).all()):
             raise ValueError("tau must be positive")
         if not 2 <= self.k <= d.size - 1:
             raise ValueError(f"k must lie in [2, {d.size - 1}], got {self.k}")
 
 
 def cardinality_gap(nu: float, v: np.ndarray, p: CappedSimplexParams, out=None) -> float:
-    """``sum_i clamp(v_i + (degrees_i - nu)/tau, 0, 1) - k``, formed in ``out`` if given.
+    """``sum_i clamp(v_i + (degrees_i - nu)/tau_i, 0, 1) - k``, formed in ``out`` if given.
 
     Monotone non-increasing in ``nu``; its root is the optimal dual variable
     of the sum-to-k constraint. The clamp is ``np.clip``'s up to the sign of
@@ -63,11 +69,11 @@ def cardinality_gap(nu: float, v: np.ndarray, p: CappedSimplexParams, out=None) 
 def prox_capped_simplex(v, p: CappedSimplexParams, start: float | None = None):
     """Exact prox of the linear-plus-box-plus-sum-to-k function.
 
-    Returns ``(x, nu)`` where ``x_i = clamp(v_i + (degrees_i - nu)/tau, 0, 1)``
+    Returns ``(x, nu)`` where ``x_i = clamp(v_i + (degrees_i - nu)/tau_i, 0, 1)``
     and ``nu`` is the root of the cardinality gap, so ``sum(x) = k`` up to
     roundoff. The box constraints hold exactly by construction.
 
-    The gap is piecewise linear with breakpoints ``shifted_i - tau`` and
+    The gap is piecewise linear with breakpoints ``shifted_i - tau_i`` and
     ``shifted_i``, where ``shifted = degrees + tau*v``: it equals ``n - k`` at
     the smallest and ``-k`` at the largest. A binary search over the sorted
     breakpoints finds the segment holding the root in ``ceil(log2(2n))`` gap

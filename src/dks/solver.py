@@ -8,9 +8,10 @@ over the capped simplex ``{x in [0,1]^n : sum(x) = k}``. Splitting
 ``z = B^T x`` (per-edge differences) turns both blocks into cheap proximal
 steps: an exact capped-simplex prox for the x-block and soft-thresholding for
 the z-block. The quadratic coupling term is linearized so no system involving
-``B B^T`` is ever solved; the proximal regularization ``mu <= 1/(rho ||B||^2)``
-keeps that inexact update convergent, which is why the spectral estimate must
-only ever overestimate.
+``B B^T`` is ever solved. The per-vertex proximal weight ``tau = 2.02 rho max(D, 1)``,
+``D`` the edge counts, keeps that inexact update convergent (Pock & Chambolle, ICCV
+2011; Deng & Yin, J. Sci. Comput. 66, 2016): ``B B^T`` is the unweighted Laplacian
+``D - A`` and ``D + A`` is PSD, so ``diag(tau) - rho B B^T`` is positive definite, exactly.
 
 The penalty ``rho`` adapts by residual balancing for the first
 ``BALANCE_UNTIL`` iterations and is fixed after that, so the fixed-``rho``
@@ -37,7 +38,7 @@ from .graph import (
     check_k,
     edge_differences,
     edge_differences_adjoint,
-    incidence_norm_sq_upper,
+    incidence_norm_sq_upper,  # noqa: F401 -- unused here; perfbench/layertrace.py patches this name
     topk,
 )
 from .prox import CappedSimplexParams, prox_capped_simplex, shrinkage
@@ -61,6 +62,9 @@ BALANCE_FACTOR = 2.0
 EPS_ABS = 1e-3
 EPS_REL = 1e-3
 MAX_ITER = 3000   # iteration cap of solve_lovasz_relaxation
+# the x-step weights over edge counts: 2 makes 2D - (D - A) = D + A, PSD, and the 1%
+# over it a strict margin where D + A is singular, on bipartite components
+STEP_FACTOR = 2.02
 
 
 class NumericalDivergenceError(RuntimeError):
@@ -81,8 +85,7 @@ class SolverReport:
     ``converged`` means both residual tests and ``gap <= EPS_REL *
     max(scale, |dual_bound|)`` held, ``scale`` the largest weight: only
     ``dual_bound`` and ``gap`` are in weight units, the rest of the run
-    works on weights over ``scale``. ``mu`` is the final proximal step,
-    ``1/(rho * incidence_norm_sq_upper(g))`` at the final ``rho``.
+    works on weights over ``scale``.
     """
 
     x_avg: np.ndarray
@@ -95,7 +98,6 @@ class SolverReport:
     eps_dual_final: float
     dual_bound: float
     gap: float
-    mu: float
 
 
 def _norm(v: np.ndarray) -> float:
@@ -113,16 +115,16 @@ def solve_lovasz_relaxation(g: Graph, k: int) -> SolverReport:
     """Solve the Lovász relaxation at cardinality ``k`` with linearized ADMM.
 
     Per iteration, in reused edge-length buffers: an x-update through the
-    capped-simplex prox at the linearized point, warm-started from the last
-    ``nu``, a z-update through shrinkage over-relaxed by ``ALPHA`` (1.8), and
-    the scaled dual ascent step. ``z`` is zero off its support, which shrinkage,
+    capped-simplex prox at ``x - (rho/tau) B(B^T x - z + u)``, warm-started from
+    the last ``nu``, a z-update through shrinkage over-relaxed by ``ALPHA`` (1.8),
+    and the scaled dual ascent step. ``z`` is zero off its support, which shrinkage,
     the updates of ``z`` and the scan ``B(z - z_prev)`` alone touch; the other
     scans cover every edge, in the graph's wavefront edge order. Starts from the
     indicator of the k largest-degree vertices and from ``RHO_START`` (0.1).
     Every ``BALANCE_EVERY`` (10) iterations up to ``BALANCE_UNTIL`` (200),
     ``rho`` is doubled (halved) when the primal residual exceeds ``rho``
     times the dual residual tenfold (or the reverse); the scaled dual ``u``
-    is rescaled so that ``rho u`` is unchanged, and ``mu`` is recomputed.
+    is rescaled so that ``rho u`` is unchanged, and ``tau`` is rebuilt.
     All of it runs on weights and degrees divided by the largest weight.
     Stops after ``MAX_ITER`` (3000) iterations, or when the primal residual
     ``B^T x - z`` and dual residual ``B (z - z_prev)`` fall below
@@ -139,19 +141,22 @@ def solve_lovasz_relaxation(g: Graph, k: int) -> SolverReport:
     ``d/(k-1)``, ``d`` the mean weighted degree; on dense graphs such as the
     admm-sweep benchmark's, the solve ends at that value to within 0.05%.
 
-    ``mu`` comes from :func:`incidence_norm_sq_upper`, a safe upper estimate
-    of ``||B||^2`` made on the graph's first solve and kept on the graph for
-    every later ``k``. Raises ``ValueError`` for out-of-range ``k`` or an
+    ``tau = rho * STEP_FACTOR * max(c, 1)``, ``c`` each vertex's edge count whatever
+    the weights, spares low-degree vertices the step of the highest-degree one, and
+    needs no estimate of ``||B||^2``. Raises ``ValueError`` for out-of-range ``k`` or an
     edgeless graph, and :class:`NumericalDivergenceError` when an iterate
     goes non-finite.
     """
     check_k(g, k)
-    lambda_hat = incidence_norm_sq_upper(g)
+    if g.m == 0:
+        raise ValueError("graph has no edges")
     scale = float(g.weights.max())
     degree = g.degree / scale   # weights / scale is formed where used, not kept
+    counts = g.degree if g.is_unweighted else np.bincount(g.edges.T.ravel(), minlength=g.n)
+    steps = STEP_FACTOR * np.maximum(counts, 1.0)
     rho = RHO_START
-    params = CappedSimplexParams(degree, float(k), rho * lambda_hat)
-    mu = 1.0 / params.tau
+    params = CappedSimplexParams(degree, float(k), rho * steps)
+    x_step = rho * (1.0 / params.tau)   # rho / tau, through 1 / tau: the bits the goldens pin
     # shrinkage's levels, kept until rho moves; unit weights give them as one scalar
     levels = 1.0 if g.is_unweighted else g.weights
     threshold = levels / scale / rho
@@ -172,7 +177,7 @@ def solve_lovasz_relaxation(g: Graph, k: int) -> SolverReport:
     for t in range(MAX_ITER):
         residual += u   # (btx - z) + u
         x, nu = prox_capped_simplex(
-            x - mu * rho * edge_differences_adjoint(g, residual), params, nu)
+            x - x_step * edge_differences_adjoint(g, residual), params, nu)
         edge_differences(g, x, out=btx, scratch=residual)
         relaxed = np.multiply(ALPHA, btx, out=residual)   # + (1 - ALPHA) z, which is
         relaxed[support] += (1.0 - ALPHA) * z[support]   # -0.0 off the support: no change
@@ -227,8 +232,8 @@ def solve_lovasz_relaxation(g: Graph, k: int) -> SolverReport:
                 rho *= factor
                 u /= factor   # keeps rho u, the unscaled dual, unchanged
                 threshold = levels / scale / rho
-                params = CappedSimplexParams(degree, float(k), rho * lambda_hat)
-                mu = 1.0 / params.tau
+                params = CappedSimplexParams(degree, float(k), rho * steps)
+                x_step = rho * (1.0 / params.tau)
 
     return SolverReport(
         x_avg=x_sum / iters,
@@ -241,5 +246,4 @@ def solve_lovasz_relaxation(g: Graph, k: int) -> SolverReport:
         eps_dual_final=float(eps_dual),
         dual_bound=dual_bound * scale,
         gap=gap * scale,
-        mu=mu,
     )

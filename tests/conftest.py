@@ -184,7 +184,9 @@ def from_edges_reference(n, edges, weights=None, original_ids=None) -> Graph:
         if m > 1 and ((e[1:] == e[:-1]).all(axis=1)).any():
             raise ValueError("duplicate edges are not allowed")
 
-    degree = np.bincount(e.T.ravel(), weights=np.concatenate([w, w]), minlength=n)
+    # float64 whatever the edge count: bincount of no terms at all comes back int64
+    degree = np.bincount(e.T.ravel(), weights=np.concatenate([w, w]),
+                         minlength=n).astype(np.float64)
     if original_ids is None:
         ids = np.arange(n, dtype=np.int64)
     else:

@@ -16,7 +16,7 @@ from types import SimpleNamespace
 import numpy as np
 
 import dks.solver as solver_mod
-from dks.graph import Graph, edge_differences, incidence_norm_sq_upper, subgraph_weight, topk
+from dks.graph import Graph, edge_differences, subgraph_weight, topk
 from dks.oracles import _dense_adjacency
 from dks.prox import CappedSimplexParams, cardinality_gap
 
@@ -162,7 +162,8 @@ def shrinkage_max_form(v, w, rho: float) -> np.ndarray:
 
 
 def prox_capped_simplex_bisection(v, p: CappedSimplexParams):
-    """The capped-simplex prox ``(x, nu)`` by bisection over all sorted breakpoints."""
+    """The capped-simplex prox ``(x, nu)`` by bisection over all sorted breakpoints;
+    ``p.tau`` is one scalar or one weight per entry, which broadcasts alike."""
     v = np.asarray(v, dtype=np.float64)
     shifted = p.degrees + p.tau * v
     breaks = np.sort(np.concatenate([shifted - p.tau, shifted]))
@@ -181,18 +182,20 @@ def prox_capped_simplex_bisection(v, p: CappedSimplexParams):
     return x, nu
 
 
-def solve_lovasz_relaxation_unbuffered(g: Graph, k: int,
-                                       lambda_hat: float | None = None) -> solver_mod.SolverReport:
+def solve_lovasz_relaxation_unbuffered(g: Graph, k: int) -> solver_mod.SolverReport:
     """The ADMM loop with a fresh array per step, the oracle kernels above and a
-    cold prox; it reads ``dks.solver``'s constants at call time."""
+    cold prox; it reads ``dks.solver``'s constants at call time. The prox weight
+    is ``rho * steps``, ``steps = STEP_FACTOR * max(c, 1)`` from each vertex's edge
+    count ``c``, which the weights do not enter."""
     s = solver_mod
-    if lambda_hat is None:
-        lambda_hat = incidence_norm_sq_upper(g)
+    counts = np.zeros(g.n)
+    np.add.at(counts, np.asarray(g.edges).ravel(), 1.0)
+    steps = s.STEP_FACTOR * np.maximum(counts, 1.0)
     scale = float(g.weights.max())
     degree, weights = g.degree / scale, g.weights / scale
     rho = s.RHO_START
-    params = CappedSimplexParams(degree, float(k), rho * lambda_hat)
-    mu = 1.0 / params.tau
+    params = CappedSimplexParams(degree, float(k), rho * steps)
+    x_step = rho * (1.0 / params.tau)
 
     x = np.zeros(g.n)
     x[topk(degree, k)] = 1.0
@@ -208,7 +211,7 @@ def solve_lovasz_relaxation_unbuffered(g: Graph, k: int,
 
     for t in range(s.MAX_ITER):
         x, _ = prox_capped_simplex_bisection(
-            x - mu * rho * edge_differences_adjoint_full_scan(g, btx - z + u), params)
+            x - x_step * edge_differences_adjoint_full_scan(g, btx - z + u), params)
         btx = edge_differences(g, x)
         relaxed = s.ALPHA * btx + (1.0 - s.ALPHA) * z
         z_prev = z
@@ -239,11 +242,10 @@ def solve_lovasz_relaxation_unbuffered(g: Graph, k: int,
             if factor != 1.0:
                 rho *= factor
                 u = u / factor
-                params = CappedSimplexParams(degree, float(k), rho * lambda_hat)
-                mu = 1.0 / params.tau
+                params = CappedSimplexParams(degree, float(k), rho * steps)
+                x_step = rho * (1.0 / params.tau)
 
     return s.SolverReport(
         x_avg=x_sum / iters, x_last=x, iters=iters, converged=converged,
         r_norm_final=r_norm, s_norm_final=s_norm, eps_pri_final=float(eps_pri),
-        eps_dual_final=float(eps_dual), dual_bound=dual_bound * scale, gap=gap * scale,
-        mu=mu)
+        eps_dual_final=float(eps_dual), dual_bound=dual_bound * scale, gap=gap * scale)

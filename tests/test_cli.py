@@ -11,6 +11,7 @@ import pytest
 from conftest import near_bipartite, record_makes
 import dks
 import dks.baselines as baselines_mod
+import dks.graph as graph_mod
 from dks.cli import CSV_HEADER, SOLVE_METHODS, main
 from dks.graph import Graph, VertexSet, load_edge_list, write_edge_list
 from dks.oracles import brute_force_dks
@@ -416,10 +417,22 @@ class TestSweep:
         monkeypatch.setattr(cli_mod, "top_two_singular", kept_pair)
         monkeypatch.setattr(baselines_mod, "topk", recorded_topk)
 
-        # the incidence index and the estimate of ||B||^2: counted where made, and the
-        # index looked for right after the load
+        # the incidence index, counted where made and looked for right after the load,
+        # and every Lanczos run, by the module it is called from: the spectral pair's
+        # in dks.baselines, and an estimate of ||B||^2 in dks.graph
         builds = record_makes(monkeypatch, "incidence")
-        estimates = record_makes(monkeypatch, "_norm_sq_upper")
+        lanczos = []
+
+        def counted_lanczos(module):
+            run = module.power_iteration_norm
+
+            def wrapper(*args, **kwargs):
+                lanczos.append(module.__name__)
+                return run(*args, **kwargs)
+            monkeypatch.setattr(module, "power_iteration_norm", wrapper)
+
+        counted_lanczos(baselines_mod)
+        counted_lanczos(graph_mod)
         load = cli_mod.load_edge_list
         loaded = []
 
@@ -433,10 +446,10 @@ class TestSweep:
         assert rc == 0
         # the bound computes the rank-1 surrogate itself: one rank1_dks per k
         assert calls == {"top_two_singular": 1, "rank1_dks": 3}
-        # loading does not build the index; every k and method shares one build, and
-        # every relaxation one estimate
+        # loading does not build the index; every k and method shares one build; the
+        # spectral pair takes two Lanczos runs, and the relaxations none
         assert loaded == [False]
-        assert len(builds) == 1 and len(estimates) == 1
+        assert len(builds) == 1 and lanczos == ["dks.baselines"] * 2
         # u1 and -u1 are each ranked by one rank1 row and one bound per k, for k entries, never n
         (sp,) = pairs
         for u in (sp.u1, -sp.u1):
@@ -444,13 +457,13 @@ class TestSweep:
 
         for method in ("rank1", "ladmm-fw"):
             calls.clear()
-            estimates.clear()
+            lanczos.clear()
             rc = main(["solve", "--graph", fixture_file, "--k", "4", "--method", method,
                        "--bound"])
             assert rc == 0
             assert calls.get("top_two_singular") == 1
             assert calls.get("rank1_dks", 0) == (method == "rank1")
-            assert len(estimates) == (method == "ladmm-fw")
+            assert lanczos == ["dks.baselines"] * 2
 
     def test_unconverged_spectral_pair_reported(self, fixture_file, tmp_path, capsys,
                                                 monkeypatch):

@@ -666,6 +666,11 @@ class TestFromEdges:
                 assert a.dtype == b.dtype and a.shape == b.shape, name
                 assert a.tobytes() == b.tobytes(), name
 
+    @pytest.mark.parametrize("weights", [None, []], ids=["unweighted", "weighted"])
+    def test_edgeless_degree_is_float(self, weights):
+        g = Graph.from_edges(3, np.zeros((0, 2)), weights)
+        assert g.degree.dtype == np.float64 and g.degree.tobytes() == np.zeros(3).tobytes()
+
     def test_edge_columns_contiguous(self):
         # bincount and the gathers read each column without a strided copy
         rng = np.random.default_rng(709)
@@ -1267,9 +1272,7 @@ class TestPowerIterationNorm:
     def test_cap_keeps_the_fallbacks(self, max_iter, monkeypatch):
         monkeypatch.setattr(baselines_mod, "SPECTRAL_MAX_MATVECS", max_iter)
         monkeypatch.setattr(graph_mod, "LAMBDA_MAX_MATVECS", max_iter)
-        for name, shared in SPECTRAL_CASES:
-            # a fresh copy: the shared graph may keep an estimate made under the default cap
-            g = Graph.from_edges(shared.n, shared.edges, shared.weights)
+        for name, g in SPECTRAL_CASES:
             sp = top_two_singular(g)
             assert not sp.converged, name
             assert sp.sigma1 == sp.sigma2 == g.degree.max()

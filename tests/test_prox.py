@@ -7,10 +7,13 @@ from dense_oracles import prox_capped_simplex_bisection, shrinkage_max_form
 from dks.prox import CappedSimplexParams, cardinality_gap, prox_capped_simplex, shrinkage
 
 
-def _random_params(rng, n=None, tau=None, k=None, integer=False):
-    """Random prox instance; ``integer`` rounds degrees and v so breakpoints tie."""
+def _random_params(rng, n=None, tau=None, k=None, integer=False, vector=False):
+    """Random prox instance; ``integer`` rounds degrees and v so breakpoints tie, and
+    ``vector`` draws one tau per entry, from 1e-3 to 1e3 (from 1 to 3 if ``integer``)."""
     n = n if n is not None else int(rng.integers(3, 40))
     k = k if k is not None else int(rng.integers(2, n))
+    if vector:
+        tau = rng.integers(1, 4, size=n) * 1.0 if integer else 10.0 ** rng.uniform(-3, 3, size=n)
     tau = tau if tau is not None else float(np.exp(rng.uniform(-3, 3)))
     d = rng.normal(size=n) * 3.0
     v = rng.normal(size=n)
@@ -74,6 +77,9 @@ class TestProxCappedSimplex:
                 _random_params(rng, n=n, tau=float(10 ** rng.uniform(-3, 6)), integer=True),
                 _random_params(rng, n=n, k=2),
                 _random_params(rng, n=n, k=n - 1),
+                _random_params(rng, n=n, vector=True),
+                _random_params(rng, n=n, vector=True, integer=True),
+                _random_params(rng, n=n, k=int(rng.choice([2, n - 1])), vector=True),
             ]
         for p, v in cases:
             x, _ = prox_capped_simplex(v, p)
@@ -90,8 +96,8 @@ class TestProxCappedSimplex:
 
     def test_kkt_certificate(self):
         rng = np.random.default_rng(6)
-        for _ in range(100):
-            p, v = _random_params(rng)
+        for trial in range(200):
+            p, v = _random_params(rng, vector=trial % 2 == 1, integer=trial % 4 == 3)
             x, nu = prox_capped_simplex(v, p)
             assert x.min() >= 0.0 and x.max() <= 1.0
             assert abs(x.sum() - p.k) <= _roundoff(p)
@@ -135,7 +141,8 @@ class TestProxCappedSimplex:
             n = int(rng.integers(3, 40))
             k = (2, n - 1, int(rng.integers(2, n)))[trial % 3]
             tied = trial % 2 == 0   # integer degrees, v and tau: many equal breakpoints
-            p, v = _random_params(rng, n=n, k=k, integer=tied,
+            vector = trial % 4 >= 2   # one tau per entry
+            p, v = _random_params(rng, n=n, k=k, integer=tied, vector=vector,
                                   tau=float(rng.integers(1, 4)) if tied else None)
             want_x, want_nu = prox_capped_simplex_bisection(v, p)
             shifted = p.degrees + p.tau * v
@@ -170,9 +177,23 @@ class TestProxCappedSimplex:
         with pytest.raises(ValueError):
             prox_capped_simplex(np.array([0.0, np.nan, 0.0, 0.0]), p)
 
+    def test_uniform_vector_tau_matches_the_scalar(self):
+        # a scalar tau is kept as given; a vector of its value gives the same bits
+        rng = np.random.default_rng(14)
+        for _ in range(50):
+            p, v = _random_params(rng)
+            assert type(p.tau) is float
+            vector = CappedSimplexParams(p.degrees, p.k, np.full(v.size, p.tau))
+            for start in (None, float(rng.normal() * 3)):
+                x, nu = prox_capped_simplex(v, p, start)
+                y, mu = prox_capped_simplex(v, vector, start)
+                assert x.tobytes() == y.tobytes() and nu == mu
+
     def test_param_validation(self):
-        with pytest.raises(ValueError):
-            CappedSimplexParams(np.zeros(4), 2.0, -1.0)
+        for tau in (-1.0, 0.0, np.nan, np.inf, [1.0, 1.0, 1.0], [1.0] * 5, [[1.0] * 4],
+                    [1.0, 0.0, 1.0, 1.0], [1.0, -2.0, 1.0, 1.0], [1.0, np.nan, 1.0, 1.0]):
+            with pytest.raises(ValueError, match="tau"):
+                CappedSimplexParams(np.zeros(4), 2.0, tau)
         with pytest.raises(ValueError):
             CappedSimplexParams(np.zeros(4), 4.0, 1.0)  # k > n-1
         with pytest.raises(ValueError):

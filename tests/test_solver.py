@@ -3,14 +3,19 @@ import io
 import numpy as np
 import pytest
 
+import dks.graph as graph_mod
 import dks.solver as solver_mod
-from conftest import random_feasible_batch, random_graph, record_makes
-from dense_oracles import edmonds_lovasz, lexicographic_copy, solve_lovasz_relaxation_unbuffered
+from conftest import random_feasible_batch, random_graph
+from dense_oracles import (
+    dense_cross_check,
+    edmonds_lovasz,
+    lexicographic_copy,
+    solve_lovasz_relaxation_unbuffered,
+)
 from dks.graph import (
     Graph,
     edge_differences,
     edge_differences_adjoint,
-    incidence_norm_sq_upper,
     load_edge_list,
     subgraph_weight,
     write_edge_list,
@@ -186,18 +191,18 @@ class TestSolveRelaxation:
             solve_lovasz_relaxation(g, 10)
         assert len(moved) == poison_at - 1 and shrunk == [0] * (poison_at - 1) + [1]
 
-    def test_norm_estimate_kept_on_the_graph(self, monkeypatch):
-        # two solves on one graph estimate ||B||^2 once, and both equal, bit for
-        # bit, the solve on a fresh copy, which makes its own estimate
+    def test_makes_no_norm_estimate(self, monkeypatch):
+        # the steps come from edge counts: no Lanczos run for ||B||^2, and two solves
+        # on one graph both equal the plain loop, bit for bit
+        def refused(*args, **kwargs):
+            raise AssertionError("the solver estimated ||B||^2")
+
+        monkeypatch.setattr(graph_mod, "power_iteration_norm", refused)
+        monkeypatch.setattr(solver_mod, "incidence_norm_sq_upper", refused)
         g = generate_planted(120, 10, 0.05, seed=0).graph
-        made = record_makes(monkeypatch, "_norm_sq_upper")
-        first, second = solve_lovasz_relaxation(g, 10), solve_lovasz_relaxation(g, 10)
-        assert made == [g]
-        fresh = Graph.from_edges(g.n, g.edges)
-        want = solve_lovasz_relaxation(fresh, 10)
-        assert made == [g, fresh]
-        for got in (first, second):
-            TestMatchesUnbufferedLoop().assert_same(got, want)
+        want = solve_lovasz_relaxation_unbuffered(g, 10)
+        for _ in range(2):
+            TestMatchesUnbufferedLoop().assert_same(solve_lovasz_relaxation(g, 10), want)
 
     @pytest.mark.parametrize("c", [2.0**70, 2.0**-700], ids=["2**70", "2**-700"])
     def test_scale_equivariant(self, c):
@@ -234,7 +239,34 @@ class TestDualityGap:
                 value = lovasz_objective(g, x)
                 assert report.dual_bound <= value + 1e-9 * (1.0 + abs(value))
 
-    def test_mu_stays_certified_while_rho_moves(self, monkeypatch):
+    @staticmethod
+    def step_graphs():
+        """``{name: (graph, k)}``: a star, a complete bipartite graph, a cycle and a grid,
+        each also with random weights, and a planted graph with isolated vertices."""
+        grid = [(8 * r + c, 8 * r + c + 1) for r in range(8) for c in range(7)]
+        grid += [(8 * r + c, 8 * r + c + 8) for r in range(7) for c in range(8)]
+        shapes = {
+            "star": Graph.from_edges(12, [(0, i) for i in range(1, 12)]),
+            "K10,15": Graph.from_edges(25, [(i, j) for i in range(10) for j in range(10, 25)]),
+            "C40": Graph.from_edges(40, [(i, (i + 1) % 40) for i in range(40)]),
+            "grid8x8": Graph.from_edges(64, grid),
+        }
+        rng = np.random.default_rng(17)
+        cases = {}
+        for name, g in shapes.items():
+            weights = 10.0 ** rng.uniform(-3, 3, size=g.m)
+            cases[name] = g, g.n // 3
+            cases[f"{name}-weighted"] = Graph.from_edges(g.n, g.edges, weights), g.n // 3
+        planted = generate_planted(60, 8, 0.02, seed=0).graph
+        assert (planted.degree == 0).any()
+        cases["planted-isolated"] = planted, 8
+        return cases
+
+    @pytest.mark.parametrize("name", [
+        f"{shape}{kind}" for shape in ("star", "K10,15", "C40", "grid8x8")
+        for kind in ("", "-weighted")] + ["planted-isolated"])
+    def test_steps_certified_while_rho_moves(self, monkeypatch, name):
+        g, k = self.step_graphs()[name]
         taus, rhos = [], []
         prox, shrink = solver_mod.prox_capped_simplex, solver_mod.shrinkage
 
@@ -248,27 +280,29 @@ class TestDualityGap:
 
         monkeypatch.setattr(solver_mod, "prox_capped_simplex", recording_prox)
         monkeypatch.setattr(solver_mod, "shrinkage", recording_shrinkage)
-        g = generate_planted(120, 10, 0.05, seed=0).graph
-        # tolerances no solve meets, so the run goes past the freeze
-        monkeypatch.setattr(solver_mod, "EPS_ABS", 1e-12)
-        monkeypatch.setattr(solver_mod, "EPS_REL", 1e-12)
+        # negative tolerances, which no solve meets, so the run goes past the freeze
+        monkeypatch.setattr(solver_mod, "EPS_ABS", -1.0)
         max_iter = solver_mod.BALANCE_UNTIL + 100
         monkeypatch.setattr(solver_mod, "MAX_ITER", max_iter)
-        report = solve_lovasz_relaxation(g, 25)
-        lambda_hat = incidence_norm_sq_upper(g)
+        report = solve_lovasz_relaxation(g, k)
         assert not report.converged and len(taus) == len(rhos) == report.iters == max_iter
+        # B B^T is the unweighted Laplacian whatever the weights: the steps come from
+        # its diagonal, the edge counts, floored at 1, and dominate it strictly
+        laplacian = dense_cross_check(g).laplacian
+        steps = solver_mod.STEP_FACTOR * np.maximum(np.diag(laplacian), 1.0)
+        assert np.linalg.eigvalsh(np.diag(steps) - laplacian)[0] > 0
         # iteration t (from 1) runs the x-prox, then the shrinkage, at one rho
-        assert all(tau == rho * lambda_hat for tau, rho in zip(taus, rhos))
+        for tau, rho in zip(taus, rhos):
+            assert np.shape(tau) == (g.n,) and tau.tobytes() == (rho * steps).tobytes()
         assert rhos[0] == solver_mod.RHO_START
-        assert report.mu == 1.0 / (rhos[-1] * lambda_hat)
-        changes = [(t, rhos[t] / rhos[t - 1]) for t in range(1, len(rhos))
-                   if rhos[t] != rhos[t - 1]]
-        assert changes
-        for t, factor in changes:
-            # rho moves only after an iteration t that is a multiple of
-            # BALANCE_EVERY and no later than BALANCE_UNTIL
-            assert factor in (2.0, 0.5)
-            assert t % solver_mod.BALANCE_EVERY == 0 and t <= solver_mod.BALANCE_UNTIL
+        for t in range(1, len(rhos)):
+            if rhos[t] != rhos[t - 1]:
+                # rho moves only after an iteration t that is a multiple of
+                # BALANCE_EVERY and no later than BALANCE_UNTIL
+                assert rhos[t] / rhos[t - 1] in (2.0, 0.5)
+                assert t % solver_mod.BALANCE_EVERY == 0 and t <= solver_mod.BALANCE_UNTIL
+        if name in ("star", "K10,15", "C40", "grid8x8"):   # rho moves, and tau with it
+            assert len(set(rhos)) > 1
 
 
 class TestMatchesUnbufferedLoop:
@@ -276,7 +310,7 @@ class TestMatchesUnbufferedLoop:
     bit for bit, both on the graph's own wavefront edge order."""
 
     FIELDS = ("x_avg", "x_last", "iters", "converged", "r_norm_final", "s_norm_final",
-              "eps_pri_final", "eps_dual_final", "dual_bound", "gap", "mu")
+              "eps_pri_final", "eps_dual_final", "dual_bound", "gap")
 
     @staticmethod
     def graphs():
@@ -292,26 +326,28 @@ class TestMatchesUnbufferedLoop:
                     == np.asarray(getattr(want, name)).tobytes()), name
 
     def test_solves(self, monkeypatch):
-        partial = []
-        adjoint = solver_mod.edge_differences_adjoint
+        partial, rhos = [], set()
+        adjoint, shrink = solver_mod.edge_differences_adjoint, solver_mod.shrinkage
 
         def recording_adjoint(g, f, at=None):
             if at is not None:
                 partial.append(len(at) < g.m)
             return adjoint(g, f, at)
 
+        def recording_shrinkage(v, w, rho):
+            rhos.add(rho)
+            return shrink(v, w, rho)
+
         monkeypatch.setattr(solver_mod, "edge_differences_adjoint", recording_adjoint)
-        rho_moved = False
+        monkeypatch.setattr(solver_mod, "shrinkage", recording_shrinkage)
         iters = 0
         for g in self.graphs():
-            lambda_hat = incidence_norm_sq_upper(g)
             for k in (2, 10, 25, g.n - 1):
                 got = solve_lovasz_relaxation(g, k)
-                self.assert_same(got, solve_lovasz_relaxation_unbuffered(g, k, lambda_hat))
-                rho_moved |= got.mu != 1.0 / (solver_mod.RHO_START * lambda_hat)
+                self.assert_same(got, solve_lovasz_relaxation_unbuffered(g, k))
                 iters += got.iters
-        # one scan of the moved edges per iteration, and it skips some
-        assert rho_moved and len(partial) == iters and all(partial)
+        # one scan of the moved edges per iteration, and it skips some; rho moved
+        assert rhos != {solver_mod.RHO_START} and len(partial) == iters and all(partial)
 
     def test_capped_past_the_freeze(self, monkeypatch):
         # tolerances no solve meets: every rho change, then the fixed-rho tail
@@ -348,7 +384,7 @@ class TestMatchesUnbufferedLoop:
                 unit, doubled = reports
                 assert supports[-1] == supports[-2]
                 for h, got in ((g, unit), (twin, doubled)):
-                    want = solve_lovasz_relaxation_unbuffered(h, k, incidence_norm_sq_upper(h))
+                    want = solve_lovasz_relaxation_unbuffered(h, k)
                     self.assert_same(got, want)
                 self.assert_same(doubled, unit, [f for f in self.FIELDS if f not in scaled_fields])
                 for name in scaled_fields:
@@ -356,7 +392,7 @@ class TestMatchesUnbufferedLoop:
 
     # sums over edges follow the edge order and may move in their last bit
     VERTEX_FIELDS = ("x_avg", "x_last", "iters", "converged", "s_norm_final", "eps_dual_final",
-                     "dual_bound", "mu")
+                     "dual_bound")
 
     def test_vertex_fields_match_the_canonical_order(self, monkeypatch):
         # the plain loop on the lexicographic (i, j) order the edges had before
@@ -364,7 +400,7 @@ class TestMatchesUnbufferedLoop:
             lex = lexicographic_copy(g)[0]
             for k in (2, 10, 25, g.n - 1):
                 got = solve_lovasz_relaxation(g, k)
-                want = solve_lovasz_relaxation_unbuffered(lex, k, incidence_norm_sq_upper(g))
+                want = solve_lovasz_relaxation_unbuffered(lex, k)
                 self.assert_same(got, want, self.VERTEX_FIELDS)
         monkeypatch.setattr(solver_mod, "EPS_ABS", 1e-12)
         monkeypatch.setattr(solver_mod, "EPS_REL", 1e-12)
@@ -372,7 +408,7 @@ class TestMatchesUnbufferedLoop:
             lex = lexicographic_copy(g)[0]
             for max_iter in (1, 7, 2 * solver_mod.BALANCE_EVERY, solver_mod.BALANCE_UNTIL + 30):
                 monkeypatch.setattr(solver_mod, "MAX_ITER", max_iter)
-                want = solve_lovasz_relaxation_unbuffered(lex, 25, incidence_norm_sq_upper(g))
+                want = solve_lovasz_relaxation_unbuffered(lex, 25)
                 self.assert_same(solve_lovasz_relaxation(g, 25), want, self.VERTEX_FIELDS)
 
 
