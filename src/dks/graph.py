@@ -372,17 +372,58 @@ def _drop_comment_lines(data: bytes):
     return b"".join(kept)
 
 
+def _read_ids(data: bytes):
+    """The ids of unweighted text over ``_ID_BYTES`` as an ``(m, 2)`` array, read by
+    one ``np.fromstring`` call after whole-buffer checks, or None where ``int()``
+    may read them apart: each line must hold two fields or none, and each sign
+    start its field before a digit. An id that ``fromstring`` saturates to an
+    end of int64 is caught by reading the ids at those ends again by ``int()``.
+    """
+    b = np.frombuffer(data, np.uint8)
+    flags = np.ones(b.size + 1, bool)  # a test of each byte, after a blank before them
+    test = np.less_equal(b, 32, out=flags[1:])  # blanks; the rest are digits and signs
+    events = bytearray(b.size + 1)  # 1 where a field starts, 2 at each line end and at the end
+    ev = np.frombuffer(events, np.uint8)
+    ev[-1] = 2
+    at_byte = ev[:-1]
+    np.greater(flags[:-1], test, out=at_byte.view(bool))
+    at_byte += np.equal(b, 10, out=test)  # twice: 2 at a line end, a blank that starts no field
+    at_byte += test
+    if b"+" in data or b"-" in data:  # each sign starts its field, and a digit follows it
+        np.equal(b, 43, out=test)
+        test |= b == 45
+        at = np.flatnonzero(test)
+        if at[-1] == b.size - 1 or not ((ev[at] == 1) & (b[at + 1] > 47)).all():
+            return None
+    del flags, test, ev, at_byte  # freed as soon as read: the parse stays under the load's peak
+    fields = events.translate(None, b"\0")
+    del events
+    count = fields.count(b"\1")
+    if not count or 2 * fields.count(b"\1\1\2") != count:
+        return None
+    del fields
+    ids = np.fromstring(data, dtype=np.int64, sep=" ")
+    if ids.size != count:
+        return None
+    lo, hi = np.iinfo(np.int64).min, np.iinfo(np.int64).max
+    if ids.min() == lo or ids.max() == hi:
+        tokens = data.split()
+        if any(int(tokens[i]) != ids.item(i) for i in np.flatnonzero((ids == lo) | (ids == hi))):
+            return None
+    return ids.reshape(-1, 2), np.empty(0)
+
+
 def _fast_parse(data, weighted: bool):
-    """:func:`_parse_lines`' ids and weights as arrays, from one C-level
-    ``np.loadtxt`` call, or None where the input is outside what it reads.
+    """:func:`_parse_lines`' ids and weights as arrays, read at C speed, or None
+    where the input is outside what the C readers read as it does.
 
     It reads bytes whose ``#``/``%`` all lie in comment lines, whose other
     bytes are in ``_ID_BYTES`` (``_WEIGHT_BYTES`` when weighted) and whose every
-    carriage return ends a line as CR LF. On those bytes ``loadtxt`` accepts
-    only fields that ``int()`` and ``float()`` read to the same values; anything
-    else it raises on, and so does a wrong field count. A weight that is not
-    positive and finite also gives None, so the per-line parser's errors are
-    the only ones a caller ever sees.
+    carriage return ends a line as CR LF: ids by :func:`_read_ids`, weighted
+    lines by one ``np.loadtxt`` call, which on those bytes raises on any field
+    that ``int()`` or ``float()`` reads otherwise and on a wrong field count. A
+    weight that is not positive and finite also gives None, so the per-line
+    parser's errors are the only ones a caller ever sees.
     """
     data = _drop_comment_lines(data)
     if (data is None or data.translate(None, _WEIGHT_BYTES if weighted else _ID_BYTES)
@@ -391,12 +432,11 @@ def _fast_parse(data, weighted: bool):
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rows = np.loadtxt(io.BytesIO(data), dtype=_WEIGHTED_ROW if weighted else np.int64,
-                              comments=None, ndmin=1 if weighted else 2)
-    except Exception:  # whatever loadtxt cannot read, the per-line parser reads or reports
+            if not weighted:
+                return _read_ids(data)
+            rows = np.loadtxt(io.BytesIO(data), dtype=_WEIGHTED_ROW, comments=None, ndmin=1)
+    except Exception:  # whatever numpy cannot read, the per-line parser reads or reports
         return None
-    if not weighted:
-        return (rows, np.empty(0)) if rows.shape[1] == 2 else None
     w = rows["w"]
     if not (np.isfinite(w).all() and (w > 0).all()):
         return None
@@ -449,11 +489,13 @@ def load_edge_list(source, weighted: bool = False) -> Graph:
     file-like object.
 
     A leading UTF-8 byte-order mark is dropped. Plain input is parsed at C
-    speed by one ``np.loadtxt`` call: ASCII outside comment lines, LF or CR LF
-    line ends, spaces or tabs between fields, ``#``/``%`` only in comment lines,
-    and decimal numbers without ``_``, ``inf`` or ``nan``, the weights positive.
-    Any other input, and every input with an error, is read by the per-line
-    parser instead, so errors and their line numbers are always its own.
+    speed: ASCII outside comment lines, LF or CR LF line ends, spaces or tabs
+    between fields, ``#``/``%`` only in comment lines. Unweighted text, each
+    field ``[+-]?[0-9]+``, is read by one ``np.fromstring`` call, and ids at an
+    end of int64, where it saturates, by ``int()`` again; weighted text, decimal
+    numbers without ``_``, ``inf`` or ``nan``, by one ``np.loadtxt`` call. Any
+    other input, and every input with an error, is read by the per-line parser
+    instead, so errors and their line numbers are always its own.
 
     Merged keys are decoded once, into the edge array the graph keeps; only a
     cut component renumbers ids, and so goes through :meth:`Graph.from_edges`.

@@ -366,6 +366,56 @@ class TestFastPath:
                 path.write_bytes(data)
                 assert falls_back(path, weighted) != clean(raw.decode()), name
 
+    def test_fuzzed_ids_match_per_line_parser(self, monkeypatch):
+        # seeded unweighted text over _ID_BYTES, mixing tokens that int() and a
+        # C reader of ids may read apart: lone and doubled signs, a sign split
+        # from its digits or after one, zero padding, and ids at and one past
+        # each end of int64; separators, line ends and the last line's end vary
+        rng = np.random.default_rng(414)
+        good = ["0", "1", "2", "3", "17", "-4", "+5", "-0", "+0", "007", "-007",
+                str(2**63 - 1), str(-2**63), "0" * 17 + "12", "-" + "0" * 19 + "3",
+                "+" + "0" * 21 + "1", "0" * 23]
+        bad = ["+", "-", "- 1", "+ 2", "+-3", "--1", "-+1", "5-3", "7+", "1-",
+               str(2**63), str(-2**63 - 1), "0" + str(2**63), "9" * 20]
+        assert all(len(t) in range(19, 24) for t in good[11:] + bad[10:])
+
+        def line():
+            fields = [str(rng.choice(bad)) if rng.random() < 0.06 else str(rng.choice(good))
+                      for _ in range(int(rng.choice([0, 1, 3] + [2] * 13)))]
+            seps = rng.choice([" ", "  ", "\t", " \t", "\t\t "], size=len(fields) + 1)
+            text = "".join(s + f for s, f in zip(seps, fields))
+            return text + (str(seps[-1]) if rng.random() < 0.3 else "")
+
+        texts = []
+        for _ in range(4000):
+            end = "\r\n" if rng.random() < 0.3 else "\n"
+            text = end.join(line() for _ in range(int(rng.integers(1, 6))))
+            texts.append(text + (end if rng.random() < 0.7 else ""))
+        calls = _spy_parse_lines(monkeypatch)
+        fast = [_outcome(io.BytesIO(t.encode()), False) for t in texts]
+        # the mix reaches both parsers, and gives both graphs and errors
+        assert 1000 < len(texts) - len(calls) < len(texts) - 1000, len(calls)
+        assert 1000 < sum(isinstance(o[0], type) for o in fast) < len(texts) - 1000
+        monkeypatch.setattr(graph_mod, "_fast_parse", lambda data, weighted: None)
+        for text, outcome in zip(texts, fast):
+            assert _outcome(io.BytesIO(text.encode()), False) == outcome, repr(text)
+
+    def test_unweighted_text_is_not_read_by_loadtxt(self, tmp_path, monkeypatch):
+        calls = _spy_parse_lines(monkeypatch)
+        loadtxt_calls = []
+
+        def loadtxt(*args, **kwargs):
+            loadtxt_calls.append(args)
+            raise AssertionError("np.loadtxt called")
+
+        monkeypatch.setattr(np, "loadtxt", loadtxt)
+        text = "# header\n" + "".join(f"{i} {(i * 7 + 3) % 50}\n" for i in range(50))
+        path = tmp_path / "g.txt"
+        for data in (text.encode(), text.replace("\n", "\r\n").encode()):
+            path.write_bytes(data)
+            _assert_same_load(path, False)
+        assert (calls, loadtxt_calls) == ([], [])
+
     def test_weights_read_as_float_does(self, monkeypatch):
         rng = np.random.default_rng(407)
         mantissas = rng.integers(1, 10**17, size=400).astype(str)
