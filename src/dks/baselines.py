@@ -37,7 +37,7 @@ __all__ = [
 TPM_MAX_ITER = 100            # step cap of truncated_power_method
 SPECTRAL_TOL = 1e-6           # Lanczos residual tolerance of both top_two_singular runs
 SPECTRAL_MAX_MATVECS = 20000  # matvec cap of its first run; the deflated run gets half
-_DEFLATED_SEED = 0xDEF1A7E    # start vector seed of the deflated run
+_DEFLATED_SEED = 0xDEF1A7E    # hashed start vector seed of the deflated run
 
 
 def greedy_feige(g: Graph, k: int) -> VertexSet:
@@ -106,24 +106,27 @@ class SpectralPair:
 def top_two_singular(g: Graph) -> SpectralPair:
     """``sigma1, u1`` by Lanczos on W; ``sigma2`` by Lanczos on the square of W deflated.
 
-    W >= 0, so its top eigenvalue is ``sigma1 = ||W||`` (Perron). The norm
-    ``sigma2`` of ``D = W - sigma1 u1 u1'`` may lie at either end of D's
+    W >= 0, so its top eigenvalue is ``sigma1 = ||W||`` (Perron), and the degrees
+    ``W 1``, where that run starts, overlap a nonnegative top eigenvector. The
+    norm ``sigma2`` of ``D = W - sigma1 u1 u1'`` may lie at either end of D's
     spectrum, but both ends meet at the top of the PSD ``D^2``. That run gets
-    ``SPECTRAL_MAX_MATVECS // 2`` products (two matvecs each) and its own
-    seed, so a repeated top eigenvalue (two identical largest components)
-    gives ``sigma2 = sigma1``. Ritz values approach the top from below, so
-    both estimates are inflated by ``(1 + 10 * SPECTRAL_TOL)``: the density
-    bound must err on the loose side. Both runs work on W divided by its
-    largest weight, so that ``D^2`` neither overflows nor underflows, and the
-    estimates are multiplied back. If either run hits its cap, both fall back
-    to the maximum weighted degree, a certified bound on ``||W||``, flagged
-    ``converged = False``.
+    ``SPECTRAL_MAX_MATVECS // 2`` products (two matvecs each) and a hashed start
+    from its own seed, so a repeated top eigenvalue (two identical largest
+    components) gives ``sigma2 = sigma1``; not the degrees, which on a regular
+    bipartite graph are orthogonal to W's bottom eigenvector, D^2's top. Ritz
+    values approach the top from below, so both estimates are inflated by
+    ``(1 + 10 * SPECTRAL_TOL)``: the density bound must err on the loose side.
+    Both runs work on W divided by its largest weight, so that ``D^2`` neither
+    overflows nor underflows, and the estimates are multiplied back. If either
+    run hits its cap, both fall back to the maximum weighted degree, a
+    certified bound on ``||W||``, flagged ``converged = False``.
     """
     if g.m == 0:
         raise ValueError("graph has no edges")
     scale = float(g.weights.max())
     sigma1, u1, ok1 = power_iteration_norm(
-        lambda x: adjacency_matvec(g, x) / scale, g.n, SPECTRAL_TOL, SPECTRAL_MAX_MATVECS)
+        lambda x: adjacency_matvec(g, x) / scale, g.n, SPECTRAL_TOL, SPECTRAL_MAX_MATVECS,
+        start=g.degree / scale)   # over the operator's scale: raw degrees can underflow
 
     def deflated(x):
         return adjacency_matvec(g, x) / scale - sigma1 * (u1 @ x) * u1

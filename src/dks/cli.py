@@ -17,7 +17,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 
 from .baselines import (
@@ -243,7 +242,8 @@ def run_sweep(args) -> int:
     workers = min(args.threads, len(ks), os.cpu_count() or 1)
     if workers == 1:
         blocks = [work(k) for k in ks]
-    else:
+    else:   # imported only here: a serial sweep loads no concurrent.futures
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=workers) as pool:
             blocks = list(pool.map(work, ks))
 

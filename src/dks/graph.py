@@ -13,6 +13,7 @@ from __future__ import annotations
 import gzip
 import io
 import math
+import re
 import sys
 import warnings
 import zlib
@@ -320,16 +321,11 @@ def _parse_lines(stream, weighted: bool):
             raise EdgeListParseError(
                 f"line {lineno}: expected {want} fields, got {len(parts)}", lineno)
         try:
-            u = int(parts[0])
-            v = int(parts[1])
-        except ValueError:
-            raise EdgeListParseError(
-                f"line {lineno}: non-numeric vertex id", lineno) from None
-        try:
-            ends.extend((u, v))
-        except OverflowError:
-            raise EdgeListParseError(
-                f"line {lineno}: vertex id out of range", lineno) from None
+            ends.extend((int(parts[0]), int(parts[1])))
+        except (ValueError, OverflowError) as exc:   # int() refuses overlong digit strings too
+            big = isinstance(exc, OverflowError) or all(map(_DIGITS.fullmatch, parts[:2]))
+            what = "vertex id out of range" if big else "non-numeric vertex id"
+            raise EdgeListParseError(f"line {lineno}: {what}", lineno) from None
         if weighted:
             try:
                 w = float(parts[2])
@@ -349,6 +345,7 @@ def _parse_lines(stream, weighted: bool):
 _ID_BYTES = b"0123456789+- \t\r\n"
 _WEIGHT_BYTES = _ID_BYTES + b".eE"
 _WEIGHTED_ROW = np.dtype([("u", np.int64), ("v", np.int64), ("w", np.float64)])
+_DIGITS = re.compile(r"[+-]?[0-9]+")   # an id token that only its length can make int() refuse
 
 
 def _drop_comment_lines(data: bytes):
@@ -656,8 +653,18 @@ LAMBDA_TOL = 1e-2          # relative slack of incidence_norm_sq_upper's estimat
 LAMBDA_MAX_MATVECS = 2000  # its matvec cap
 
 
+def _hashed_start(n: int, seed: int) -> np.ndarray:
+    """splitmix64's first ``n`` outputs from ``seed``, mapped to [-1/2, 1/2): each
+    counter is hashed alone, in wrapping uint64 array ops, with no RNG state."""
+    z = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15) + seed % 2**64
+    for shift, factor in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+        z ^= z >> shift
+        z *= factor
+    return ((z ^ z >> 31) >> 11) * 2.0**-53 - 0.5
+
+
 def power_iteration_norm(matvec, n: int, tol: float = 1e-4, max_iter: int = 1000,
-                         seed: int = 0x5EED):
+                         seed: int = 0x5EED, start=None):
     """Top eigenvalue of a symmetric operator by restarted Lanczos.
 
     For every operator it runs on, the top (largest signed) eigenvalue is the
@@ -670,21 +677,22 @@ def power_iteration_norm(matvec, n: int, tol: float = 1e-4, max_iter: int = 1000
     when to make that check, and the matvec also starts the next cycle.
 
     ``mu`` never exceeds the top eigenvalue, and a small residual places *an*
-    eigenvalue within ``r`` of it. That it is the top one rests on the random
-    start overlapping every eigenspace, which holds with probability one;
-    then callers inflating by ``(1 + tol)`` hold a safe upper estimate. A
-    Krylov sequence holds one direction per eigenspace, so it sees a repeated
-    eigenvalue once: to find the second copy of a repeated top eigenvalue, an
-    operator deflated by the first needs a start from another ``seed``.
+    eigenvalue within ``r`` of it. That it is the top one rests on the start
+    overlapping the top eigenspace: ``start`` if given (for W >= 0 the degrees
+    ``W 1`` do, by Perron-Frobenius), else the hash of ``seed``, a fixed vector
+    orthogonal to it only for a measure-zero set of operators; then callers
+    inflating by ``(1 + tol)`` hold a safe upper estimate. A Krylov sequence
+    holds one direction per eigenspace, so it sees a repeated eigenvalue once:
+    to find the second copy of a repeated top eigenvalue, an operator deflated
+    by the first needs a start from another ``seed``.
 
-    ``max_iter`` counts matvecs. The start vector comes from ``seed`` and the
-    returned vector's sign is normalized, so results are deterministic.
+    ``max_iter`` counts matvecs. The start is fixed by ``start`` or ``seed``,
+    and the returned vector's sign is normalized, so results are deterministic.
     Returns ``(sigma, unit_vector, converged)`` with the vector a top
     eigenvector; running out of matvecs returns the current estimate flagged
     ``converged = False``, never silently.
     """
-    rng = np.random.default_rng(seed)
-    vec = rng.standard_normal(n)
+    vec = _hashed_start(n, seed) if start is None else np.array(start, dtype=np.float64)
     vec /= np.linalg.norm(vec)
     sigma = 0.0
     converged = False

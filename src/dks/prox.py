@@ -78,7 +78,7 @@ def prox_capped_simplex(v, p: CappedSimplexParams, start: float | None = None):
     the smallest and ``-k`` at the largest. A binary search over the sorted
     breakpoints finds the segment holding the root in ``ceil(log2(2n))`` gap
     evaluations, or in the bracket it gallops to from a guess ``start`` (the
-    solver's last ``nu``). The gap is monotone in floating point too, so every
+    solver's extrapolated root). The gap is monotone in floating point too, so every
     search finds the same segment, and the root is interpolated on it.
     """
     v = np.asarray(v, dtype=np.float64)

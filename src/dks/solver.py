@@ -115,8 +115,8 @@ def solve_lovasz_relaxation(g: Graph, k: int) -> SolverReport:
     """Solve the Lovász relaxation at cardinality ``k`` with linearized ADMM.
 
     Per iteration, in reused edge-length buffers: an x-update through the
-    capped-simplex prox at ``x - (rho/tau) B(B^T x - z + u)``, warm-started from
-    the last ``nu``, a z-update through shrinkage over-relaxed by ``ALPHA`` (1.8),
+    capped-simplex prox at ``x - (rho/tau) B(B^T x - z + u)``, searched from
+    ``2 nu_t - nu_(t-1)``, a z-update through shrinkage over-relaxed by ``ALPHA`` (1.8),
     and the scaled dual ascent step. ``z`` is zero off its support, which shrinkage,
     the updates of ``z`` and the scan ``B(z - z_prev)`` alone touch; the other
     scans cover every edge, in the graph's wavefront edge order. Starts from the
@@ -167,7 +167,7 @@ def solve_lovasz_relaxation(g: Graph, k: int) -> SolverReport:
     z, support = btx.copy(), np.flatnonzero(btx)   # z is +0.0 off its support, ascending ids
     u, residual = np.zeros(g.m), np.zeros(g.m)   # residual: btx - z, then scratch
     mask = np.empty(g.m, dtype=bool)   # z's support
-    x_sum, nu = np.zeros(g.n), None
+    x_sum, nu, guess = np.zeros(g.n), None, None
 
     sqrt_m, sqrt_n = np.sqrt(g.m), np.sqrt(g.n)
     converged = False
@@ -176,8 +176,9 @@ def solve_lovasz_relaxation(g: Graph, k: int) -> SolverReport:
 
     for t in range(MAX_ITER):
         residual += u   # (btx - z) + u
-        x, nu = prox_capped_simplex(
-            x - x_step * edge_differences_adjoint(g, residual), params, nu)
+        x, root = prox_capped_simplex(
+            x - x_step * edge_differences_adjoint(g, residual), params, guess)
+        guess, nu = (root if nu is None else 2.0 * root - nu), root   # the next root, extrapolated
         edge_differences(g, x, out=btx, scratch=residual)
         relaxed = np.multiply(ALPHA, btx, out=residual)   # + (1 - ALPHA) z, which is
         relaxed[support] += (1.0 - ALPHA) * z[support]   # -0.0 off the support: no change

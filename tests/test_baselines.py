@@ -146,6 +146,56 @@ class TestTopTwoSingular:
                 best, _ = brute_force_dks(g, k)
                 assert bound >= best.density - 1e-9
 
+    @pytest.mark.parametrize("name", ["C11", "K5", "K4,4", "circulant30", "weighted C8"])
+    def test_degree_start_is_an_eigenvector_of_a_regular_graph(self, name, monkeypatch):
+        # W 1 = d 1: the first run's start is its answer, certified by the one
+        # matvec after the basis's first; K4,4 also has -4, which only the
+        # hashed start of the deflated run sees
+        g = {"C11": lambda: cycle(11),
+             "K5": lambda: Graph.from_edges(5, list(itertools.combinations(range(5), 2))),
+             "K4,4": lambda: Graph.from_edges(8, [(i, j) for i in range(4) for j in range(4, 8)]),
+             "circulant30": lambda: Graph.from_edges(
+                 30, [(i, (i + s) % 30) for i in range(30) for s in (1, 3, 7)]),
+             "weighted C8": lambda: Graph.from_edges(
+                 8, [(i, (i + 1) % 8) for i in range(8)], [2.5] * 8)}[name]()
+        d = float(g.degree[0])
+        assert (g.degree == d).all()
+        runs = []
+
+        def counting(matvec, n, *args, **kwargs):
+            calls = []
+
+            def counted(x):
+                calls.append(1)
+                return matvec(x)
+            out = power_iteration_norm(counted, n, *args, **kwargs)
+            runs.append((len(calls), out))
+            return out
+
+        monkeypatch.setattr(baselines_mod, "power_iteration_norm", counting)
+        sp = top_two_singular(g)
+        used, (sigma, u1, converged) = runs[0]
+        assert converged and used <= 2
+        assert sigma * g.weights.max() == pytest.approx(d, rel=1e-12)
+        assert np.abs(u1 - 1 / np.sqrt(g.n)).max() <= 1e-12
+        svals = np.sort(np.abs(dense_cross_check(g).adjacency_eigenvalues))[::-1]
+        assert sp.converged
+        assert svals[1] <= sp.sigma2 <= svals[1] * (1 + 1e-4)
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_identical_components_give_sigma2_equal_sigma1(self, weighted):
+        # one component's degrees overlap both copies' top eigenvectors alike;
+        # the deflated run's hashed start finds the other copy
+        rng = np.random.default_rng(9)
+        for _ in range(5):
+            one = random_graph(rng, 14, 0.3, weighted=weighted)
+            g = Graph.from_edges(2 * one.n, np.concatenate([one.edges, one.edges + one.n]),
+                                 np.concatenate([one.weights, one.weights]))
+            sp = top_two_singular(g)
+            top = float(np.abs(dense_cross_check(one).adjacency_eigenvalues).max())
+            assert sp.converged
+            assert top <= sp.sigma2 <= sp.sigma1 <= top * (1 + 1e-4)
+
     @pytest.mark.parametrize("max_iter", [1, 2, 3, 7, 13, 14, 30])
     def test_each_run_spends_at_most_max_iter_matvecs(self, max_iter, monkeypatch):
         # a D^2 product is two adjacency matvecs, so the deflated run gets

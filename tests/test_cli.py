@@ -226,6 +226,28 @@ class TestSolve:
             proc = _run_dks(argv, entry=entry, text=True)
             assert proc.returncode == 0, proc.stderr
 
+    def test_bound_and_serial_sweep_leave_rng_and_pool_unloaded(self, fixture_file, tmp_path):
+        # a fresh interpreter, since pytest itself loads both modules: the spectral
+        # pair's Lanczos starts need no numpy.random, and one thread no pool
+        entry = ("-c", "import sys\nfrom dks.cli import main\ncode = main()\n"
+                       "print(sorted({'numpy.random', 'concurrent.futures'} & set(sys.modules)))\n"
+                       "sys.exit(code)")
+        for argv in (["solve", "--graph", fixture_file, "--k", "6", "--bound"],
+                     ["sweep", "--graph", fixture_file, "--k-list", "4,6", "--threads", "1",
+                      "--out", str(tmp_path / "s.csv")]):
+            proc = _run_dks(argv, entry=entry, text=True)
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stdout.splitlines()[-1] == "[]", argv
+        # the check can fail: gen draws from numpy.random, and two threads start a pool
+        proc = _run_dks(["gen", "--n", "20", "--k", "4", "--p", "0.2",
+                         "--out", str(tmp_path / "g.txt")], entry=entry, text=True)
+        assert proc.stdout.splitlines()[-1] == "['numpy.random']"
+        if (os.cpu_count() or 1) > 1:
+            proc = _run_dks(["sweep", "--graph", fixture_file, "--k-list", "4,6",
+                             "--threads", "2", "--out", str(tmp_path / "t.csv")],
+                            entry=entry, text=True)
+            assert proc.stdout.splitlines()[-1] == "['concurrent.futures']"
+
     def test_stdin_dash(self, k4k2_file):
         with open(k4k2_file, "rb") as f:
             data = f.read()
@@ -359,7 +381,7 @@ class TestSweep:
 
     def test_pool_no_larger_than_grid_or_cpus(self, fixture_file, tmp_path, capsys,
                                               monkeypatch):
-        import dks.cli as cli_mod
+        import concurrent.futures
 
         sizes = []
 
@@ -376,7 +398,8 @@ class TestSweep:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(cli_mod, "ThreadPoolExecutor", SerialPool)
+        # the sweep imports the pool class from its module only when it starts a pool
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SerialPool)
         base = ["sweep", "--graph", fixture_file, "--k-list", "3,4,5",
                 "--methods", "ladmm-fw,greedy,tpm,rank1", "--no-timing"]
         paths = [tmp_path / f"{i}.csv" for i in range(4)]

@@ -1,6 +1,10 @@
 import gzip
+import hashlib
 import io
 import itertools
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -27,6 +31,7 @@ from dks.graph import (
     EdgeListParseError,
     Graph,
     VertexSet,
+    _hashed_start,
     adjacency_matvec,
     edge_differences,
     edge_differences_adjoint,
@@ -282,6 +287,24 @@ class TestFastPath:
             _load(text)
         assert (str(err.value), err.value.lineno) == (
             f"line {lineno}: vertex id out of range", lineno)
+
+    @pytest.mark.parametrize("sign,digits,tail,what", [
+        ("", 4300, "", "vertex id out of range"),
+        ("", 4301, "", "vertex id out of range"),   # past int()'s default digit limit
+        ("-", 4301, "", "vertex id out of range"),
+        ("+", 5000, "", "vertex id out of range"),
+        ("", 4301, "x", "non-numeric vertex id"),
+        ("", 2, "x", "non-numeric vertex id"),
+    ], ids=["4300", "4301", "-4301", "+5000", "4301x", "99x"])
+    def test_long_id_is_out_of_range(self, sign, digits, tail, what):
+        token = sign + "9" * digits + tail
+        # a non-numeric id elsewhere on the line is reported first
+        for text, want in ((f"0 1\n1 {token}\n", what), (f"0 1\n{token} 1\n", what),
+                           (f"0 1\nx {token}\n", "non-numeric vertex id")):
+            for source in (io.StringIO(text), io.BytesIO(text.encode())):
+                with pytest.raises(EdgeListParseError) as err:
+                    load_edge_list(source)
+                assert (str(err.value), err.value.lineno) == (f"line 2: {want}", 2)
 
     def test_clean_inputs_skip_per_line_parser(self, tmp_path, monkeypatch):
         rng = np.random.default_rng(406)
@@ -1301,6 +1324,44 @@ class TestPowerIterationNorm:
             assert first[0] == second[0] and first[2] == second[2]
             assert first[1].tobytes() == second[1].tobytes()
 
+    @pytest.mark.parametrize("seed", [0, 1, 0x5EED, 0xDEF1A7E, 2**64 - 1, 2**64 + 5, -3])
+    def test_hashed_start_is_splitmix64(self, seed):
+        # the reference generator in Python integers: state += golden gamma, then mix
+        mask, state, want = 2**64 - 1, seed % 2**64, []
+        for _ in range(40):
+            state = (state + 0x9E3779B97F4A7C15) & mask
+            z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & mask
+            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+            want.append((z ^ (z >> 31)) >> 11)
+        got = _hashed_start(40, seed)
+        assert got.dtype == np.float64
+        assert got.tobytes() == (np.array(want, dtype=np.float64) * 2.0**-53 - 0.5).tobytes()
+        assert _hashed_start(0, seed).shape == (0,)
+
+    def test_given_start_is_used_and_left_unchanged(self):
+        d = np.linspace(1.0, 2.0, 50)
+        start = np.zeros(50)
+        start[-1] = 3.0
+        calls = []
+        sigma, vec, converged = power_iteration_norm(
+            lambda x: calls.append(1) or d * x, d.size, 1e-6, start=start)
+        assert converged and sigma == 2.0 and len(calls) == 2
+        assert vec.tobytes() == (start / 3.0).tobytes()
+        assert start[-1] == 3.0 and not start[:-1].any()
+
+    def test_hashed_start_bytes_equal_across_processes(self):
+        def digest(n, seed):
+            return hashlib.sha256(_hashed_start(n, seed).tobytes()).hexdigest()
+
+        cases = [(1, 0x5EED), (1000, 0x5EED), (100003, 0xDEF1A7E)]
+        script = ("import hashlib\nfrom dks.graph import _hashed_start\n"
+                  f"for n, seed in {cases!r}:\n"
+                  "    print(hashlib.sha256(_hashed_start(n, seed).tobytes()).hexdigest())")
+        src = os.path.dirname(os.path.dirname(graph_mod.__file__))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=src), check=True)
+        assert proc.stdout.split() == [digest(n, seed) for n, seed in cases]
+
     @pytest.mark.parametrize("max_iter", [0, 1, 2, 3, 7, 13, 14, 30])
     def test_max_iter_counts_matvecs(self, max_iter):
         for name, g in SPECTRAL_CASES:
@@ -1315,7 +1376,7 @@ class TestPowerIterationNorm:
             assert np.linalg.norm(vec) == pytest.approx(1.0)
             if max_iter <= 2:
                 # one matvec builds a one-vector basis and a second checks its
-                # residual; a random start is no eigenvector
+                # residual; a hashed start is no eigenvector
                 assert not converged, name
 
     @pytest.mark.parametrize("max_iter", [0, 1, 2])

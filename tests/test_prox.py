@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 import dks.prox as prox_mod
-from conftest import capped_simplex_exact, random_feasible_point
+import dks.solver as solver_mod
+from conftest import capped_simplex_exact, random_feasible_point, random_graph
 from dense_oracles import prox_capped_simplex_bisection, shrinkage_max_form
+from dks.oracles import generate_planted
 from dks.prox import CappedSimplexParams, cardinality_gap, prox_capped_simplex, shrinkage
 
 
@@ -154,6 +156,35 @@ class TestProxCappedSimplex:
                 x, nu = prox_capped_simplex(v, p, start)
                 assert x.tobytes() == want_x.tobytes(), (trial, start)
                 assert np.float64(nu).tobytes() == np.float64(want_nu).tobytes(), (trial, start)
+
+    def test_solver_starts_keep_the_bytes(self, monkeypatch):
+        # the solver starts each search at 2 nu_t - nu_(t-1); the segment holding the
+        # root is fixed by the breakpoints, not by the search path, so (x, nu) keep
+        # their bytes for that start, for none, for the root and beyond either end
+        # (test_warm_start_matches_cold_bisection covers random and tie-heavy inputs)
+        calls = []
+
+        def recorded(v, p, start=None):
+            out = prox_capped_simplex(v, p, start)
+            calls.append((v, p, start, out))
+            return out
+
+        monkeypatch.setattr(solver_mod, "prox_capped_simplex", recorded)
+        rng = np.random.default_rng(15)
+        cases = [(generate_planted(60, 8, 0.15, seed=4).graph, 8),
+                 (random_graph(rng, 40, 0.2, weighted=True), 6)]
+        for g, k in cases:
+            calls.clear()
+            solver_mod.solve_lovasz_relaxation(g, k)
+            roots = [nu for *_, (_, nu) in calls]
+            assert [start for _, _, start, _ in calls] == (
+                [None, roots[0]] + [2.0 * b - a for a, b in zip(roots, roots[1:-1])])
+            for v, p, start, (want_x, want_nu) in calls:
+                shifted = p.degrees + p.tau * v
+                breaks = np.concatenate([shifted - p.tau, shifted])
+                for other in (None, want_nu, breaks.min() - 1.0, breaks.max() + 1.0):
+                    x, nu = prox_capped_simplex(v, p, other)
+                    assert x.tobytes() == want_x.tobytes() and nu == want_nu, other
 
     def test_warm_start_at_the_root_takes_two_gap_evaluations(self, monkeypatch):
         calls = {"n": 0}
