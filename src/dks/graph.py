@@ -60,9 +60,8 @@ def _edge_key(a, b, n: int) -> np.ndarray:
 
 def _edge_ends(key: np.ndarray, n: int, i=None, j=None):
     """The ``(i, j)`` of :func:`_edge_key`'s ``key``, into ``i`` and ``j`` if given;
-    ``j`` is formed in place, with no temporary."""
-    i = np.remainder(key, n, out=i)
-    j = np.floor_divide(key, n, out=j)
+    both come from one ``divmod`` pass, ``j`` then in place, with no temporary."""
+    j, i = np.divmod(key, n, out=(j, i))
     j -= i
     return i, j
 
@@ -131,8 +130,6 @@ class Graph:
             raise ValueError("vertex id out of range")
         if (e[:, 0] == e[:, 1]).any():
             raise ValueError("self-loops are not allowed")
-        if w is not None:
-            _check_weights(w)
         key = _edge_key(e[:, 0], e[:, 1], n)
         if not (key[1:] > key[:-1]).all():
             order = np.argsort(key, kind="stable")
@@ -150,8 +147,15 @@ class Graph:
     def _from_scan(cls, n, scan, w, ids) -> "Graph":
         """Every graph's one builder. ``scan``, kept as ``_scan``, is an F-ordered
         ``(m, 2)`` int64 array of ``(i, j)``, ``i < j``, in strictly ascending
-        wavefront order; ``w`` holds checked weights (None: unit ones)."""
+        wavefront order; ``w`` holds the weights (None: unit ones), refused unless
+        positive and finite, or if their total overflows."""
         m = scan.shape[0]
+        if w is not None:
+            if not np.isfinite(w).all() or (w <= 0).any():
+                raise ValueError("edge weights must be positive and finite")
+            with np.errstate(over="ignore"):   # every degree and subgraph weight sums part of it
+                if not np.isfinite(2 * w.sum()):
+                    raise ValueError("total edge weight overflows")
         ends = scan.T.ravel()   # a view: the heads, then the tails
         # unit weights are counted, not summed: the same bits, with no 2m-float weight array
         w, terms = (np.ones(m), None) if w is None else (w, np.concatenate([w, w]))
@@ -271,15 +275,6 @@ def _read_source(source):
     return data
 
 
-def _check_weights(w: np.ndarray) -> None:
-    """Refuse weights that are not positive and finite, or whose total overflows."""
-    if not np.isfinite(w).all() or (w <= 0).any():
-        raise ValueError("edge weights must be positive and finite")
-    with np.errstate(over="ignore"):   # every degree and subgraph weight sums part of it
-        if not np.isfinite(2 * w.sum()):
-            raise ValueError("total edge weight overflows")
-
-
 def _largest_component(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Mask of the largest connected component of edges ``(a, b)`` over ``0..n-1``.
 
@@ -320,14 +315,16 @@ def _parse_lines(stream, weighted: bool):
         if len(parts) != want:
             raise EdgeListParseError(
                 f"line {lineno}: expected {want} fields, got {len(parts)}", lineno)
+        if not (_DIGITS.fullmatch(parts[0]) and _DIGITS.fullmatch(parts[1])):
+            raise EdgeListParseError(f"line {lineno}: non-numeric vertex id", lineno)
         try:
             ends.extend((int(parts[0]), int(parts[1])))
-        except (ValueError, OverflowError) as exc:   # int() refuses overlong digit strings too
-            big = isinstance(exc, OverflowError) or all(map(_DIGITS.fullmatch, parts[:2]))
-            what = "vertex id out of range" if big else "non-numeric vertex id"
-            raise EdgeListParseError(f"line {lineno}: {what}", lineno) from None
+        except (ValueError, OverflowError):   # int() refuses overlong digit strings too
+            raise EdgeListParseError(f"line {lineno}: vertex id out of range", lineno) from None
         if weighted:
             try:
+                if not parts[2].isascii() or "_" in parts[2]:
+                    raise ValueError
                 w = float(parts[2])
             except ValueError:
                 raise EdgeListParseError(
@@ -345,7 +342,7 @@ def _parse_lines(stream, weighted: bool):
 _ID_BYTES = b"0123456789+- \t\r\n"
 _WEIGHT_BYTES = _ID_BYTES + b".eE"
 _WEIGHTED_ROW = np.dtype([("u", np.int64), ("v", np.int64), ("w", np.float64)])
-_DIGITS = re.compile(r"[+-]?[0-9]+")   # an id token that only its length can make int() refuse
+_DIGITS = re.compile(r"[+-]?[0-9]+")   # ids as both parsers read them; int() reads `1_0` too
 
 
 def _drop_comment_lines(data: bytes):
@@ -476,7 +473,8 @@ def load_edge_list(source, weighted: bool = False) -> Graph:
     """Load a graph from line-oriented edge-list text.
 
     Lines are ``u v`` (or ``u v w`` when ``weighted``); ``#``/``%`` lines are
-    comments. Vertex ids are integers that fit in a signed 64-bit integer.
+    comments. Vertex ids are ASCII ``[+-]?[0-9]+`` integers that fit in a signed
+    64-bit integer; weights are ASCII numbers without ``_``.
     Preprocessing: arcs are symmetrized, self-loops dropped, duplicate pairs
     merged (presence semantics for unweighted input, weight sums in file
     order for weighted), and the largest connected component is extracted
@@ -494,8 +492,8 @@ def load_edge_list(source, weighted: bool = False) -> Graph:
     other input, and every input with an error, is read by the per-line parser
     instead, so errors and their line numbers are always its own.
 
-    Merged keys are decoded once, into the edge array the graph keeps; only a
-    cut component renumbers ids, and so goes through :meth:`Graph.from_edges`.
+    Pairs are keyed, sorted, merged and decoded once, into the edge array the
+    graph keeps; a cut component's renumbered pairs take those steps once more.
 
     Raises :class:`EdgeListParseError` on malformed lines or invalid UTF-8,
     and ``ValueError`` on corrupt gzip input, if no edges survive preprocessing,
@@ -509,37 +507,39 @@ def load_edge_list(source, weighted: bool = False) -> Graph:
         pairs, weights = pairs[proper], weights[proper] if weighted else weights
     ids, dense = _relabel(pairs.ravel())
     del pairs, proper   # each edge-length array is freed once read, to lower the peak
-    n = ids.size
-    keys = _edge_key(dense[0::2], dense[1::2], n)
+    keys = _edge_key(dense[0::2], dense[1::2], ids.size)
     del dense
-    w = None
-    if weighted:
-        keys, pair_of = np.unique(keys, return_inverse=True)
-        # bincount adds in file order starting from 0.0, like a sequential fold
-        w = np.bincount(pair_of, weights=weights, minlength=keys.size)
-        del pair_of, weights
-    else:
-        # np.unique(keys) takes 25x as long on numpy 2.4 (25 against 1 ms at 9e4 keys)
+    scan, w = _merged_scan(keys, weights if weighted else None, ids.size)
+    del keys, weights
+    keep = _largest_component(ids.size, *scan.T)
+    if not keep.all():   # renumbered ids change some sums i + j: the keys are sorted again
+        inside = keep[scan[:, 0]]
+        ids, kept = ids[keep], (np.cumsum(keep) - 1)[scan[inside]]
+        del scan
+        keys = _edge_key(kept[:, 0], kept[:, 1], ids.size)
+        scan, w = _merged_scan(keys, None if w is None else w[inside], ids.size)
+    return Graph._from_scan(ids.size, scan, w, ids)
+
+
+def _merged_scan(keys, weights, n: int):
+    """The distinct edges of :func:`_edge_key`'s ``keys`` as an F-ordered ``(m, 2)`` scan,
+    and, given ``weights``, each edge's sum of them: one sort of the keys (``np.unique``
+    takes 25x as long on numpy 2.4) and a mask of each run's first key. Weighted keys
+    are sorted stably, so ``bincount`` adds each edge's weights in the order given."""
+    if weights is None:
         keys.sort()
-        first = np.empty(keys.size, dtype=bool)
-        first[0] = True
-        np.not_equal(keys[1:], keys[:-1], out=first[1:])
-        keys = keys[first]
+    else:
+        order = _stable_order(keys, 2 * n * n)
+        keys, weights = keys[order], weights[order]
+    first = np.empty(keys.size, dtype=bool)
+    first[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    if weights is not None:
+        weights = np.bincount(np.cumsum(first) - 1, weights=weights)
+    keys = keys[first]
     scan = np.empty((keys.size, 2), dtype=np.int64, order="F")
     _edge_ends(keys, n, *scan.T)
-    del keys
-    keep = _largest_component(n, *scan.T)
-    if keep.all():
-        if weighted:
-            _check_weights(w)
-        return Graph._from_scan(n, scan, w, ids)
-    inside = keep[scan[:, 0]]
-    edges = (np.cumsum(keep) - 1)[scan[inside]]
-    del scan
-    # the keys ascended strictly; they may not once the cut renumbers ids that
-    # lay between kept ones, which changes some sums i + j
-    return Graph.from_edges(int(keep.sum()), edges, None if w is None else w[inside],
-                            original_ids=ids[keep])
+    return scan, weights
 
 
 def write_edge_list(g: Graph, dest) -> None:

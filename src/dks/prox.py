@@ -26,13 +26,13 @@ class CappedSimplexParams:
     """Parameters of ``argmin -degrees @ x + sum_i (tau_i/2) (x_i - v_i)^2`` over the
     capped simplex.
 
-    ``tau`` is the quadratic scaling of the prox: one positive scalar, kept as
-    given, or one positive entry per vertex, kept as a float64 vector.
+    ``tau`` is the quadratic scaling of the prox: one positive entry per vertex,
+    kept as a float64 vector.
     """
 
     degrees: np.ndarray
     k: float
-    tau: float | np.ndarray
+    tau: np.ndarray
 
     def __post_init__(self):
         d = np.asarray(self.degrees, dtype=np.float64)
@@ -42,10 +42,9 @@ class CappedSimplexParams:
         if not np.isfinite(d).all():
             raise ValueError("degrees must be finite")
         tau = np.asarray(self.tau, dtype=np.float64)
-        if tau.ndim:
-            object.__setattr__(self, "tau", tau)
-        if tau.shape not in ((), d.shape):
-            raise ValueError("tau must be a scalar or match the degree vector length")
+        object.__setattr__(self, "tau", tau)
+        if tau.shape != d.shape:
+            raise ValueError("tau must match the degree vector length")
         if not ((tau > 0).all() and np.isfinite(tau).all()):
             raise ValueError("tau must be positive")
         if not 2 <= self.k <= d.size - 1:

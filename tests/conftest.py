@@ -3,6 +3,7 @@
 import functools
 import gzip
 import io
+import re
 import sys
 import zlib
 
@@ -230,6 +231,9 @@ def _text_stream_reference(source):
     return io.StringIO(data.decode("utf-8"))
 
 
+_ID_TOKEN = re.compile(r"[+-]?[0-9]+")
+
+
 # The loader as it was before ingestion became one array pipeline: a dict
 # merge and a dict union-find over a decoded StringIO copy of the input,
 # kept as the oracle for `load_edge_list`.
@@ -258,7 +262,11 @@ def load_edge_list_reference(source, weighted: bool = False) -> Graph:
         if len(parts) != want:
             raise EdgeListParseError(
                 f"line {lineno}: expected {want} fields, got {len(parts)}", lineno)
+        # ids are ASCII [+-]?[0-9]+ and weights ASCII without `_`, although int()
+        # and float() read `1_0` and non-ASCII digits too
         try:
+            if not all(_ID_TOKEN.fullmatch(t) for t in parts[:2]):
+                raise ValueError
             u = int(parts[0])
             v = int(parts[1])
         except ValueError:
@@ -266,6 +274,8 @@ def load_edge_list_reference(source, weighted: bool = False) -> Graph:
                 f"line {lineno}: non-numeric vertex id", lineno) from None
         if weighted:
             try:
+                if not parts[2].isascii() or "_" in parts[2]:
+                    raise ValueError
                 w = float(parts[2])
             except ValueError:
                 raise EdgeListParseError(

@@ -2,10 +2,11 @@
 
 Each is simple enough to trust and slow enough to keep out of the package:
 the sorted-prefix greedy evaluation of the Lovász extension, a
-submodularity checker, dense linear-algebra materializations of the graph
-operators, the full-scan forms of the kernels that skip to the chosen
-vertices or edges, and the plain forms of the prox and the ADMM loop, which
-the faster code must match bitwise.
+submodularity checker, the relaxation's value by enumeration and by LP,
+dense linear-algebra materializations of the graph operators, the full-scan
+forms of the kernels that skip to the chosen vertices or edges, and the
+plain forms of the prox and the ADMM loop, which the faster code must match
+bitwise.
 """
 
 from __future__ import annotations
@@ -81,6 +82,55 @@ def check_submodular(g: Graph, f=None, tol: float = 1e-9,
         if f(union) + f(inter) > f(tuple(a)) + f(tuple(b)) + tol:
             return False
     return True
+
+
+def density_size_envelope(g: Graph) -> np.ndarray:
+    """``conc H(s)`` for ``s = 0..n``: the least concave majorant of ``H(s)``, the
+    largest ``2 w(E(S))`` (``subgraph_weight``) over sets with ``|S| = s``.
+
+    ``H`` comes from all ``2^n`` sets (refused for n > 12). The majorant is the
+    upper hull of the points ``(s, H(s))``, read off at each integer ``s``; at
+    every k it equals the relaxation's value ``-min f_L`` over the capped simplex.
+    """
+    n = g.n
+    if n > 12:
+        raise ValueError("the envelope enumerates 2^n sets: n must be at most 12")
+    masks = np.arange(1 << n)
+    bits = ((masks[:, None] >> np.arange(n)[None, :]) & 1).astype(np.float64)
+    weight = np.einsum("ij,ij->i", bits @ _dense_adjacency(g), bits)
+    h = np.full(n + 1, -np.inf)
+    np.maximum.at(h, bits.sum(axis=1).astype(np.int64), weight)
+    hull = []   # s of the hull's corners: each middle corner lies strictly above its chord
+    for s in range(n + 1):
+        while len(hull) >= 2 and ((h[hull[-1]] - h[hull[-2]]) * (s - hull[-2])
+                                  <= (h[s] - h[hull[-2]]) * (hull[-1] - hull[-2])):
+            hull.pop()
+        hull.append(s)
+    return np.interp(np.arange(n + 1), hull, h[hull])
+
+
+def lovasz_lp_value(g: Graph, k: int) -> float:
+    """The relaxation's value ``-min f_L`` over the capped simplex, by the epigraph
+    LP ``max degree @ x - sum_e w_e t_e``, ``t_e >= |x_i - x_j|``, solved by HiGHS."""
+    from scipy.optimize import linprog
+
+    n, m = g.n, g.m
+    c = np.concatenate([-g.degree, g.weights])
+    rows = []
+    for e in range(m):
+        i, j = g.edges[e]
+        row = np.zeros(n + m)
+        row[i], row[j], row[n + e] = 1.0, -1.0, -1.0
+        rows.append(row.copy())
+        row[i], row[j] = -1.0, 1.0
+        rows.append(row)
+    a_eq = np.zeros((1, n + m))
+    a_eq[0, :n] = 1.0
+    res = linprog(
+        c, A_ub=np.asarray(rows), b_ub=np.zeros(2 * m), A_eq=a_eq, b_eq=[float(k)],
+        bounds=[(0, 1)] * n + [(0, None)] * m, method="highs")
+    assert res.status == 0, f"LP oracle failed: {res.message}"
+    return -res.fun
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,8 +212,8 @@ def shrinkage_max_form(v, w, rho: float) -> np.ndarray:
 
 
 def prox_capped_simplex_bisection(v, p: CappedSimplexParams):
-    """The capped-simplex prox ``(x, nu)`` by bisection over all sorted breakpoints;
-    ``p.tau`` is one scalar or one weight per entry, which broadcasts alike."""
+    """The capped-simplex prox ``(x, nu)`` by bisection over all sorted breakpoints,
+    with ``p.tau`` one weight per entry."""
     v = np.asarray(v, dtype=np.float64)
     shifted = p.degrees + p.tau * v
     breaks = np.sort(np.concatenate([shifted - p.tau, shifted]))

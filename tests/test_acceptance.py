@@ -13,7 +13,7 @@ import pytest
 
 import dks.solver as solver_mod
 from conftest import random_feasible_batch, random_graph
-from dense_oracles import check_submodular, edmonds_lovasz
+from dense_oracles import check_submodular, edmonds_lovasz, lovasz_lp_value
 from dks.baselines import (
     density_upper_bound,
     greedy_feige,
@@ -38,29 +38,6 @@ def _report(num, name, detail):
     print(f"ACCEPTANCE {num:>2} {name}: PASS ({detail})")
 
 
-def _lovasz_lp_value(g, k):
-    """Exact max-form relaxation value via the epigraph LP (independent oracle)."""
-    from scipy.optimize import linprog
-
-    n, m = g.n, g.m
-    c = np.concatenate([-g.degree, g.weights])
-    rows = []
-    for e in range(m):
-        i, j = g.edges[e]
-        row = np.zeros(n + m)
-        row[i], row[j], row[n + e] = 1.0, -1.0, -1.0
-        rows.append(row.copy())
-        row[i], row[j] = -1.0, 1.0
-        rows.append(row)
-    a_eq = np.zeros((1, n + m))
-    a_eq[0, :n] = 1.0
-    res = linprog(
-        c, A_ub=np.asarray(rows), b_ub=np.zeros(2 * m), A_eq=a_eq, b_eq=[float(k)],
-        bounds=[(0, 1)] * n + [(0, None)] * m, method="highs")
-    assert res.status == 0, f"LP oracle failed: {res.message}"
-    return -res.fun
-
-
 @pytest.fixture(scope="module")
 def dominance_batch():
     """Criterion 5/9 instance batch: 200 random unweighted graphs, all feasible k.
@@ -78,7 +55,7 @@ def dominance_batch():
         sp = top_two_singular(g)
         for k in range(2, g.n):
             optimum, best_weight = brute_force_dks(g, k)
-            lp_value = _lovasz_lp_value(g, k)
+            lp_value = lovasz_lp_value(g, k)
             entry = {
                 "g": g, "k": k, "best_weight": best_weight,
                 "best_density": optimum.density, "lp_value": lp_value,
@@ -158,7 +135,7 @@ def test_criterion_04_prox_kkt():
         n = int(rng.integers(3, 201))
         k = int(rng.integers(2, n))
         tau = float(np.exp(rng.uniform(-3, 3)))
-        params = CappedSimplexParams(rng.normal(size=n) * 3.0, float(k), tau)
+        params = CappedSimplexParams(rng.normal(size=n) * 3.0, float(k), np.full(n, tau))
         v = rng.normal(size=n)
         x, nu = prox_capped_simplex(v, params)
         assert x.min() >= 0.0 and x.max() <= 1.0

@@ -50,6 +50,13 @@ def _load(text, weighted=False):
     return load_edge_list(io.StringIO(text), weighted=weighted)
 
 
+def _refuse_from_edges(monkeypatch):
+    """Make ``Graph.from_edges`` raise: no load may build through it."""
+    def refuse(cls, *args, **kwargs):
+        raise AssertionError("the loader called Graph.from_edges")
+    monkeypatch.setattr(Graph, "from_edges", classmethod(refuse))
+
+
 class TestLoadEdgeList:
     def test_symmetrize_selfloop_merge(self):
         g = _load("1 2\n2 1\n2 2\n2 3\n")
@@ -66,16 +73,14 @@ class TestLoadEdgeList:
     @pytest.mark.parametrize("weighted", [False, True])
     def test_cut_component_between_kept_ids_sorts_again(self, monkeypatch, weighted):
         # cutting {3, 4} renumbers 5 -> 3 and 6 -> 4: the key of (1, 2) came before that
-        # of (0, 5), but (1, 2) after (0, 3), so from_edges takes its sort path
+        # of (0, 5), but (1, 2) after (0, 3), so the loader sorts the kept keys again
         pairs = [(1, 2), (0, 5), (0, 1), (5, 6)]
         lines = [f"{u} {v}" + (f" {1.5 + e}" if weighted else "") for e, (u, v) in
                  enumerate(pairs)]
         text = "\n".join(lines + ["3 4" + (" 9.0" if weighted else "")]) + "\n"
-        calls = []
-        argsort = np.argsort
-        monkeypatch.setattr(np, "argsort", lambda *a, **kw: calls.append(a) or argsort(*a, **kw))
+        _refuse_from_edges(monkeypatch)
         g = _load(text, weighted=weighted)
-        assert len(calls) == 1
+        monkeypatch.undo()
         key = graph_mod._edge_key(g.edges[:, 0], g.edges[:, 1], g.n)
         assert (key[1:] > key[:-1]).all()
         assert g.original_ids.tolist() == [0, 1, 2, 5, 6]
@@ -86,8 +91,8 @@ class TestLoadEdgeList:
 
     @pytest.mark.parametrize("cut", [False, True], ids=["whole", "cut"])
     def test_weight_total_overflow_refused(self, cut):
-        # every merged weight is finite, their total is not; the loader builds a
-        # whole graph itself and hands a cut one to from_edges, and both refuse
+        # every merged weight is finite, their total is not; the loader refuses it
+        # whether or not a component is cut
         text = "0 1 1e308\n1 2 1e308\n0 2 1e308\n2 3 1\n" + ("7 8 1\n" if cut else "")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -306,6 +311,24 @@ class TestFastPath:
                     load_edge_list(source)
                 assert (str(err.value), err.value.lineno) == (f"line 2: {want}", 2)
 
+    @pytest.mark.parametrize("line,weighted,what", [
+        ("1_0 2", False, "non-numeric vertex id"),
+        ("٣ 2", False, "non-numeric vertex id"),   # ARABIC-INDIC DIGIT THREE
+        ("2 １", False, "non-numeric vertex id"),   # FULLWIDTH DIGIT ONE
+        ("1_0 2 1.5", True, "non-numeric vertex id"),
+        ("1 2 1_0.5", True, "non-numeric edge weight"),
+        ("1 2 ٣", True, "non-numeric edge weight"),
+        ("1 2 ١.5", True, "non-numeric edge weight"),
+    ])
+    def test_tokens_only_int_or_float_reads_are_refused(self, line, weighted, what):
+        # int() and float() read `_` between digits and non-ASCII digits; no
+        # edge-list format means them as numbers
+        text = ("0 1 1.0\n" if weighted else "0 1\n") + line + "\n"
+        for source in (io.StringIO(text), io.BytesIO(text.encode())):
+            with pytest.raises(EdgeListParseError) as err:
+                load_edge_list(source, weighted=weighted)
+            assert (str(err.value), err.value.lineno) == (f"line 2: {what}", 2)
+
     def test_clean_inputs_skip_per_line_parser(self, tmp_path, monkeypatch):
         rng = np.random.default_rng(406)
         u, v = rng.integers(0, 300, size=(2, 2000))
@@ -487,8 +510,8 @@ class TestRelabel:
 
 
 class TestUnweightedMerge:
-    """The loader's sort-and-mask merge of unweighted pairs against the reference's
-    dict merge (the same graph ``np.unique`` of the keys gives)."""
+    """The loader's one sort-and-mask merge, of unweighted and weighted pairs, against
+    the reference's dict merge (the same graph ``np.unique`` of the keys gives)."""
 
     @staticmethod
     def _text(rng, weighted):
@@ -559,23 +582,20 @@ def _merged_input(rng, weighted, cut, spread):
 
 
 class TestOneBuild:
-    """The loader builds each graph once: bitwise the graph that ``from_edges``
-    builds from the merged, relabeled pairs, with the same array layout."""
+    """The loader builds each graph once, without ``from_edges``: bitwise the graph
+    that ``from_edges`` builds from the merged, relabeled pairs, with the same
+    array layout."""
 
     @pytest.mark.parametrize("spread", [1, 3, 79, 1000])
     @pytest.mark.parametrize("cut", [False, True], ids=["whole", "cut"])
     @pytest.mark.parametrize("weighted", [False, True], ids=["unit", "weighted"])
     def test_matches_from_edges_of_merged_pairs(self, monkeypatch, weighted, cut, spread):
         rng = np.random.default_rng([412, weighted, cut, spread])
-        calls = []
         from_edges = Graph.from_edges.__func__
-        monkeypatch.setattr(Graph, "from_edges", classmethod(
-            lambda cls, *a, **kw: calls.append(a) or from_edges(cls, *a, **kw)))
+        _refuse_from_edges(monkeypatch)
         for _ in range(10):
             text, kept, merged = _merged_input(rng, weighted, cut, spread)
-            calls.clear()
             g = _load(text, weighted=weighted)
-            assert len(calls) == cut   # only a cut component goes through from_edges
             index = {int(v): i for i, v in enumerate(kept)}
             want = from_edges(Graph, kept.size, [(index[u], index[v]) for u, v in merged],
                               list(merged.values()) if weighted else None, original_ids=kept)

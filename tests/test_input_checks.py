@@ -49,16 +49,17 @@ CASES = [
     # 4,498,500 subsets, under the subset limit, but 4.0e13 multiply-adds (about 21 minutes)
     ("brute-work-past-limit", lambda: brute_force_dks(path(3000), 2998),
      ValueError, r"C\(3000, 2998\) \* 3000\^2 = 40486500000000 multiply-adds exceeds"),
-    ("params-degrees-matrix", lambda: CappedSimplexParams(np.ones((3, 3)), 2.0, 1.0),
+    ("params-degrees-matrix", lambda: CappedSimplexParams(np.ones((3, 3)), 2.0, np.ones(3)),
      ValueError, "degrees must be a vector"),
-    ("params-degrees-scalar", lambda: CappedSimplexParams(5.0, 2.0, 1.0),
+    ("params-degrees-scalar", lambda: CappedSimplexParams(5.0, 2.0, np.ones(1)),
      ValueError, "degrees must be a vector"),
-    ("params-degrees-short", lambda: CappedSimplexParams(np.ones(2), 2.0, 1.0),
+    ("params-degrees-short", lambda: CappedSimplexParams(np.ones(2), 2.0, np.ones(2)),
      ValueError, "degrees must be a vector"),
-    ("params-degrees-nan", lambda: CappedSimplexParams(np.array([1.0, np.nan, 1.0]), 2.0, 1.0),
+    ("params-degrees-nan", lambda: CappedSimplexParams(np.array([1.0, np.nan, 1.0]), 2.0,
+                                                          np.ones(3)),
      ValueError, "degrees must be finite"),
     ("prox-v-length", lambda: prox_capped_simplex(np.ones(3),
-                                                  CappedSimplexParams(np.ones(4), 2.0, 1.0)),
+                                                  CappedSimplexParams(np.ones(4), 2.0, np.ones(4))),
      ValueError, "v must match the degree vector length"),
     ("shrinkage-length", lambda: shrinkage(np.ones(3), np.ones(4), 1.0),
      ValueError, "v and w must have the same length"),

@@ -11,12 +11,14 @@ from dks.prox import CappedSimplexParams, cardinality_gap, prox_capped_simplex, 
 
 def _random_params(rng, n=None, tau=None, k=None, integer=False, vector=False):
     """Random prox instance; ``integer`` rounds degrees and v so breakpoints tie, and
-    ``vector`` draws one tau per entry, from 1e-3 to 1e3 (from 1 to 3 if ``integer``)."""
+    ``vector`` draws one tau per entry, from 1e-3 to 1e3 (from 1 to 3 if ``integer``);
+    otherwise every entry is ``tau``, or one random value."""
     n = n if n is not None else int(rng.integers(3, 40))
     k = k if k is not None else int(rng.integers(2, n))
     if vector:
         tau = rng.integers(1, 4, size=n) * 1.0 if integer else 10.0 ** rng.uniform(-3, 3, size=n)
-    tau = tau if tau is not None else float(np.exp(rng.uniform(-3, 3)))
+    else:
+        tau = np.full(n, tau if tau is not None else float(np.exp(rng.uniform(-3, 3))))
     d = rng.normal(size=n) * 3.0
     v = rng.normal(size=n)
     if integer:
@@ -35,7 +37,7 @@ class TestCardinalityGap:
         for _ in range(25):
             p, v = _random_params(rng, tau=tau)
             shifted = p.degrees + p.tau * v
-            nu_lo = shifted.min() - p.tau
+            nu_lo = (shifted - p.tau).min()
             nu_hi = shifted.max()
             n = p.degrees.shape[0]
             assert cardinality_gap(nu_lo, v, p) == pytest.approx(n - p.k, abs=1e-12)
@@ -52,7 +54,7 @@ class TestCardinalityGap:
 
 class TestProxCappedSimplex:
     def test_symmetric_instance(self):
-        p = CappedSimplexParams(np.zeros(4), 2.0, 1.0)
+        p = CappedSimplexParams(np.zeros(4), 2.0, np.ones(4))
         x, nu = prox_capped_simplex(np.zeros(4), p)
         assert np.abs(x - 0.5).max() <= 1e-6
         assert nu == pytest.approx(-0.5, abs=1e-6)
@@ -64,7 +66,7 @@ class TestProxCappedSimplex:
             k = int(rng.integers(2, n))
             v = np.zeros(n)
             v[rng.choice(n, size=k, replace=False)] = 1.0
-            p = CappedSimplexParams(rng.random(n), float(k), 1e6)
+            p = CappedSimplexParams(rng.random(n), float(k), np.full(n, 1e6))
             x, _ = prox_capped_simplex(v, p)
             assert np.abs(x - v).max() <= 1e-3
 
@@ -110,7 +112,7 @@ class TestProxCappedSimplex:
         rng = np.random.default_rng(7)
 
         def objective(p, v, x):
-            return -p.degrees @ x + 0.5 * p.tau * ((x - v) ** 2).sum()
+            return -p.degrees @ x + 0.5 * (p.tau * (x - v) ** 2).sum()
 
         for _ in range(30):
             p, v = _random_params(rng)
@@ -204,31 +206,20 @@ class TestProxCappedSimplex:
             assert calls["n"] <= 2
 
     def test_non_finite_input_rejected(self):
-        p = CappedSimplexParams(np.zeros(4), 2.0, 1.0)
+        p = CappedSimplexParams(np.zeros(4), 2.0, np.ones(4))
         with pytest.raises(ValueError):
             prox_capped_simplex(np.array([0.0, np.nan, 0.0, 0.0]), p)
 
-    def test_uniform_vector_tau_matches_the_scalar(self):
-        # a scalar tau is kept as given; a vector of its value gives the same bits
-        rng = np.random.default_rng(14)
-        for _ in range(50):
-            p, v = _random_params(rng)
-            assert type(p.tau) is float
-            vector = CappedSimplexParams(p.degrees, p.k, np.full(v.size, p.tau))
-            for start in (None, float(rng.normal() * 3)):
-                x, nu = prox_capped_simplex(v, p, start)
-                y, mu = prox_capped_simplex(v, vector, start)
-                assert x.tobytes() == y.tobytes() and nu == mu
-
     def test_param_validation(self):
-        for tau in (-1.0, 0.0, np.nan, np.inf, [1.0, 1.0, 1.0], [1.0] * 5, [[1.0] * 4],
+        # one tau per vertex only: a scalar is refused, even a positive one
+        for tau in (1.0, -1.0, 0.0, np.nan, np.inf, [1.0, 1.0, 1.0], [1.0] * 5, [[1.0] * 4],
                     [1.0, 0.0, 1.0, 1.0], [1.0, -2.0, 1.0, 1.0], [1.0, np.nan, 1.0, 1.0]):
             with pytest.raises(ValueError, match="tau"):
                 CappedSimplexParams(np.zeros(4), 2.0, tau)
-        with pytest.raises(ValueError):
-            CappedSimplexParams(np.zeros(4), 4.0, 1.0)  # k > n-1
-        with pytest.raises(ValueError):
-            CappedSimplexParams(np.zeros(4), 1.0, 1.0)  # k < 2
+        with pytest.raises(ValueError, match="k must lie"):
+            CappedSimplexParams(np.zeros(4), 4.0, np.ones(4))  # k > n-1
+        with pytest.raises(ValueError, match="k must lie"):
+            CappedSimplexParams(np.zeros(4), 1.0, np.ones(4))  # k < 2
 
 
 class TestShrinkage:

@@ -8,8 +8,10 @@ import dks.solver as solver_mod
 from conftest import random_feasible_batch, random_graph
 from dense_oracles import (
     dense_cross_check,
+    density_size_envelope,
     edmonds_lovasz,
     lexicographic_copy,
+    lovasz_lp_value,
     solve_lovasz_relaxation_unbuffered,
 )
 from dks.graph import (
@@ -303,6 +305,64 @@ class TestDualityGap:
                 assert t % solver_mod.BALANCE_EVERY == 0 and t <= solver_mod.BALANCE_UNTIL
         if name in ("star", "K10,15", "C40", "grid8x8"):   # rho moves, and tau with it
             assert len(set(rhos)) > 1
+
+
+def _envelope_graphs():
+    """``{name: graph}`` on at most 12 vertices: random graphs, unweighted and weighted,
+    graphs with isolated vertices and graphs whose degrees tie."""
+    petersen = [(i, (i + 1) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)]
+    petersen += [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    k4 = [(i, j) for i in range(4) for j in range(i + 1, 4)]
+    graphs = {
+        "K4+3isolated": Graph.from_edges(7, k4),
+        "path4+8isolated": Graph.from_edges(12, [(3, 5), (5, 8), (8, 11)]),
+        "2xK4": Graph.from_edges(8, k4 + [(a + 4, b + 4) for a, b in k4]),
+        "C9": Graph.from_edges(9, [(i, (i + 1) % 9) for i in range(9)]),
+        "K3,4": Graph.from_edges(7, [(i, j) for i in range(3) for j in range(3, 7)]),
+        "petersen": Graph.from_edges(10, petersen),
+        "K6": Graph.from_edges(6, [(i, j) for i in range(6) for j in range(i + 1, 6)]),
+    }
+    rng = np.random.default_rng(4120)
+    for trial in range(6):
+        n = int(rng.integers(5, 13))
+        graphs[f"gnp{trial}"] = random_graph(rng, n, float(rng.uniform(0.2, 0.7)))
+        graphs[f"gnp{trial}-weighted"] = random_graph(rng, n, float(rng.uniform(0.2, 0.7)),
+                                                      weighted=True)
+    graphs["C9-weighted"] = Graph.from_edges(9, graphs["C9"].edges, 10.0 ** rng.uniform(-2, 2, 9))
+    graphs["K4+3isolated-tied-weights"] = Graph.from_edges(7, k4, [2.5] * 6)
+    return graphs
+
+
+_ENVELOPE_GRAPHS = _envelope_graphs()
+
+
+class TestDensitySizeEnvelope:
+    """The relaxation's optimum is ``-conc H(k)``, ``conc H`` the least concave majorant
+    of the best ``2 w(E(S))`` at each size: an exact oracle that does not depend on
+    the solver's loop."""
+
+    @pytest.mark.parametrize("name", list(_ENVELOPE_GRAPHS))
+    def test_envelope_equals_the_lp_value(self, name):
+        g = _ENVELOPE_GRAPHS[name]
+        envelope = density_size_envelope(g)
+        for k in range(2, g.n):
+            assert lovasz_lp_value(g, k) == pytest.approx(envelope[k], rel=1e-9, abs=0.0), k
+
+    @pytest.mark.parametrize("name", list(_ENVELOPE_GRAPHS))
+    def test_solves_bracket_the_envelope(self, name):
+        g = _ENVELOPE_GRAPHS[name]
+        envelope = density_size_envelope(g)
+        scale = float(g.weights.max())
+        for k in range(2, g.n):
+            report = solve_lovasz_relaxation(g, k)
+            optimum = -envelope[k]
+            value = lovasz_objective(g, report.x_last)
+            roundoff = 1e-9 * max(scale, abs(optimum))
+            assert report.dual_bound <= optimum + roundoff, k
+            assert optimum <= value + roundoff, k
+            if report.converged:
+                slack = solver_mod.EPS_REL * max(scale, abs(report.dual_bound))
+                assert value - optimum <= slack + roundoff, k
 
 
 class TestMatchesUnbufferedLoop:
